@@ -6,6 +6,14 @@ advisory flock on `<path>.lock`, re-read the current state, bump the
 generation, write a temp file in the same directory, and rename it over the
 target. Readers never lock: the rename keeps every read a complete snapshot.
 
+After every publish the writer also stores the published generation as 8
+bytes in native byte order at offset 0 of `<path>.lock`. The preload shim
+maps that word and re-reads the state file only when it changed. Writers
+never truncate or delete the lock file. Storing the generation rather than
+a counter makes a race between unlocked `state_write` calls harmless: the
+shim adopts a state only when its generation is larger, so a word written
+late can cause a spurious reload but never hide a newer state.
+
 Generations only grow. A missing file is the empty state at generation 0;
 any grammar deviation in an existing file raises CorruptStateError with the
 offending line number.
@@ -17,6 +25,7 @@ import errno
 import fcntl
 import os
 import signal
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +38,7 @@ from .fsutil import PathLike, atomic_write_text
 GENERATION_FIELD = "generation"
 LAYER_PREFIX = "layer/"
 LOCK_SUFFIX = ".lock"
+GENERATION_WORD_MASK = (1 << 64) - 1
 DEFAULT_LOCK_TIMEOUT = 2.0
 
 SIGNAL_WHITELIST = {
@@ -100,6 +110,16 @@ def state_read(path: PathLike) -> ContextState:
 def state_write(path: PathLike, ctx: ContextState) -> None:
     """Atomically publish a state snapshot (no locking; see state_set_layer)."""
     atomic_write_text(path, state_serialize(ctx))
+    fd = os.open(str(path) + LOCK_SUFFIX, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        _publish_generation(fd, ctx.generation)
+    finally:
+        os.close(fd)
+
+
+def _publish_generation(lock_fd: int, generation: int) -> None:
+    """Store the generation word the shim watches at offset 0 of the lock file."""
+    os.pwrite(lock_fd, (generation & GENERATION_WORD_MASK).to_bytes(8, sys.byteorder), 0)
 
 
 class _StateLock:
@@ -108,7 +128,7 @@ class _StateLock:
     def __init__(self, path: PathLike, timeout: float):
         self._lock_path = str(path) + LOCK_SUFFIX
         self._timeout = timeout
-        self._fd: Optional[int] = None
+        self.fd: Optional[int] = None
 
     def __enter__(self):
         Path(self._lock_path).parent.mkdir(parents=True, exist_ok=True)
@@ -130,13 +150,13 @@ class _StateLock:
         except BaseException:
             os.close(fd)
             raise
-        self._fd = fd
+        self.fd = fd
         return self
 
     def __exit__(self, *exc_info):
-        if self._fd is not None:
-            os.close(self._fd)  # closing drops the flock
-            self._fd = None
+        if self.fd is not None:
+            os.close(self.fd)  # closing drops the flock
+            self.fd = None
         return False
 
 
@@ -156,17 +176,18 @@ def state_set_layer(
     check_layer_name(name)
     if value is not None:
         check_layer_value(value)
-    with _StateLock(path, timeout):
+    with _StateLock(path, timeout) as lock:
         current = state_read(path)
         if value is None:
             updated = current.without_layer(name)
         else:
             updated = current.with_layer(name, value)
         if _after_write is None:
-            state_write(path, updated)
+            atomic_write_text(path, state_serialize(updated))
         else:
             # split write for crash-consistency tests
             _write_with_hook(path, updated, _after_write)
+        _publish_generation(lock.fd, updated.generation)
         return updated.generation
 
 

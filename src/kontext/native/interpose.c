@@ -1,18 +1,33 @@
-/* LD_PRELOAD shim: intercepts getenv and read-only open/fopen so running
- * programs see contextually resolved configuration.
+/* LD_PRELOAD shim: intercepts getenv, secure_getenv and read-only
+ * open/fopen so running programs see contextually resolved configuration.
  *
  * Ground rules, in order:
  *   fail open   - on any internal problem the real call happens instead
  *   no crashes  - never propagate errors into the host process
- *   stable답    - pointers handed to the app stay valid forever; replaced
- *                 answer buffers are retired, never freed
+ *   stable      - pointers handed to the app stay valid forever; getenv
+ *                 answers are interned per name and never freed
  *
  * Initialization is lazy: the constructor only samples the monotonic clock
- * for the trace start record. Everything else (config env vars, spec file,
- * state file, trace fd) happens under a mutex at the first intercepted
- * call. One process-wide mutex guards all shim state; real work done while
- * it is held is tiny (stat compare, in-memory lookup, one write per trace
- * record).
+ * for the trace start record and registers the fork handlers. Everything
+ * else (config env vars, spec file, state file, generation word, trace fd)
+ * happens under a mutex at the first intercepted call. One process-wide
+ * mutex guards all shim state; real work done while it is held is tiny
+ * (a word compare, an array read, one write per trace record).
+ *
+ * Staleness: writers store the published state's generation as 8 bytes in
+ * native byte order at offset 0 of <state>.lock, after the rename. The shim
+ * maps that word read-only and reloads the state file only when the word
+ * changed. Once per coarse-clock second it stats both files anyway, so hand
+ * edits and a recreated lock file show within a second. A lock file that is
+ * missing, shorter than 8 bytes, not a regular file, not owned by the
+ * effective uid or group/world-writable is never mapped; the shim then
+ * stats the state file on every registered call and retries the mapping at
+ * most once a second. The state file stays the source of truth.
+ *
+ * Answers: every getenv/ key of the spec owns a slot holding its answer for
+ * the state adopted last (g_epoch grows with every adopted state), so a
+ * steady registered hit makes no lookup. Values are interned in the slot,
+ * so A->B->A flips return the first pointer again.
  *
  * Config environment variables:
  *   KONTEXT_SPEC        spec file path; unset or unparseable -> passthrough
@@ -34,6 +49,8 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/auxv.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <time.h>
@@ -49,6 +66,7 @@ extern char **environ;
 
 static pthread_mutex_t g_lock = PTHREAD_MUTEX_INITIALIZER;
 static __thread int t_inside = 0; /* reentrancy guard, thread-local */
+static __thread int t_fork_locked = 0; /* this thread's fork prepare took g_lock */
 
 static int g_initialized = 0;
 static int g_active = 0;
@@ -71,14 +89,27 @@ static kx_statmeta g_state_stat;
 
 static unsigned long long g_calls, g_hits, g_reloads, g_fallthroughs;
 
-/* answer cache: newest entry per name wins, old buffers stay alive */
-typedef struct kx_answer {
-    char *name;
-    char *value;
-    struct kx_answer *next;
-} kx_answer;
+/* generation word: offset 0 of <state>.lock, mapped read-only */
+static char g_lock_path[PATH_MAX + 8];
+static const unsigned long long *g_word = NULL; /* NULL: stat on every call */
+static unsigned long long g_word_dev, g_word_ino, g_word_seen;
+static long long g_checked_s = -1; /* coarse second of the last full check */
 
-static kx_answer *g_answers = NULL;
+/* answer slots, one per key of the spec's contiguous getenv/ range */
+typedef struct kx_interned {
+    struct kx_interned *next;
+    char value[];
+} kx_interned;
+
+typedef struct {
+    unsigned long long epoch; /* g_epoch the answer belongs to; 0 is never current */
+    const char *answer;       /* interned value, NULL when the lookup is absent */
+    kx_interned *values;      /* every value this name answered, kept forever */
+} kx_slot;
+
+static kx_slot *g_slots = NULL;
+static size_t g_slots_start = 0, g_slots_len = 0;
+static unsigned long long g_epoch = 1; /* grows with every adopted state */
 
 /* shadow file registry, one per template prefix */
 typedef struct kx_shadow {
@@ -313,6 +344,7 @@ static void kx_load_state(int initial) {
     if (initial || fresh.generation > g_state.generation) {
         kx_state_free(&g_state);
         g_state = fresh;
+        g_epoch++;
         if (!initial)
             g_reloads++;
     } else {
@@ -321,19 +353,102 @@ static void kx_load_state(int initial) {
     g_state_stat = meta;
 }
 
+static long long kx_coarse_s(void) {
+    struct timespec ts;
+    if (clock_gettime(CLOCK_MONOTONIC_COARSE, &ts) != 0)
+        return 0;
+    return (long long)ts.tv_sec;
+}
+
+/* only a file no other user can truncate under the mapping (SIGBUS) */
+static int kx_word_usable(const struct stat *st) {
+    return S_ISREG(st->st_mode) && st->st_uid == geteuid() &&
+           !(st->st_mode & (S_IWGRP | S_IWOTH)) && st->st_size >= (off_t)sizeof *g_word;
+}
+
+/* map the generation word if the lock file is usable; lock held */
+static void kx_word_map(void) {
+    int fd = kx_real_open(g_lock_path, O_RDONLY | O_CLOEXEC, 0);
+    if (fd < 0)
+        return;
+    struct stat st;
+    void *map = MAP_FAILED;
+    if (fstat(fd, &st) == 0 && kx_word_usable(&st))
+        map = mmap(NULL, sizeof *g_word, PROT_READ, MAP_SHARED, fd, 0);
+    close(fd);
+    if (map == MAP_FAILED)
+        return;
+    g_word = (const unsigned long long *)map;
+    g_word_dev = (unsigned long long)st.st_dev;
+    g_word_ino = (unsigned long long)st.st_ino;
+}
+
+/* keep the mapping while the lock file is the same usable file, else
+ * drop it and map whatever usable file is there now; lock held */
+static void kx_word_revalidate(void) {
+    struct stat st;
+    int usable = stat(g_lock_path, &st) == 0 && kx_word_usable(&st);
+    if (g_word && usable && (unsigned long long)st.st_dev == g_word_dev &&
+        (unsigned long long)st.st_ino == g_word_ino)
+        return;
+    if (g_word)
+        munmap((void *)g_word, sizeof *g_word);
+    g_word = NULL;
+    if (usable)
+        kx_word_map();
+}
+
+/* reload the state when the word moved; once a second stat both files */
 static void kx_refresh_if_stale(void) {
-    if (g_active)
-        kx_load_state(0);
+    if (!g_active)
+        return;
+    long long now = kx_coarse_s();
+    int due = now != g_checked_s;
+    if (due) {
+        g_checked_s = now;
+        kx_word_revalidate();
+    }
+    if (g_word) {
+        unsigned long long word = __atomic_load_n(g_word, __ATOMIC_ACQUIRE);
+        if (word == g_word_seen && !due)
+            return;
+        g_word_seen = word; /* before the reload: a later publish moves it again */
+    }
+    kx_load_state(0);
 }
 
 /* ------------------------------------------------------------------ */
 /* lazy initialization                                                 */
 /* ------------------------------------------------------------------ */
 
+/* fork while another thread holds g_lock must not leave the child's copy
+ * locked forever; a thread forking from inside the shim (a signal handler)
+ * may already hold it, so it takes nothing */
+static void kx_fork_prepare(void) {
+    if (t_inside)
+        return;
+    pthread_mutex_lock(&g_lock);
+    t_fork_locked = 1;
+}
+
+static void kx_fork_parent(void) {
+    if (!t_fork_locked)
+        return;
+    t_fork_locked = 0;
+    pthread_mutex_unlock(&g_lock);
+}
+
+static void kx_fork_child(void) {
+    t_fork_locked = 0;
+    pthread_mutex_init(&g_lock, NULL);
+}
+
 __attribute__((constructor)) static void kx_on_load(void) {
-    /* only sample the clock; real setup stays lazy */
+    /* only sample the clock and register the fork handlers; real setup
+     * stays lazy */
     if (!g_t0_ns)
         g_t0_ns = kx_now_ns();
+    pthread_atfork(kx_fork_prepare, kx_fork_parent, kx_fork_child);
 }
 
 static void kx_ensure_init(void) {
@@ -370,18 +485,31 @@ static void kx_ensure_init(void) {
             snprintf(failure, sizeof failure, "spec unreadable (errno %d)", errno);
         } else {
             kx_error err;
-            if (kx_parse_spec(data, len, &g_spec, &err) == KX_OK) {
-                g_active = 1;
-            } else {
+            size_t start, end;
+            if (kx_parse_spec(data, len, &g_spec, &err) != KX_OK) {
                 snprintf(failure, sizeof failure, "spec parse failed: line %d: %s",
                          err.line, err.message);
+            } else if (kx_keyset_below(&g_spec, "getenv", &start, &end) != KX_OK ||
+                       !(g_slots = (kx_slot *)calloc(end > start ? end - start : 1,
+                                                     sizeof *g_slots))) {
+                snprintf(failure, sizeof failure, "answer slots: out of memory");
+            } else {
+                g_slots_start = start;
+                g_slots_len = end - start;
+                g_active = 1;
             }
             free(data);
         }
     }
 
-    if (g_active)
+    if (g_active) {
+        snprintf(g_lock_path, sizeof g_lock_path, "%s.lock", g_state_path);
+        g_checked_s = kx_coarse_s();
+        kx_word_map();
+        if (g_word) /* read before the load, as in kx_refresh_if_stale */
+            g_word_seen = __atomic_load_n(g_word, __ATOMIC_ACQUIRE);
         kx_load_state(1);
+    }
 
     if (g_trace_fd >= 0) {
         char t0column[32];
@@ -409,31 +537,63 @@ __attribute__((destructor)) static void kx_on_unload(void) {
 }
 
 /* ------------------------------------------------------------------ */
-/* answer cache                                                        */
+/* answer slots                                                        */
 /* ------------------------------------------------------------------ */
 
-static char *kx_answer_store(const char *name, const char *value) {
-    for (kx_answer *a = g_answers; a; a = a->next) {
-        if (strcmp(a->name, name) == 0) {
-            if (strcmp(a->value, value) == 0)
-                return a->value; /* unchanged: same stable pointer */
-            break; /* newer value: prepend a fresh entry, retire this one */
+/* the slot's stable copy of value, shared by every time it is the answer */
+static const char *kx_intern(kx_slot *slot, const char *value) {
+    for (kx_interned *v = slot->values; v; v = v->next)
+        if (strcmp(v->value, value) == 0)
+            return v->value;
+    size_t n = strlen(value) + 1;
+    kx_interned *v = (kx_interned *)malloc(sizeof *v + n);
+    if (!v)
+        return NULL;
+    memcpy(v->value, value, n);
+    v->next = slot->values;
+    slot->values = v;
+    return v->value;
+}
+
+static char *kx_getenv_fallthrough(const char *name) {
+    g_fallthroughs++;
+    char *result = kx_env_scan(name);
+    kx_trace_getenv(name, result ? "fallthrough" : "null", result);
+    return result;
+}
+
+/* a registered name: the slot answers, looked up again only after a new
+ * state was adopted. Lookup errors are never cached. Lock held. */
+static char *kx_getenv_registered(const char *name, const char *key, const kx_key *registered) {
+    kx_refresh_if_stale();
+    size_t i = (size_t)(registered - g_spec.items) - g_slots_start;
+    if (i >= g_slots_len) /* every getenv/ key lies in the slot range */
+        return kx_getenv_fallthrough(name);
+    kx_slot *slot = &g_slots[i];
+    if (slot->epoch != g_epoch) {
+        kx_result res;
+        kx_error err = {0};
+        int rc = kx_lookup(&g_spec, key, &g_state, &res, &err);
+        int cached = 1;
+        if (rc == KX_OK) {
+            slot->answer = kx_intern(slot, res.value);
+            cached = slot->answer != NULL; /* allocation failed: behave like a miss */
+        } else if (rc == KX_ABSENT) {
+            slot->answer = NULL;
+        } else {
+            cached = 0;
+            kx_trace("note", "lookup-error", err.message, NULL);
         }
+        kx_result_free(&res);
+        if (!cached)
+            return kx_getenv_fallthrough(name);
+        slot->epoch = g_epoch;
     }
-    kx_answer *entry = (kx_answer *)malloc(sizeof *entry);
-    if (!entry)
-        return NULL;
-    entry->name = xdup(name);
-    entry->value = xdup(value);
-    if (!entry->name || !entry->value) {
-        free(entry->name);
-        free(entry->value);
-        free(entry);
-        return NULL;
-    }
-    entry->next = g_answers;
-    g_answers = entry;
-    return entry->value;
+    if (!slot->answer)
+        return kx_getenv_fallthrough(name);
+    g_hits++;
+    kx_trace_getenv(name, "hit", slot->answer);
+    return (char *)slot->answer;
 }
 
 /* ------------------------------------------------------------------ */
@@ -465,32 +625,7 @@ static char *kx_getenv_impl(const char *name) {
         result = kx_env_scan(name);
         kx_trace_getenv(name, result ? "fallthrough" : "null", result);
     } else {
-        kx_refresh_if_stale();
-        kx_result res;
-        kx_error err = {0};
-        int rc = kx_lookup(&g_spec, key, &g_state, &res, &err);
-        if (rc == KX_OK) {
-            char *stable = kx_answer_store(name, res.value);
-            if (stable) {
-                g_hits++;
-                result = stable;
-                kx_trace_getenv(name, "hit", result);
-            } else { /* allocation failed: behave like a miss */
-                g_fallthroughs++;
-                result = kx_env_scan(name);
-                kx_trace_getenv(name, result ? "fallthrough" : "null", result);
-            }
-        } else if (rc == KX_ABSENT) {
-            g_fallthroughs++;
-            result = kx_env_scan(name);
-            kx_trace_getenv(name, result ? "fallthrough" : "null", result);
-        } else {
-            g_fallthroughs++;
-            kx_trace("note", "lookup-error", err.message, NULL);
-            result = kx_env_scan(name);
-            kx_trace_getenv(name, result ? "fallthrough" : "null", result);
-        }
-        kx_result_free(&res);
+        result = kx_getenv_registered(name, key, registered);
     }
 
     if (key && key != stack_key)
@@ -508,6 +643,13 @@ KX_EXPORT char *getenv(const char *name) {
     char *result = kx_getenv_impl(name);
     t_inside = 0;
     return result;
+}
+
+/* setuid/setgid programs get no answers at all, as from libc */
+KX_EXPORT char *secure_getenv(const char *name) {
+    if (getauxval(AT_SECURE))
+        return NULL;
+    return getenv(name);
 }
 
 /* ------------------------------------------------------------------ */

@@ -4,7 +4,7 @@ Two distinct layers live here:
 
   * helpers to locate the preload library and build a child environment for
     launching unmodified programs under it (used by `kontext run/trace`)
-  * ShimSession, an in-process replica of the preload shim's getenv path
+  * ShimSession, an in-process model of the preload shim's getenv path
     (registration check, stat-based state refresh, contextual lookup,
     environment fallthrough, counters) used by the benchmark and by tests
     that need the shim semantics without a subprocess
@@ -75,10 +75,13 @@ def child_environment(
 class ShimSession:
     """In-process getenv shim: contextual answers with live state refresh.
 
-    Mirrors the preload library's decision sequence: unregistered names
+    Follows the preload library's decision sequence: unregistered names
     fall through to the environment untouched; registered names refresh
-    the layer state when its file metadata changed, then resolve
-    contextually; every lookup problem falls open to the environment.
+    the layer state, then resolve contextually; every lookup problem falls
+    open to the environment. The refresh stays stat-based: every registered
+    call compares the state file's metadata. The preload library instead
+    watches the generation word in `<state>.lock` and stats at most once a
+    second, and it caches answers per state, which this session does not.
     """
 
     def __init__(

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -289,3 +292,152 @@ class TestPreloadEndToEnd:
         )
         assert out.returncode == 0
         assert "plain-env-value" in out.stdout
+
+
+class _Probe:
+    """A running sync_getenv_ptr child: one getenv per probe() call."""
+
+    def __init__(self, exe, spec, state):
+        env = child_environment(spec=spec, state=state, base=dict(os.environ))
+        self.proc = subprocess.Popen(
+            [str(exe)],
+            env=env,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            bufsize=1,
+        )
+
+    def probe(self):
+        """(value, address) of the child's next getenv("http_proxy")."""
+        self.proc.stdin.write("probe\n")
+        self.proc.stdin.flush()
+        value, address = self.proc.stdout.readline().split()
+        return value, address
+
+    def close(self):
+        try:
+            self.proc.stdin.close()
+            assert self.proc.wait(timeout=10) == 0
+        finally:
+            if self.proc.poll() is None:
+                self.proc.kill()
+                self.proc.wait()
+            self.proc.stdout.close()
+
+
+@pytest.fixture
+def probe_child(demo_bins, preload_so, proxy_spec):
+    children = []
+
+    def start(state):
+        child = _Probe(demo_bins["sync_getenv_ptr"], proxy_spec, state)
+        children.append(child)
+        return child
+
+    yield start
+    for child in children:
+        child.close()
+
+
+def _hand_write(state, generation, network):
+    """Publish a state the way an editor would: no generation word."""
+    state.write_text(
+        f"generation={generation}\nlayer/interface=eth\nlayer/network={network}\n"
+    )
+
+
+class TestGenerationWord:
+    WORK, HOME = "proxy.example.com", "default.example.com"  # eth/work, eth/home
+
+    def test_writers_publish_generation_word(self, tmp_path):
+        state = tmp_path / "state.ks"
+        lock = tmp_path / "state.ks.lock"
+        state_write(state, ContextState({"interface": "eth"}, 41))
+        assert int.from_bytes(lock.read_bytes()[:8], sys.byteorder) == 41
+        assert state_set_layer(state, "network", "work") == 42
+        assert int.from_bytes(lock.read_bytes()[:8], sys.byteorder) == 42
+        state_write(state, ContextState({}, 7))  # the word follows, even backwards
+        assert int.from_bytes(lock.read_bytes()[:8], sys.byteorder) == 7
+
+    def test_flips_reuse_interned_answers(self, probe_child, tmp_path):
+        state = tmp_path / "state.ks"
+        state_set_layer(state, "interface", "eth")
+        state_set_layer(state, "network", "work")
+        child = probe_child(state)
+        seen = {}
+        value, address = child.probe()
+        seen[value] = address
+        for i in range(200):
+            network = "home" if i % 2 == 0 else "work"
+            state_set_layer(state, "network", network)
+            value, address = child.probe()
+            assert value == (self.HOME if network == "home" else self.WORK)
+            assert seen.setdefault(value, address) == address
+        assert len(set(seen.values())) == 2
+
+    def test_hand_edit_seen_within_seconds(self, probe_child, tmp_path):
+        state = tmp_path / "state.ks"
+        state_set_layer(state, "interface", "eth")
+        generation = state_set_layer(state, "network", "work")
+        child = probe_child(state)
+        assert child.probe()[0] == self.WORK
+        _hand_write(state, generation + 1, "home")
+        deadline = time.monotonic() + 3.0
+        while child.probe()[0] != self.HOME:
+            assert time.monotonic() < deadline, "hand-written state not seen in 3 s"
+            time.sleep(0.05)
+
+    @pytest.mark.parametrize("damage", ["short", "world-writable"])
+    def test_unusable_word_falls_back_to_stat(self, probe_child, tmp_path, damage):
+        state = tmp_path / "state.ks"
+        lock = tmp_path / "state.ks.lock"
+        state_set_layer(state, "interface", "eth")
+        generation = state_set_layer(state, "network", "work")
+        if damage == "short":
+            os.truncate(lock, 4)
+        else:
+            os.chmod(lock, 0o666)
+        child = probe_child(state)
+        assert child.probe()[0] == self.WORK
+        _hand_write(state, generation + 1, "home")
+        assert child.probe()[0] == self.HOME
+
+
+class TestPreloadHardening:
+    def test_fork_while_thread_in_shim(self, demo_bins, preload_so, proxy_spec, tmp_path):
+        state = tmp_path / "state.ks"
+        state_set_layer(state, "interface", "eth")
+        env = child_environment(spec=proxy_spec, state=state, base=dict(os.environ))
+        # its own session, so children stuck on a lock die with it on timeout
+        proc = subprocess.Popen(
+            [str(demo_bins["t11_fork_threads"])],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, _ = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            pytest.fail("forked children hung on the shim's lock")
+        assert proc.returncode == 0, out
+        assert out.strip() == "forks=200 failed=0"
+
+    def test_secure_getenv_is_contextual(self, demo_bins, preload_so, proxy_spec, tmp_path):
+        state = tmp_path / "state.ks"
+        state_set_layer(state, "interface", "wlan")
+        state_set_layer(state, "network", "home")
+        env = child_environment(spec=proxy_spec, state=state, base=dict(os.environ))
+        env["http_proxy"] = "from-env"
+        out = subprocess.run(
+            [str(demo_bins["t12_secure_getenv"])],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert out.returncode == 0
+        assert out.stdout.strip() == "proxy.example.org"
