@@ -44,6 +44,7 @@ from .errors import (
     TemplateError,
     UnanchoredTemplateError,
     UnparseableTraceError,
+    UnsafeLockError,
     UnserializableError,
     UnterminatedPlaceholderError,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "TemplateError",
     "UnanchoredTemplateError",
     "UnparseableTraceError",
+    "UnsafeLockError",
     "UnserializableError",
     "UnterminatedPlaceholderError",
     "aggregate",

@@ -83,6 +83,10 @@ class LockTimeoutError(KontextError):
     """The state file lock could not be acquired within the deadline."""
 
 
+class UnsafeLockError(KontextError):
+    """The state file's lock path is a symbolic link; writers refuse it."""
+
+
 class UnparseableTraceError(KontextError):
     """A trace file line does not match the record grammar."""
 

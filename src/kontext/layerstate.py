@@ -9,10 +9,14 @@ target. Readers never lock: the rename keeps every read a complete snapshot.
 After every publish the writer also stores the published generation as 8
 bytes in native byte order at offset 0 of `<path>.lock`. The preload shim
 maps that word and re-reads the state file only when it changed. Writers
-never truncate or delete the lock file. Storing the generation rather than
-a counter makes a race between unlocked `state_write` calls harmless: the
-shim adopts a state only when its generation is larger, so a word written
-late can cause a spurious reload but never hide a newer state.
+never truncate or delete the lock file. They never follow a symlink at the
+lock path (they raise UnsafeLockError before writing anything), and they
+store the word only in a regular, singly linked file owned by the effective
+uid, so a lock name planted by another user in a shared state directory
+cannot redirect the write into some other file. Storing the generation
+rather than a counter makes a race between unlocked `state_write` calls
+harmless: the shim adopts a state only when its generation is larger, so a
+word written late can cause a spurious reload but never hide a newer state.
 
 Generations only grow. A missing file is the empty state at generation 0;
 any grammar deviation in an existing file raises CorruptStateError with the
@@ -25,6 +29,7 @@ import errno
 import fcntl
 import os
 import signal
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -32,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, List, Optional
 
 from .context import ContextState, check_layer_name, check_layer_value
-from .errors import CorruptStateError, InvalidLayerError, LockTimeoutError
+from .errors import CorruptStateError, InvalidLayerError, LockTimeoutError, UnsafeLockError
 from .fsutil import PathLike, atomic_write_text
 
 GENERATION_FIELD = "generation"
@@ -109,16 +114,36 @@ def state_read(path: PathLike) -> ContextState:
 
 def state_write(path: PathLike, ctx: ContextState) -> None:
     """Atomically publish a state snapshot (no locking; see state_set_layer)."""
-    atomic_write_text(path, state_serialize(ctx))
-    fd = os.open(str(path) + LOCK_SUFFIX, os.O_CREAT | os.O_RDWR, 0o644)
+    fd = _open_lock(path)
     try:
+        atomic_write_text(path, state_serialize(ctx))
         _publish_generation(fd, ctx.generation)
     finally:
         os.close(fd)
 
 
+def _open_lock(path: PathLike) -> int:
+    """Open or create <path>.lock, never through a symlink."""
+    lock_path = str(path) + LOCK_SUFFIX
+    Path(lock_path).parent.mkdir(parents=True, exist_ok=True)
+    try:
+        return os.open(lock_path, os.O_CREAT | os.O_RDWR | os.O_NOFOLLOW | os.O_CLOEXEC, 0o644)
+    except OSError as exc:
+        if exc.errno == errno.ELOOP:
+            raise UnsafeLockError(f"lock {lock_path} is a symbolic link; refusing it") from None
+        raise
+
+
 def _publish_generation(lock_fd: int, generation: int) -> None:
-    """Store the generation word the shim watches at offset 0 of the lock file."""
+    """Store the generation word the shim watches at offset 0 of the lock file.
+
+    Only into a regular file of ours with one name: a file owned by another
+    user, or a hard link to one of our other files, is left untouched and
+    the shim, which maps only such files too, falls back to stat().
+    """
+    st = os.fstat(lock_fd)
+    if not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid() or st.st_nlink != 1:
+        return
     os.pwrite(lock_fd, (generation & GENERATION_WORD_MASK).to_bytes(8, sys.byteorder), 0)
 
 
@@ -126,13 +151,13 @@ class _StateLock:
     """flock on <path>.lock with a polling deadline."""
 
     def __init__(self, path: PathLike, timeout: float):
+        self._path = path
         self._lock_path = str(path) + LOCK_SUFFIX
         self._timeout = timeout
         self.fd: Optional[int] = None
 
     def __enter__(self):
-        Path(self._lock_path).parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+        fd = _open_lock(self._path)
         deadline = time.monotonic() + self._timeout
         try:
             while True:

@@ -19,8 +19,9 @@
  * maps that word read-only and reloads the state file only when the word
  * changed. Once per coarse-clock second it stats both files anyway, so hand
  * edits and a recreated lock file show within a second. A lock file that is
- * missing, shorter than 8 bytes, not a regular file, not owned by the
- * effective uid or group/world-writable is never mapped; the shim then
+ * missing, shorter than 8 bytes, a symlink, not a regular file, hard-linked,
+ * not owned by the effective uid or group/world-writable is never mapped
+ * (another user must not be able to truncate it, SIGBUS); the shim then
  * stats the state file on every registered call and retries the mapping at
  * most once a second. The state file stays the source of truth.
  *
@@ -66,7 +67,6 @@ extern char **environ;
 
 static pthread_mutex_t g_lock = PTHREAD_MUTEX_INITIALIZER;
 static __thread int t_inside = 0; /* reentrancy guard, thread-local */
-static __thread int t_fork_locked = 0; /* this thread's fork prepare took g_lock */
 
 static int g_initialized = 0;
 static int g_active = 0;
@@ -360,15 +360,17 @@ static long long kx_coarse_s(void) {
     return (long long)ts.tv_sec;
 }
 
-/* only a file no other user can truncate under the mapping (SIGBUS) */
+/* only a file no other user can truncate under the mapping (SIGBUS), and
+ * not a second name of some unrelated file of ours (a hard link); symlinks
+ * are never followed */
 static int kx_word_usable(const struct stat *st) {
-    return S_ISREG(st->st_mode) && st->st_uid == geteuid() &&
+    return S_ISREG(st->st_mode) && st->st_uid == geteuid() && st->st_nlink == 1 &&
            !(st->st_mode & (S_IWGRP | S_IWOTH)) && st->st_size >= (off_t)sizeof *g_word;
 }
 
 /* map the generation word if the lock file is usable; lock held */
 static void kx_word_map(void) {
-    int fd = kx_real_open(g_lock_path, O_RDONLY | O_CLOEXEC, 0);
+    int fd = kx_real_open(g_lock_path, O_RDONLY | O_CLOEXEC | O_NOFOLLOW, 0);
     if (fd < 0)
         return;
     struct stat st;
@@ -387,7 +389,7 @@ static void kx_word_map(void) {
  * drop it and map whatever usable file is there now; lock held */
 static void kx_word_revalidate(void) {
     struct stat st;
-    int usable = stat(g_lock_path, &st) == 0 && kx_word_usable(&st);
+    int usable = lstat(g_lock_path, &st) == 0 && kx_word_usable(&st);
     if (g_word && usable && (unsigned long long)st.st_dev == g_word_dev &&
         (unsigned long long)st.st_ino == g_word_ino)
         return;
@@ -425,21 +427,17 @@ static void kx_refresh_if_stale(void) {
  * locked forever; a thread forking from inside the shim (a signal handler)
  * may already hold it, so it takes nothing */
 static void kx_fork_prepare(void) {
-    if (t_inside)
-        return;
-    pthread_mutex_lock(&g_lock);
-    t_fork_locked = 1;
+    if (!t_inside)
+        pthread_mutex_lock(&g_lock);
 }
 
+/* same thread as prepare, and t_inside has not changed since */
 static void kx_fork_parent(void) {
-    if (!t_fork_locked)
-        return;
-    t_fork_locked = 0;
-    pthread_mutex_unlock(&g_lock);
+    if (!t_inside)
+        pthread_mutex_unlock(&g_lock);
 }
 
 static void kx_fork_child(void) {
-    t_fork_locked = 0;
     pthread_mutex_init(&g_lock, NULL);
 }
 

@@ -20,6 +20,8 @@ from kontext import (
     child_environment,
     parse_trace,
     preload_library_path,
+    UnsafeLockError,
+    state_read,
     state_set_layer,
     state_write,
 )
@@ -360,6 +362,28 @@ class TestGenerationWord:
         state_write(state, ContextState({}, 7))  # the word follows, even backwards
         assert int.from_bytes(lock.read_bytes()[:8], sys.byteorder) == 7
 
+    def test_writers_refuse_symlinked_lock(self, tmp_path):
+        state = tmp_path / "state.ks"
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"precious contents\n")
+        (tmp_path / "state.ks.lock").symlink_to(victim)
+        with pytest.raises(UnsafeLockError):
+            state_set_layer(state, "network", "work")
+        with pytest.raises(UnsafeLockError):
+            state_write(state, ContextState({"network": "work"}, 5))
+        assert victim.read_bytes() == b"precious contents\n"
+        assert not state.exists()
+
+    def test_writers_leave_hard_linked_lock_unwritten(self, tmp_path):
+        state = tmp_path / "state.ks"
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"precious contents\n")
+        os.link(victim, tmp_path / "state.ks.lock")
+        assert state_set_layer(state, "network", "work") == 1
+        state_write(state, ContextState({"network": "home"}, 9))
+        assert victim.read_bytes() == b"precious contents\n"
+        assert state_read(state).generation == 9
+
     def test_flips_reuse_interned_answers(self, probe_child, tmp_path):
         state = tmp_path / "state.ks"
         state_set_layer(state, "interface", "eth")
@@ -388,7 +412,7 @@ class TestGenerationWord:
             assert time.monotonic() < deadline, "hand-written state not seen in 3 s"
             time.sleep(0.05)
 
-    @pytest.mark.parametrize("damage", ["short", "world-writable"])
+    @pytest.mark.parametrize("damage", ["short", "world-writable", "symlink", "hardlink"])
     def test_unusable_word_falls_back_to_stat(self, probe_child, tmp_path, damage):
         state = tmp_path / "state.ks"
         lock = tmp_path / "state.ks.lock"
@@ -396,8 +420,13 @@ class TestGenerationWord:
         generation = state_set_layer(state, "network", "work")
         if damage == "short":
             os.truncate(lock, 4)
-        else:
+        elif damage == "world-writable":
             os.chmod(lock, 0o666)
+        elif damage == "symlink":  # to a file that would be usable if followed
+            os.rename(lock, tmp_path / "real.lock")
+            lock.symlink_to("real.lock")
+        else:
+            os.link(lock, tmp_path / "second.lock")
         child = probe_child(state)
         assert child.probe()[0] == self.WORK
         _hand_write(state, generation + 1, "home")
