@@ -1,32 +1,21 @@
-"""Build script for the compiled parts.
+"""Build script for the native part.
 
-Two artifacts come out of the same C core:
-
-  * kontext._ckontext   - Cython extension wrapping the core for in-process use;
-                          built only when Cython is installed
-  * kontext/_preload.so - standalone shared object for LD_PRELOAD interception;
-                          needs only a C compiler (recipe: kontext/nativebuild.py)
-
-Both are optional at runtime: the package falls back to the pure-Python
-engine when the extension is missing, and the CLI reports a clear error when
-the preload library is missing.  Build failures are therefore demoted to
-warnings so a plain interpreter can still install the package.
+kontext/_preload.so is the shared object for LD_PRELOAD interception; it
+needs only a C compiler (recipe: kontext/nativebuild.py). It is optional at
+runtime: the CLI reports a clear error when the preload library is missing.
+A build failure is therefore demoted to a warning so a plain interpreter
+can still install the package.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from setuptools import Distribution, Extension, setup
+from setuptools import Distribution, setup
 from setuptools.command.build_ext import build_ext
 
 ROOT = Path(__file__).resolve().parent
 NATIVE = ROOT / "src" / "kontext" / "native"
-
-try:
-    from Cython.Build import cythonize
-except ImportError:  # pragma: no cover - the extension is optional
-    cythonize = None
 
 
 def _load_nativebuild():
@@ -39,10 +28,10 @@ def _load_nativebuild():
 
 
 class NativeDistribution(Distribution):
-    """The package always ships _preload.so, with or without the extension.
+    """The package always ships _preload.so.
 
-    Claiming extension modules makes `build` run build_ext even when Cython
-    is missing and ext_modules is empty, and makes wheels platform-specific.
+    Claiming extension modules makes `build` run build_ext although
+    ext_modules is empty, and makes wheels platform-specific.
     """
 
     def has_ext_modules(self):
@@ -50,44 +39,17 @@ class NativeDistribution(Distribution):
 
 
 class BuildExt(build_ext):
-    """build_ext that also links the preload shared object with plain cc."""
+    """build_ext that links the preload shared object with plain cc."""
 
     def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # extension is optional
-            sys.stderr.write(f"warning: building kontext._ckontext failed: {exc}\n")
-        self._build_preload()
-
-    def _build_preload(self):
-        # next to where the extension goes: build/lib*/kontext, or src/kontext
-        # for --inplace and editable installs
-        out = Path(self.get_ext_fullpath("kontext._ckontext")).parent / "_preload.so"
+        super().run()
+        # next to where an extension of the package goes: build/lib*/kontext,
+        # or src/kontext for --inplace and editable installs
+        out = Path(self.get_ext_fullpath("kontext._preload")).parent / "_preload.so"
         try:
             _load_nativebuild().build_preload(out)
         except Exception as exc:  # preload is optional for pure-python use
             sys.stderr.write(f"warning: building kontext/_preload.so failed: {exc}\n")
 
 
-extensions = [
-    Extension(
-        "kontext._ckontext",
-        sources=["src/kontext/_ckontext.pyx", "src/kontext/native/core.c"],
-        include_dirs=[str(NATIVE)],
-        extra_compile_args=["-O2", "-fno-strict-aliasing"],
-    )
-]
-
-if cythonize is not None:
-    ext_modules = cythonize(
-        extensions,
-        compiler_directives={"language_level": 3},
-    )
-else:  # pragma: no cover
-    ext_modules = []
-
-setup(
-    distclass=NativeDistribution,
-    ext_modules=ext_modules,
-    cmdclass={"build_ext": BuildExt},
-)
+setup(distclass=NativeDistribution, cmdclass={"build_ext": BuildExt})

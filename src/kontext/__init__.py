@@ -21,14 +21,7 @@ from .context import (
     contextual_lookup,
     template_parse,
 )
-from .engine import (
-    BACKEND_CHOICES,
-    COMPILED_AVAILABLE,
-    CompiledBackend,
-    PureBackend,
-    available_backends,
-    make_backend,
-)
+from .engine import PureBackend, make_backend
 from .errors import (
     CorruptStateError,
     CycleDetectedError,
@@ -75,11 +68,8 @@ from .tracing import TraceRecord, TraceReport, aggregate, load_trace, parse_trac
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND_CHOICES",
     "BenchReport",
-    "COMPILED_AVAILABLE",
     "CONTEXT_PROPERTY",
-    "CompiledBackend",
     "FileReport",
     "OccurrenceKind",
     "PureBackend",
@@ -118,7 +108,6 @@ __all__ = [
     "UnserializableError",
     "UnterminatedPlaceholderError",
     "aggregate",
-    "available_backends",
     "candidates",
     "child_environment",
     "contextual_lookup",

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from .bench import BenchReport, run_bench
 from .context import LayerRef, Literal, Template, template_parse
-from .engine import BACKEND_CHOICES, COMPILED_AVAILABLE, make_backend
+from .engine import make_backend
 from .errors import (
     ExecFailedError,
     KontextError,
@@ -213,7 +213,7 @@ def cmd_spec_check(args) -> int:
 def cmd_get(args) -> int:
     doc = _load_spec_doc(_spec_path(args))
     ctx = state_read(_state_path(args))
-    backend = make_backend(doc, args.engine)
+    backend = make_backend(doc)
     outcome = backend.lookup(args.name, ctx)
     if outcome is None:
         return EXIT_NOT_FOUND
@@ -472,7 +472,7 @@ def _print_bench(report: BenchReport, porcelain: bool) -> None:
             ["steady", f"{report.steady_ns:.0f}"],
             ["churn", f"{report.churn_ns:.0f}"],
         ],
-        header=[f"phase ({report.backend})", "median ns/call"],
+        header=["phase", "median ns/call"],
     )
     print(f"overhead ratio: {report.overhead_ratio:.2f}")
     print(f"steady reloads: {report.steady_reloads}, churn reloads: {report.reload_count}")
@@ -484,12 +484,7 @@ def cmd_bench(args) -> int:
         raise _fail(EXIT_USAGE, "--iterations must be at least 1000")
     doc = _load_spec_doc(_spec_path(args))
     key = args.key or _default_bench_key(doc)
-    engines = ["pure", "compiled"] if args.engine == "both" else [args.engine]
-    if "compiled" in engines and not COMPILED_AVAILABLE:
-        raise _fail(EXIT_DATA, "compiled engine not available in this install")
-    for engine in engines:
-        report = run_bench(doc, key, iterations=args.iterations, backend=engine)
-        _print_bench(report, args.porcelain)
+    _print_bench(run_bench(doc, key, iterations=args.iterations), args.porcelain)
     return EXIT_OK
 
 
@@ -512,7 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("get", parents=[common], help="resolve one key contextually")
     p.add_argument("name", help="full key name, e.g. getenv/http_proxy")
-    p.add_argument("--engine", choices=BACKEND_CHOICES, default="auto")
     p.set_defaults(handler=cmd_get)
 
     p = sub.add_parser("set", parents=[common], help="add or update a spec entry")
@@ -556,7 +550,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common], help="measure lookup latency")
     p.add_argument("--iterations", "-n", type=int, default=100_000, metavar="M")
     p.add_argument("--key", help="environment variable name (default: first getenv/ entry)")
-    p.add_argument("--engine", choices=list(BACKEND_CHOICES) + ["both"], default="auto")
     p.set_defaults(handler=cmd_bench)
 
     return parser

@@ -36,8 +36,8 @@ CONTEXT_PROPERTY = "context"
 MAX_CHAIN_LENGTH = 16
 MAX_TEMPLATE_REFS = 16
 
-_LAYER_NAME_FORBIDDEN = ("/", "=", "\n", "\r", "%")
-_LAYER_VALUE_FORBIDDEN = ("/", "=", "\n", "\r")
+_LAYER_NAME_FORBIDDEN = ("/", "=", "\n", "\r", "%", "\0")
+_LAYER_VALUE_FORBIDDEN = ("/", "=", "\n", "\r", "\0")
 
 
 def check_layer_name(name: str) -> str:

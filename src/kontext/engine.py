@@ -1,8 +1,8 @@
-"""Lookup backends: compiled C core when available, pure Python otherwise.
+"""The Python lookup engine behind `kontext get` and the tests' reference.
 
-Both backends expose the same two calls and raise the same exception types,
-so everything above them (shim sessions, CLI, bench) is backend-agnostic.
-The compiled backend is optional; importing it must never be required.
+The preload shim runs the C engine (native/core.c); the test suite checks
+the two against each other through a ctypes binding of core.c. Here there
+is one backend: contextual_lookup over a parsed KeySet.
 """
 
 from __future__ import annotations
@@ -10,16 +10,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from .context import ContextState, LookupOutcome, Template, contextual_lookup
-from .errors import InvalidNameError, KontextError, UnserializableError
-from .keydb import KeyName, KeySet
-from .specfile import SpecDocument, parse_spec, serialize_spec
-
-try:
-    from . import _ckontext
-except ImportError:  # pure-python install or failed extension build
-    _ckontext = None
-
-COMPILED_AVAILABLE = _ckontext is not None
+from .keydb import KeySet
+from .specfile import SpecDocument, parse_spec
 
 SpecLike = Union[SpecDocument, KeySet, str, bytes]
 
@@ -48,58 +40,12 @@ class PureBackend:
         return contextual_lookup(self._keyset, name, ctx, self._templates)
 
 
-class CompiledBackend:
-    """Same contract, served by the C core via the extension module."""
+def make_backend(spec: SpecLike, backend: str = "auto") -> PureBackend:
+    """Build the lookup backend from a spec in any shape.
 
-    name = "compiled"
-
-    def __init__(self, spec_text: Union[str, bytes]):
-        if _ckontext is None:
-            raise KontextError("compiled backend is not available")
-        self._engine = _ckontext.Engine(spec_text)
-
-    def has_key(self, name: str) -> bool:
-        return self._engine.contains(name)
-
-    def lookup(self, name: str, ctx: ContextState) -> Optional[LookupOutcome]:
-        if not _ckontext.name_valid(name):
-            # same validation, and the same exception, as the pure engine
-            KeyName.parse(name)
-            raise InvalidNameError(f"invalid key name: {name!r}")
-        raw = self._engine.lookup(name, ctx.layers)
-        if raw is None:
-            return None
-        value, matched, chain = raw
-        return LookupOutcome(value=value, matched_name=matched, chain=chain)
-
-
-Backend = Union[PureBackend, CompiledBackend]
-
-BACKEND_CHOICES = ("auto", "pure", "compiled")
-
-
-def available_backends() -> tuple:
-    return ("pure", "compiled") if COMPILED_AVAILABLE else ("pure",)
-
-
-def make_backend(spec: SpecLike, backend: str = "auto") -> Backend:
-    """Build a lookup backend from a spec in any shape.
-
-    auto prefers the compiled core and silently falls back to pure when the
-    extension is missing or the key set cannot be serialized for it.
+    `backend` is "auto" or "pure"; both give the Python engine.
     """
-    if backend not in BACKEND_CHOICES:
-        raise ValueError(f"unknown backend {backend!r} (one of {BACKEND_CHOICES})")
-
-    if backend in ("auto", "compiled") and COMPILED_AVAILABLE:
-        try:
-            if isinstance(spec, (str, bytes)):
-                return CompiledBackend(spec)
-            return CompiledBackend(serialize_spec(_as_document(spec).keyset))
-        except UnserializableError:
-            if backend == "compiled":
-                raise
-    elif backend == "compiled":
-        raise KontextError("compiled backend requested but the extension is missing")
-
+    # kept for perfbench's make_backend(doc, "auto"); goes when the benchmark retires it
+    if backend not in ("auto", "pure"):
+        raise ValueError(f"unknown backend {backend!r} (auto or pure)")
     return PureBackend(_as_document(spec).keyset)

@@ -21,8 +21,8 @@ from .errors import InvalidNameError, InvalidValueError
 
 SEPARATOR = "/"
 
-_SEGMENT_FORBIDDEN = ("/", "\n", "\r", "=")
-_VALUE_FORBIDDEN = ("\n", "\r")
+_SEGMENT_FORBIDDEN = ("/", "\n", "\r", "=", "\0")
+_VALUE_FORBIDDEN = ("\n", "\r", "\0")
 
 
 def _check_segment(segment: str) -> str:
@@ -37,7 +37,7 @@ def _check_segment(segment: str) -> str:
 def _check_value(value: str, what: str) -> str:
     for ch in _VALUE_FORBIDDEN:
         if ch in value:
-            raise InvalidValueError(f"{what} contains a newline")
+            raise InvalidValueError(f"{what} contains {ch!r}")
     return value
 
 

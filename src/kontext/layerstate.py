@@ -1,6 +1,7 @@
 """Durable layer state: a small file read by every shimmed process.
 
-The file holds exactly one `generation=<uint>` line plus one
+The file is UTF-8 with no NUL byte. It holds exactly one
+`generation=<uint>` line (ASCII digits, at most 2**63-1) plus one
 `layer/<name>=<value>` line per active layer (name order). Writers take an
 advisory flock on `<path>.lock`, re-read the current state, bump the
 generation, write a temp file in the same directory, and rename it over the
@@ -20,7 +21,7 @@ word written late can cause a spurious reload but never hide a newer state.
 
 Generations only grow. A missing file is the empty state at generation 0;
 any grammar deviation in an existing file raises CorruptStateError with the
-offending line number.
+offending line number (0 for a NUL byte or invalid UTF-8, as in the shim).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ GENERATION_FIELD = "generation"
 LAYER_PREFIX = "layer/"
 LOCK_SUFFIX = ".lock"
 GENERATION_WORD_MASK = (1 << 64) - 1
+GENERATION_MAX = (1 << 63) - 1  # the shim keeps it in a long long
 DEFAULT_LOCK_TIMEOUT = 2.0
 
 SIGNAL_WHITELIST = {
@@ -60,6 +62,9 @@ def default_state_path() -> Path:
 
 
 def state_serialize(ctx: ContextState) -> str:
+    if not 0 <= ctx.generation <= GENERATION_MAX:
+        # no reader would accept it: refuse before anything is written
+        raise CorruptStateError(0, f"generation {ctx.generation} is out of range")
     lines = [f"{GENERATION_FIELD}={ctx.generation}"]
     for name in sorted(ctx.layers):
         lines.append(f"{LAYER_PREFIX}{name}={ctx.layers[name]}")
@@ -68,6 +73,8 @@ def state_serialize(ctx: ContextState) -> str:
 
 def state_parse(text: str) -> ContextState:
     """Strict parse of state file content. Raises CorruptStateError."""
+    if "\0" in text:
+        raise CorruptStateError(0, "state holds a NUL byte")
     generation: Optional[int] = None
     layers = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -80,9 +87,11 @@ def state_parse(text: str) -> ContextState:
         if name == GENERATION_FIELD:
             if generation is not None:
                 raise CorruptStateError(line_no, "second generation line")
-            if not value.isdigit():
+            digits = value.lstrip("0") or "0"  # int() refuses over 4300 digits
+            if not (value.isascii() and value.isdigit() and len(digits) <= 19
+                    and int(digits) <= GENERATION_MAX):
                 raise CorruptStateError(line_no, f"bad generation {value!r}")
-            generation = int(value)
+            generation = int(digits)
             continue
         if not name.startswith(LAYER_PREFIX):
             raise CorruptStateError(line_no, f"unexpected entry {name!r}")
@@ -103,7 +112,8 @@ def state_parse(text: str) -> ContextState:
 def state_read(path: PathLike) -> ContextState:
     """Read the state file; a missing file is the empty state at gen 0."""
     try:
-        with open(path, "r", encoding="utf-8", errors="strict") as handle:
+        # newline="": a lone \r is not a line break, for the shim neither
+        with open(path, "r", encoding="utf-8", errors="strict", newline="") as handle:
             text = handle.read()
     except FileNotFoundError:
         return ContextState({}, 0)

@@ -5,6 +5,7 @@
 
 #include "core.h"
 
+#include <limits.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -274,7 +275,8 @@ int kx_keyset_below(const kx_keyset *ks, const char *prefix,
 /* UTF-8 validation                                                    */
 /* ------------------------------------------------------------------ */
 
-/* byte offset of the first invalid sequence, or -1 when clean */
+/* byte offset of the first NUL or invalid sequence, or -1 when clean;
+ * a NUL would silently cut every C string built from the text */
 static long kx_utf8_invalid_at(const unsigned char *s, size_t n) {
     size_t i = 0;
     while (i < n) {
@@ -282,6 +284,8 @@ static long kx_utf8_invalid_at(const unsigned char *s, size_t n) {
         size_t need;
         unsigned int cp;
         if (c < 0x80) {
+            if (c == 0)
+                return (long)i;
             i++;
             continue;
         } else if ((c & 0xE0) == 0xC0) {
@@ -338,7 +342,7 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
         for (long i = 0; i < bad; i++)
             if (data[i] == '\n')
                 line++;
-        kx_set_error(err, line, KX_PK_ENCODING, "invalid UTF-8");
+        kx_set_error(err, line, KX_PK_ENCODING, "NUL byte or invalid UTF-8");
         return KX_E_PARSE;
     }
 
@@ -579,6 +583,10 @@ static int kx_layer_value_ok(const char *s, size_t n) {
 
 int kx_parse_state(const char *data, size_t len, kx_state *out, kx_error *err) {
     kx_state_init(out);
+    if (kx_utf8_invalid_at((const unsigned char *)data, len) >= 0) {
+        kx_set_error(err, 0, KX_PK_ENCODING, "NUL byte or invalid UTF-8");
+        return KX_E_STATE;
+    }
     int have_generation = 0;
     int rc = KX_OK;
     int line_no = 0;
@@ -622,11 +630,12 @@ int kx_parse_state(const char *data, size_t len, kx_state *out, kx_error *err) {
             long long gen = 0;
             int ok = 1;
             for (size_t i = 0; i < vlen; i++) {
-                if (vb[i] < '0' || vb[i] > '9') {
-                    ok = 0;
+                int d = vb[i] - '0';
+                if (d < 0 || d > 9 || gen > (LLONG_MAX - d) / 10) {
+                    ok = 0; /* ASCII digits only, at most LLONG_MAX */
                     break;
                 }
-                gen = gen * 10 + (vb[i] - '0');
+                gen = gen * 10 + d;
             }
             if (!ok) {
                 kx_set_error(err, line_no, KX_PK_BAD_ASSIGNMENT, "bad generation");

@@ -1,9 +1,11 @@
-/* Core engine shared by the preload shim and the Python extension.
+/* Core engine of the preload shim.
  *
  * Pure computation, no globals, no IO: key sets, the line-oriented spec
  * grammar, layer state parsing, name templates, candidate enumeration,
  * and recursive contextual lookup. Semantics mirror the Python engine
- * one to one; the equivalence tests drive both over the same inputs.
+ * one to one; the equivalence tests drive both over the same inputs
+ * through a ctypes binding of core.c built alone as _kxcore.so, which
+ * defines KX_API to export these symbols. _preload.so keeps them hidden.
  */
 
 #ifndef KX_CORE_H
@@ -11,10 +13,12 @@
 
 #include <stddef.h>
 
+#ifndef KX_API
 #ifdef __GNUC__
 #define KX_API __attribute__((visibility("hidden")))
 #else
 #define KX_API
+#endif
 #endif
 
 /* status codes */

@@ -6,8 +6,8 @@ Two distinct layers live here:
     launching unmodified programs under it (used by `kontext run/trace`)
   * ShimSession, an in-process model of the preload shim's getenv path
     (registration check, stat-based state refresh, contextual lookup,
-    environment fallthrough, counters) used by the benchmark and by tests
-    that need the shim semantics without a subprocess
+    environment fallthrough, counters) over the Python engine, used by the
+    benchmark and by tests that need the shim semantics without a subprocess
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
 from .context import ContextState
-from .engine import Backend, SpecLike, make_backend
+from .engine import PureBackend, SpecLike, make_backend
 from .errors import CorruptStateError, InvalidNameError, KontextError
 from .keydb import KeyName
 from .layerstate import default_state_path, state_read
@@ -72,6 +72,7 @@ def child_environment(
     return env
 
 
+# kept for perfbench's shim.session_getenv_us; goes when the benchmark retires that metric
 class ShimSession:
     """In-process getenv shim: contextual answers with live state refresh.
 
@@ -88,10 +89,9 @@ class ShimSession:
         self,
         spec: SpecLike,
         state_path: Optional[Union[str, os.PathLike]] = None,
-        backend: str = "auto",
         environ: Optional[Mapping[str, str]] = None,
     ):
-        self._backend: Backend = make_backend(spec, backend)
+        self._backend = make_backend(spec)
         self._state_path = Path(state_path) if state_path else default_state_path()
         self._environ: Mapping[str, str] = os.environ if environ is None else environ
         self._ctx = ContextState({}, 0)
@@ -103,12 +103,8 @@ class ShimSession:
         self._load_state(initial=True)
 
     @property
-    def backend(self) -> Backend:
+    def backend(self) -> PureBackend:
         return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
 
     @property
     def context(self) -> ContextState:

@@ -82,15 +82,24 @@ def strip_comment(line: str) -> str:
 
 
 def _decode(text: Union[str, bytes]) -> str:
-    if isinstance(text, str):
-        return text
-    try:
-        return text.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = text.count(b"\n", 0, exc.start) + 1
+    """Text of a spec; a NUL or invalid UTF-8 is an ENCODING error at its line."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            nul = text.find(b"\0", 0, exc.start)
+            bad = exc.start if nul < 0 else nul
+            raise SpecParseError(
+                text.count(b"\n", 0, bad) + 1,
+                ParseErrorKind.ENCODING,
+                f"NUL byte or invalid UTF-8 at byte {bad}",
+            ) from None
+    nul = text.find("\0")
+    if nul >= 0:
         raise SpecParseError(
-            line, ParseErrorKind.ENCODING, f"invalid UTF-8 at byte {exc.start}"
-        ) from None
+            text.count("\n", 0, nul) + 1, ParseErrorKind.ENCODING, f"NUL byte at offset {nul}"
+        )
+    return text
 
 
 def parse_spec(text: Union[str, bytes], source: Optional[str] = None) -> SpecDocument:

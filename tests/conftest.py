@@ -44,6 +44,25 @@ def _session_preload(tmp_path_factory) -> Optional[Path]:
     return build_preload(tmp_path_factory.mktemp("preload") / "_preload.so")
 
 
+@pytest.fixture(scope="session")
+def kxcore_so(tmp_path_factory) -> Path:
+    """_kxcore.so (core.c alone, kx_* exported) built once, like _session_preload."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    from kontext.nativebuild import build_core
+
+    return build_core(tmp_path_factory.mktemp("kxcore") / "_kxcore.so")
+
+
+@pytest.fixture(scope="session")
+def kxcore(kxcore_so):
+    """The C engine through its ctypes binding (tests/kxcore.py)."""
+    import kxcore as binding
+
+    binding.load(kxcore_so)
+    return binding
+
+
 @pytest.fixture(autouse=True)
 def _clean_kontext_env(monkeypatch, _session_preload):
     for var in (

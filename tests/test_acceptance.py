@@ -18,7 +18,6 @@ import pytest
 
 from conftest import KONTEXT_CMD, PROXY_SPEC
 from kontext import (
-    COMPILED_AVAILABLE,
     ContextState,
     CycleDetectedError,
     DepthExceededError,
@@ -33,8 +32,6 @@ from kontext import (
 from kontext.context import candidates as pure_candidates
 from kontext.context import template_parse
 from lookup_oracle import make_instance, oracle_candidates, oracle_lookup
-
-BACKENDS = ["pure"] + (["compiled"] if COMPILED_AVAILABLE else [])
 
 STEADY_BUDGET_NS = 50_000  # 50 us per cached shimmed call
 CHURN_CHANGES = 10
@@ -51,7 +48,7 @@ def entries_keyset(entries):
 # --------------------------------------------------------------- criterion 1
 
 
-def test_criterion_01_proxy_scenario_exact_values():
+def test_criterion_01_proxy_scenario_exact_values(kxcore):
     start = time.monotonic()
     scenarios = [
         ({"interface": "eth", "network": "work"}, "proxy.example.com"),
@@ -60,15 +57,15 @@ def test_criterion_01_proxy_scenario_exact_values():
         ({"interface": "usb", "network": "work"}, "default.example.com"),
         ({}, "default.example.com"),
     ]
-    for backend_name in BACKENDS:
-        backend = make_backend(PROXY_SPEC, backend_name)
+    engines = [make_backend(PROXY_SPEC), kxcore.Engine(PROXY_SPEC)]
+    for engine in engines:
         for layers, expected in scenarios:
-            out = backend.lookup("getenv/http_proxy", ContextState(layers))
+            out = engine.lookup("getenv/http_proxy", ContextState(layers))
             assert out is not None
-            assert out.value == expected, (backend_name, layers)
+            assert out.value == expected, (engine.name, layers)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"scenario run took {elapsed:.3f}s"
-    print(f"CRITERION 1: PASS ({len(scenarios)} contexts x {len(BACKENDS)} backends, {elapsed * 1000:.0f} ms)")
+    print(f"CRITERION 1: PASS ({len(scenarios)} contexts x {len(engines)} engines, {elapsed * 1000:.0f} ms)")
 
 
 # --------------------------------------------------------------- criterion 2
@@ -129,7 +126,7 @@ def test_criterion_02_live_retarget_without_restart(
 # --------------------------------------------------------------- criterion 3
 
 
-def test_criterion_03_lookup_oracle_equivalence():
+def test_criterion_03_lookup_oracle_equivalence(kxcore):
     start = time.monotonic()
     instances = 1000
     cycles = 0
@@ -140,8 +137,7 @@ def test_criterion_03_lookup_oracle_equivalence():
         text = serialize_spec(entries_keyset(entries))
         expected_kind, payload = oracle_lookup(entries, query, layers)
 
-        for backend_name in BACKENDS:
-            backend = make_backend(text, backend_name)
+        for backend in (make_backend(text), kxcore.Engine(text)):
             if expected_kind == "cycle":
                 with pytest.raises(CycleDetectedError):
                     backend.lookup(query, ContextState(layers))
@@ -158,7 +154,7 @@ def test_criterion_03_lookup_oracle_equivalence():
                     value,
                     matched,
                     tuple(chain),
-                ), (seed, backend_name)
+                ), (seed, backend.name)
         if expected_kind == "cycle":
             cycles += 1
 
@@ -167,17 +163,14 @@ def test_criterion_03_lookup_oracle_equivalence():
     assert cycles == instances // 10
     print(
         f"CRITERION 3: PASS ({instances} instances, {cycles} cycle-seeded, "
-        f"{len(BACKENDS)} backends, {elapsed:.1f} s)"
+        f"2 engines, {elapsed:.1f} s)"
     )
 
 
 # --------------------------------------------------------------- criterion 4
 
 
-def test_criterion_04_candidate_order_property():
-    if COMPILED_AVAILABLE:
-        from kontext import _ckontext
-
+def test_criterion_04_candidate_order_property(kxcore):
     cases = 500
     for seed in range(cases):
         rng = random.Random(40_000 + seed)
@@ -196,8 +189,7 @@ def test_criterion_04_candidate_order_property():
         ]
         assert got == expected, (seed, template, layers)
         assert len(got) == 2 ** sum(1 for r in refs if r in layers)
-        if COMPILED_AVAILABLE:
-            assert _ckontext.candidates(template, layers) == expected, (seed, template)
+        assert kxcore.candidates(template, layers) == expected, (seed, template)
     print(f"CRITERION 4: PASS ({cases} random templates, k in 0..3)")
 
 
@@ -375,9 +367,8 @@ def test_criterion_09_trace_startup_window(cli, demo_bins, preload_so, proxy_spe
 # -------------------------------------------------------------- criterion 10
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_criterion_10_overhead_characterization(backend):
-    report = run_bench(PROXY_SPEC, "http_proxy", iterations=100_000, backend=backend)
+def test_criterion_10_overhead_characterization():
+    report = run_bench(PROXY_SPEC, "http_proxy", iterations=100_000)
     assert math.isfinite(report.overhead_ratio)
     assert report.overhead_ratio > 0
     assert report.steady_ns <= STEADY_BUDGET_NS, (
@@ -385,6 +376,6 @@ def test_criterion_10_overhead_characterization(backend):
     )
     assert report.reload_count == CHURN_CHANGES
     print(
-        f"CRITERION 10: PASS ({backend}: ratio {report.overhead_ratio:.1f}, "
+        f"CRITERION 10: PASS (ratio {report.overhead_ratio:.1f}, "
         f"steady {report.steady_ns / 1000:.1f} us, reloads {report.reload_count})"
     )

@@ -7,20 +7,17 @@ import math
 import pytest
 
 from conftest import PROXY_SPEC
-from kontext import COMPILED_AVAILABLE, BenchReport, run_bench
+from kontext import BenchReport, run_bench
 from kontext.bench import CHURN_CHANGES
 
-BACKENDS = ["pure"] + (["compiled"] if COMPILED_AVAILABLE else [])
 
-
-@pytest.fixture(scope="module", params=BACKENDS)
-def report(request):
-    return run_bench(PROXY_SPEC, "http_proxy", iterations=2000, backend=request.param)
+@pytest.fixture(scope="module")
+def report():
+    return run_bench(PROXY_SPEC, "http_proxy", iterations=2000)
 
 
 class TestRunBench:
     def test_identity_fields(self, report):
-        assert report.backend in ("pure", "compiled")
         assert report.iterations == 2000
         assert report.key == "http_proxy"
 
@@ -46,11 +43,9 @@ class TestRunBench:
 
     def test_as_dict_round_trips_fields(self, report):
         data = report.as_dict()
-        assert data["backend"] == report.backend
         assert data["reload_count"] == report.reload_count
         assert data["overhead_ratio"] == report.overhead_ratio
         assert set(data) == {
-            "backend",
             "iterations",
             "key",
             "baseline_ns",
@@ -71,15 +66,14 @@ class TestArguments:
     def test_explicit_state_path_reused(self, tmp_path):
         state = tmp_path / "bench-state.ks"
         report = run_bench(
-            PROXY_SPEC, "http_proxy", iterations=100, backend="pure",
-            state_path=str(state),
+            PROXY_SPEC, "http_proxy", iterations=100, state_path=str(state),
         )
         assert state.exists()
         assert report.reload_count == CHURN_CHANGES
 
     def test_ratio_uses_floor_of_one_ns(self):
         report = BenchReport(
-            backend="pure", iterations=1, key="k",
+            iterations=1, key="k",
             baseline_ns=0.0, lookup_ns=1.0, steady_ns=5.0, churn_ns=6.0,
             steady_reloads=0, reload_count=0,
         )

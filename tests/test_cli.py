@@ -9,11 +9,7 @@ import subprocess
 import pytest
 
 from conftest import KONTEXT_CMD, PROXY_SPEC
-from kontext import COMPILED_AVAILABLE, state_read, state_serialize, state_set_layer
-
-needs_compiled = pytest.mark.skipif(
-    not COMPILED_AVAILABLE, reason="compiled core not built"
-)
+from kontext import state_read, state_serialize, state_set_layer
 
 
 class TestUsage:
@@ -142,15 +138,6 @@ class TestGet:
         assert code == 1
         assert out == ""
 
-    @pytest.mark.parametrize("engine", ["pure"] + (["compiled"] if COMPILED_AVAILABLE else []))
-    def test_engine_choice(self, cli, proxy_spec, state_file, engine):
-        code, out, _ = cli(
-            "get", "--engine", engine, "--spec", str(proxy_spec),
-            "--state", str(state_file), "getenv/http_proxy",
-        )
-        assert code == 0
-        assert out == "default.example.com\n"
-
     def test_invalid_name_is_data_error(self, cli, proxy_spec, state_file):
         code, _, err = cli(
             "get", "--spec", str(proxy_spec), "--state", str(state_file), "a//b"
@@ -165,6 +152,15 @@ class TestGet:
         )
         assert code == 3
         assert "state" in err
+
+    @pytest.mark.parametrize("generation", ["\u00b2", "\u0663", "9223372036854775808"])
+    def test_bad_generation_is_data_error(self, cli, proxy_spec, state_file, generation):
+        state_file.write_text(f"generation={generation}\n")
+        for argv in (["get", "--spec", str(proxy_spec), "getenv/http_proxy"],
+                     ["layer", "set", "network", "home"]):
+            code, _, err = cli(*argv, "--state", str(state_file))
+            assert code == 3, argv
+            assert "state line 1: bad generation" in err
 
 
 class TestSet:
@@ -443,25 +439,14 @@ class TestBench:
 
     def test_porcelain_json(self, cli, proxy_spec):
         code, out, _ = cli(
-            "bench", "--porcelain", "--engine", "pure", "-n", "1000",
+            "bench", "--porcelain", "-n", "1000",
             "--spec", str(proxy_spec),
         )
         assert code == 0
         data = json.loads(out)
-        assert data["backend"] == "pure"
         assert data["key"] == "http_proxy"
         assert data["reload_count"] == 10
         assert data["steady_reloads"] == 0
-
-    @needs_compiled
-    def test_both_engines(self, cli, proxy_spec):
-        code, out, _ = cli(
-            "bench", "--porcelain", "--engine", "both", "-n", "1000",
-            "--spec", str(proxy_spec),
-        )
-        assert code == 0
-        reports = [json.loads(line) for line in out.splitlines()]
-        assert [r["backend"] for r in reports] == ["pure", "compiled"]
 
     def test_no_getenv_keys_needs_explicit_key(self, cli, tmp_path):
         path = tmp_path / "plain.ks"

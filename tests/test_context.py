@@ -39,7 +39,7 @@ class TestLayerValidation:
     def test_names_ok(self, good):
         assert check_layer_name(good) == good
 
-    @pytest.mark.parametrize("bad", ["", " pad", "pad ", "a/b", "a=b", "a%b", "a\nb"])
+    @pytest.mark.parametrize("bad", ["", " pad", "pad ", "a/b", "a=b", "a%b", "a\nb", "a\0b"])
     def test_names_rejected(self, bad):
         with pytest.raises(InvalidLayerError):
             check_layer_name(bad)
@@ -48,7 +48,7 @@ class TestLayerValidation:
     def test_values_ok(self, good):
         assert check_layer_value(good) == good
 
-    @pytest.mark.parametrize("bad", ["", "*", " v", "v ", "a/b", "a=b", "a\rb"])
+    @pytest.mark.parametrize("bad", ["", "*", " v", "v ", "a/b", "a=b", "a\rb", "a\0b"])
     def test_values_rejected(self, bad):
         with pytest.raises(InvalidLayerError):
             check_layer_value(bad)

@@ -1,4 +1,4 @@
-"""Backend selection and pure/compiled equivalence."""
+"""The Python engine's contract, and its equivalence with the C engine."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import random
 import pytest
 
 from kontext import (
-    COMPILED_AVAILABLE,
-    CompiledBackend,
     ContextState,
     CycleDetectedError,
     DepthExceededError,
@@ -16,21 +14,14 @@ from kontext import (
     Key,
     KeyName,
     KeySet,
-    KontextError,
     PureBackend,
     SpecParseError,
-    UnserializableError,
     make_backend,
     parse_spec,
     serialize_spec,
 )
-from kontext.engine import BACKEND_CHOICES, available_backends
 from kontext.specfile import ParseErrorKind
 from lookup_oracle import make_instance, oracle_lookup
-
-needs_compiled = pytest.mark.skipif(
-    not COMPILED_AVAILABLE, reason="compiled core not built"
-)
 
 SPEC = """\
 http_proxy/*/* = fallback.example.com
@@ -65,28 +56,14 @@ def outcome_tuple(backend, name, layers):
 
 class TestMakeBackend:
     def test_unknown_choice(self):
-        with pytest.raises(ValueError):
-            make_backend(SPEC, "turbo")
-
-    def test_choices_constant(self):
-        assert BACKEND_CHOICES == ("auto", "pure", "compiled")
+        for choice in ("turbo", "compiled"):
+            with pytest.raises(ValueError):
+                make_backend(SPEC, choice)
 
     def test_pure_always_works(self):
         backend = make_backend(SPEC, "pure")
         assert isinstance(backend, PureBackend)
         assert backend.name == "pure"
-
-    def test_auto_prefers_compiled(self):
-        backend = make_backend(SPEC, "auto")
-        if COMPILED_AVAILABLE:
-            assert isinstance(backend, CompiledBackend)
-        else:
-            assert isinstance(backend, PureBackend)
-
-    def test_available_backends(self):
-        names = available_backends()
-        assert "pure" in names
-        assert ("compiled" in names) == COMPILED_AVAILABLE
 
     @pytest.mark.parametrize("choice", ["pure", "auto"])
     def test_accepts_every_spec_shape(self, choice):
@@ -108,30 +85,17 @@ class TestMakeBackend:
         out = backend.lookup("a/b", ContextState())
         assert out is not None and out.value == "padded "
 
-    @needs_compiled
-    def test_compiled_refuses_unserializable_keyset(self):
-        ks = KeySet()
-        ks.insert(Key("a/b", "padded "))
-        with pytest.raises(UnserializableError):
-            make_backend(ks, "compiled")
 
-    def test_compiled_missing_raises(self):
-        if COMPILED_AVAILABLE:
-            assert isinstance(make_backend(SPEC, "compiled"), CompiledBackend)
-        else:
-            with pytest.raises(KontextError):
-                make_backend(SPEC, "compiled")
+@pytest.fixture
+def backend(request):
+    """The Python engine, or the C engine through its ctypes binding."""
+    if request.param == "pure":
+        return make_backend(SPEC, "pure")
+    return request.getfixturevalue("kxcore").Engine(SPEC)
 
 
-def both_backends():
-    backends = [make_backend(SPEC, "pure")]
-    if COMPILED_AVAILABLE:
-        backends.append(make_backend(SPEC, "compiled"))
-    return backends
-
-
+@pytest.mark.parametrize("backend", ["pure", "c"], indirect=True)
 class TestBackendContract:
-    @pytest.mark.parametrize("backend", both_backends(), ids=lambda b: b.name)
     def test_contextual_hit(self, backend):
         out = backend.lookup(
             "getenv/http_proxy", ContextState({"interface": "eth", "network": "work"})
@@ -140,29 +104,24 @@ class TestBackendContract:
         assert out.matched_name == "http_proxy/eth/work"
         assert out.chain == ("getenv/http_proxy", "http_proxy/eth/work")
 
-    @pytest.mark.parametrize("backend", both_backends(), ids=lambda b: b.name)
     def test_wildcard_fallback(self, backend):
         out = backend.lookup("getenv/http_proxy", ContextState())
         assert out.value == "fallback.example.com"
         assert out.matched_name == "http_proxy/*/*"
 
-    @pytest.mark.parametrize("backend", both_backends(), ids=lambda b: b.name)
     def test_absent(self, backend):
         assert backend.lookup("getenv/nope", ContextState()) is None
 
-    @pytest.mark.parametrize("backend", both_backends(), ids=lambda b: b.name)
     def test_has_key(self, backend):
         assert backend.has_key("http_proxy/eth/work")
         assert backend.has_key("getenv/http_proxy")
         assert not backend.has_key("getenv/nope")
 
-    @pytest.mark.parametrize("backend", both_backends(), ids=lambda b: b.name)
     @pytest.mark.parametrize("bad", ["", "a//b", "a/", "/a", "a/b\n"])
     def test_invalid_lookup_name(self, backend, bad):
         with pytest.raises(InvalidNameError):
             backend.lookup(bad, ContextState())
 
-    @pytest.mark.parametrize("backend", both_backends(), ids=lambda b: b.name)
     def test_outcome_strings_are_plain(self, backend):
         out = backend.lookup("getenv/http_proxy", ContextState())
         assert isinstance(out.value, str)
@@ -170,15 +129,14 @@ class TestBackendContract:
         assert all(isinstance(link, str) for link in out.chain)
 
 
-@needs_compiled
 class TestPureCompiledParity:
     @pytest.mark.parametrize("seed", range(150))
-    def test_randomized_instances(self, seed):
+    def test_randomized_instances(self, kxcore, seed):
         rng = random.Random(20_000 + seed)
         entries, layers, query = make_instance(rng, seed_cycle=(seed % 7 == 0))
         text = serialize_spec(entries_keyset(entries))
         pure = make_backend(text, "pure")
-        compiled = make_backend(text, "compiled")
+        compiled = kxcore.Engine(text)
 
         names = sorted(entries) + [query, "getenv/missing", "no/such/key"]
         for name in names:
@@ -202,21 +160,20 @@ class TestPureCompiledParity:
         else:
             assert got == (kind, payload)
 
-    def test_cycle_chains_match(self):
+    def test_cycle_chains_match(self, kxcore):
         entries = {
             "cyc/a": ("", "cyc/b"),
             "cyc/b": ("", "cyc/a"),
         }
         text = serialize_spec(entries_keyset(entries))
         chains = []
-        for choice in ("pure", "compiled"):
+        for engine in (make_backend(text, "pure"), kxcore.Engine(text)):
             with pytest.raises(CycleDetectedError) as exc:
-                make_backend(text, choice).lookup("cyc/a", ContextState())
+                engine.lookup("cyc/a", ContextState())
             chains.append(tuple(exc.value.chain))
         assert chains[0] == chains[1] == ("cyc/a", "cyc/b", "cyc/a")
 
 
-@needs_compiled
 class TestCompiledParser:
     @pytest.mark.parametrize(
         "text,kind",
@@ -228,20 +185,21 @@ class TestCompiledParser:
             ("value=x\n", ParseErrorKind.PROPERTY_OUTSIDE_SECTION),
             ("a//b=v\n", ParseErrorKind.INVALID_NAME),
             (b"a=\xff\n", ParseErrorKind.ENCODING),
+            ("a\x00b=1\n", ParseErrorKind.ENCODING),
+            ("x=1\na=b\x00c\n", ParseErrorKind.ENCODING),
+            (b"x=1\na=\x00\xff\n", ParseErrorKind.ENCODING),
         ],
     )
-    def test_fatal_errors_match_python_parser(self, text, kind):
+    def test_fatal_errors_match_python_parser(self, kxcore, text, kind):
         with pytest.raises(SpecParseError) as py_exc:
             parse_spec(text)
         with pytest.raises(SpecParseError) as c_exc:
-            CompiledBackend(text if isinstance(text, bytes) else text)
+            kxcore.Engine(text)
         assert py_exc.value.kind == kind
         assert c_exc.value.kind == py_exc.value.kind
         assert c_exc.value.line == py_exc.value.line
 
-    def test_name_valid_agrees_with_parse(self):
-        from kontext import _ckontext
-
+    def test_name_valid_agrees_with_parse(self, kxcore):
         names = [
             "a", "a/b", "getenv/http_proxy", "a/*/b", "*", "a.b-c_d",
             "", "/", "a//b", " a", "a ", "a/b ", "a=b", "a\nb", "a/", "/a",
@@ -252,4 +210,4 @@ class TestCompiledParser:
                 valid = True
             except InvalidNameError:
                 valid = False
-            assert _ckontext.name_valid(name) == valid, name
+            assert kxcore.name_valid(name) == valid, name

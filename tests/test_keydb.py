@@ -21,7 +21,7 @@ class TestKeyName:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "a//b", "/a", "a/", "a=b", "a\nb", "a\rb", "a/b/"],
+        ["", "a//b", "/a", "a/", "a=b", "a\nb", "a\rb", "a/b/", "a\0b"],
     )
     def test_invalid_names_rejected(self, bad):
         with pytest.raises(InvalidNameError):
@@ -61,7 +61,7 @@ class TestKey:
         source["context"] = "mutated"
         assert key.meta["context"] == "a/%x%"
 
-    @pytest.mark.parametrize("bad", ["a\nb", "a\rb"])
+    @pytest.mark.parametrize("bad", ["a\nb", "a\rb", "a\0b"])
     def test_value_rejects_line_breaks(self, bad):
         with pytest.raises(InvalidValueError):
             Key("a", bad)

@@ -24,7 +24,7 @@ from kontext import (
     state_set_layer,
     state_write,
 )
-from kontext.layerstate import default_state_path
+from kontext.layerstate import GENERATION_MAX, default_state_path
 
 
 class TestSerialize:
@@ -167,6 +167,13 @@ class TestSetLayer:
         ctx = state_read(path)
         assert ctx.get("a") is None
         assert ctx.get("b") == "2"
+
+    def test_last_generation_cannot_advance(self, tmp_path):
+        path = tmp_path / "state.ks"
+        state_write(path, ContextState({"a": "1"}, GENERATION_MAX))
+        with pytest.raises(CorruptStateError):
+            state_set_layer(path, "a", "2")
+        assert state_read(path) == ContextState({"a": "1"}, GENERATION_MAX)
 
     def test_invalid_name_rejected_before_any_write(self, tmp_path):
         path = tmp_path / "state.ks"

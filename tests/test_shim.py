@@ -13,7 +13,6 @@ import pytest
 
 from conftest import PROXY_SPEC
 from kontext import (
-    COMPILED_AVAILABLE,
     ContextState,
     KontextError,
     ShimSession,
@@ -26,44 +25,57 @@ from kontext import (
     state_write,
 )
 
-BACKENDS = ["pure"] + (["compiled"] if COMPILED_AVAILABLE else [])
+
+def session(state_path, environ=None, spec=PROXY_SPEC):
+    return ShimSession(spec, state_path, environ=environ or {})
 
 
-def session(state_path, backend="pure", environ=None, spec=PROXY_SPEC):
-    return ShimSession(spec, state_path, backend=backend, environ=environ or {})
+@pytest.fixture
+def shim(request):
+    """Start a shim over PROXY_SPEC: (state, environ=None) -> object with getenv.
+
+    "pure" is ShimSession, which also keeps counters; "preload" is the real
+    _preload.so in a running child.
+    """
+    if request.param == "pure":
+        return session
+    return request.getfixturevalue("probe_child")
 
 
 class TestGetenvPath:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unregistered_falls_through(self, tmp_path, backend):
-        sess = session(tmp_path / "s.ks", backend, {"PATH": "/usr/bin"})
+    @pytest.mark.parametrize("shim", ["pure", "preload"], indirect=True)
+    def test_unregistered_falls_through(self, tmp_path, shim):
+        sess = shim(tmp_path / "s.ks", {"PATH": "/usr/bin"})
         assert sess.getenv("PATH") == "/usr/bin"
-        assert sess.counters() == {
-            "calls": 1,
-            "hits": 0,
-            "reloads": 0,
-            "fallthroughs": 1,
-        }
+        if isinstance(sess, ShimSession):
+            assert sess.counters() == {
+                "calls": 1,
+                "hits": 0,
+                "reloads": 0,
+                "fallthroughs": 1,
+            }
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unregistered_missing_is_none(self, tmp_path, backend):
-        sess = session(tmp_path / "s.ks", backend)
+    @pytest.mark.parametrize("shim", ["pure", "preload"], indirect=True)
+    def test_unregistered_missing_is_none(self, tmp_path, shim):
+        sess = shim(tmp_path / "s.ks")
         assert sess.getenv("NO_SUCH_VAR") is None
-        assert sess.fallthroughs == 1
+        if isinstance(sess, ShimSession):
+            assert sess.fallthroughs == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_registered_hit_without_state(self, tmp_path, backend):
-        sess = session(tmp_path / "s.ks", backend, {"http_proxy": "ignored"})
+    @pytest.mark.parametrize("shim", ["pure", "preload"], indirect=True)
+    def test_registered_hit_without_state(self, tmp_path, shim):
+        sess = shim(tmp_path / "s.ks", {"http_proxy": "ignored"})
         assert sess.getenv("http_proxy") == "default.example.com"
-        assert sess.hits == 1
-        assert sess.fallthroughs == 0
+        if isinstance(sess, ShimSession):
+            assert sess.hits == 1
+            assert sess.fallthroughs == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_registered_hit_with_layers(self, tmp_path, backend):
+    @pytest.mark.parametrize("shim", ["pure", "preload"], indirect=True)
+    def test_registered_hit_with_layers(self, tmp_path, shim):
         state = tmp_path / "s.ks"
         state_set_layer(state, "interface", "eth")
         state_set_layer(state, "network", "work")
-        sess = session(state, backend)
+        sess = shim(state)
         assert sess.getenv("http_proxy") == "proxy.example.com"
 
     def test_environment_never_consulted_on_hit(self, tmp_path):
@@ -79,27 +91,27 @@ class TestGetenvPath:
     def test_lookup_failure_falls_open(self, tmp_path):
         # zero-ref template pointing at itself: resolution cycles
         spec = "[getenv/loop]\ncontext = getenv/loop\n"
-        sess = ShimSession(
-            spec, tmp_path / "s.ks", backend="pure", environ={"loop": "from-env"}
-        )
+        sess = ShimSession(spec, tmp_path / "s.ks", environ={"loop": "from-env"})
         assert sess.getenv("loop") == "from-env"
         assert sess.fallthroughs == 1
         assert sess.hits == 0
 
 
 class TestStateRefresh:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reload_on_state_change(self, tmp_path, backend):
+    @pytest.mark.parametrize("shim", ["pure", "preload"], indirect=True)
+    def test_reload_on_state_change(self, tmp_path, shim):
         state = tmp_path / "s.ks"
         state_set_layer(state, "interface", "wlan")
         state_set_layer(state, "network", "work")
-        sess = session(state, backend)
+        sess = shim(state)
         assert sess.getenv("http_proxy") == "default.example.com"
-        assert sess.reloads == 0
+        if isinstance(sess, ShimSession):
+            assert sess.reloads == 0
 
         state_set_layer(state, "network", "home")
         assert sess.getenv("http_proxy") == "proxy.example.org"
-        assert sess.reloads == 1
+        if isinstance(sess, ShimSession):
+            assert sess.reloads == 1
 
     def test_no_reload_when_file_unchanged(self, tmp_path):
         state = tmp_path / "s.ks"
@@ -174,8 +186,7 @@ class TestCounters:
 
     def test_properties(self, tmp_path):
         state = tmp_path / "s.ks"
-        sess = session(state, "pure")
-        assert sess.backend_name == "pure"
+        sess = session(state)
         assert sess.backend.name == "pure"
         assert sess.state_path == state
         assert isinstance(sess.context, ContextState)
@@ -297,10 +308,11 @@ class TestPreloadEndToEnd:
 
 
 class _Probe:
-    """A running sync_getenv_ptr child: one getenv per probe() call."""
+    """A running sync_getenv_ptr child: one getenv per lookup() call."""
 
-    def __init__(self, exe, spec, state):
-        env = child_environment(spec=spec, state=state, base=dict(os.environ))
+    def __init__(self, exe, spec, state, environ=None):
+        base = dict(os.environ) if environ is None else environ
+        env = child_environment(spec=spec, state=state, base=base)
         self.proc = subprocess.Popen(
             [str(exe)],
             env=env,
@@ -310,12 +322,18 @@ class _Probe:
             bufsize=1,
         )
 
-    def probe(self):
-        """(value, address) of the child's next getenv("http_proxy")."""
-        self.proc.stdin.write("probe\n")
+    def lookup(self, name):
+        """(value or None, address) of the child's getenv(name)."""
+        self.proc.stdin.write(name + "\n")
         self.proc.stdin.flush()
-        value, address = self.proc.stdout.readline().split()
-        return value, address
+        value, address = self.proc.stdout.readline().rstrip("\n").rsplit(" ", 1)
+        return (None if address == "(nil)" else value), address
+
+    def getenv(self, name):
+        return self.lookup(name)[0]
+
+    def probe(self):
+        return self.lookup("http_proxy")
 
     def close(self):
         try:
@@ -332,8 +350,8 @@ class _Probe:
 def probe_child(demo_bins, preload_so, proxy_spec):
     children = []
 
-    def start(state):
-        child = _Probe(demo_bins["sync_getenv_ptr"], proxy_spec, state)
+    def start(state, environ=None):
+        child = _Probe(demo_bins["sync_getenv_ptr"], proxy_spec, state, environ)
         children.append(child)
         return child
 
