@@ -112,125 +112,34 @@ void kx_keyset_init(kx_keyset *ks) {
     ks->items = NULL;
     ks->len = 0;
     ks->cap = 0;
-}
-
-static void kx_key_release(kx_key *key) {
-    free(key->name);
-    free(key->value);
-    for (size_t i = 0; i < key->nprops; i++) {
-        free(key->props[i]);
-        free(key->propvals[i]);
-    }
-    free(key->props);
-    free(key->propvals);
+    ks->text = NULL;
 }
 
 void kx_keyset_free(kx_keyset *ks) {
     if (!ks)
         return;
-    for (size_t i = 0; i < ks->len; i++)
-        kx_key_release(&ks->items[i]);
+    for (size_t i = 0; i < ks->len; i++) {
+        free(ks->items[i].props);
+        free(ks->items[i].propvals);
+    }
     free(ks->items);
+    free(ks->text);
     kx_keyset_init(ks);
 }
 
-/* index of name, or the insertion point encoded as -(pos + 1) */
-static long kx_keyset_find(const kx_keyset *ks, const char *name) {
+const kx_key *kx_keyset_get(const kx_keyset *ks, const char *name) {
     size_t lo = 0, hi = ks->len;
     while (lo < hi) {
         size_t mid = lo + (hi - lo) / 2;
         int cmp = strcmp(ks->items[mid].name, name);
         if (cmp == 0)
-            return (long)mid;
+            return &ks->items[mid];
         if (cmp < 0)
             lo = mid + 1;
         else
             hi = mid;
     }
-    return -((long)lo + 1);
-}
-
-const kx_key *kx_keyset_get(const kx_keyset *ks, const char *name) {
-    long idx = kx_keyset_find(ks, name);
-    return idx >= 0 ? &ks->items[idx] : NULL;
-}
-
-/* find the existing entry or insert an empty one; NULL on OOM */
-static kx_key *kx_keyset_obtain(kx_keyset *ks, const char *name, size_t name_len) {
-    char *display = kx_strndup(name, name_len);
-    if (!display)
-        return NULL;
-    long idx = kx_keyset_find(ks, display);
-    if (idx >= 0) {
-        free(display);
-        return &ks->items[idx];
-    }
-    size_t pos = (size_t)(-idx - 1);
-    if (ks->len + 1 > ks->cap) {
-        size_t cap = ks->cap ? ks->cap * 2 : 16;
-        kx_key *items = (kx_key *)realloc(ks->items, cap * sizeof(kx_key));
-        if (!items) {
-            free(display);
-            return NULL;
-        }
-        ks->items = items;
-        ks->cap = cap;
-    }
-    memmove(&ks->items[pos + 1], &ks->items[pos], (ks->len - pos) * sizeof(kx_key));
-    ks->len++;
-    kx_key *key = &ks->items[pos];
-    memset(key, 0, sizeof(*key));
-    key->name = display;
-    key->value = kx_strdup("");
-    if (!key->value)
-        return NULL; /* keyset_free will cope: value NULL is handled by free */
-    return key;
-}
-
-static int kx_key_set_value(kx_key *key, const char *value, size_t n) {
-    char *copy = kx_strndup(value, n);
-    if (!copy)
-        return KX_E_NOMEM;
-    free(key->value);
-    key->value = copy;
-    return KX_OK;
-}
-
-static int kx_key_set_prop(kx_key *key, const char *prop, size_t plen,
-                           const char *value, size_t vlen) {
-    for (size_t i = 0; i < key->nprops; i++) {
-        if (strlen(key->props[i]) == plen && memcmp(key->props[i], prop, plen) == 0) {
-            char *copy = kx_strndup(value, vlen);
-            if (!copy)
-                return KX_E_NOMEM;
-            free(key->propvals[i]);
-            key->propvals[i] = copy;
-            return KX_OK;
-        }
-    }
-    if (key->nprops + 1 > key->propcap) {
-        size_t cap = key->propcap ? key->propcap * 2 : 4;
-        char **props = (char **)realloc(key->props, cap * sizeof(char *));
-        if (!props)
-            return KX_E_NOMEM;
-        key->props = props;
-        char **vals = (char **)realloc(key->propvals, cap * sizeof(char *));
-        if (!vals)
-            return KX_E_NOMEM;
-        key->propvals = vals;
-        key->propcap = cap;
-    }
-    char *pcopy = kx_strndup(prop, plen);
-    char *vcopy = kx_strndup(value, vlen);
-    if (!pcopy || !vcopy) {
-        free(pcopy);
-        free(vcopy);
-        return KX_E_NOMEM;
-    }
-    key->props[key->nprops] = pcopy;
-    key->propvals[key->nprops] = vcopy;
-    key->nprops++;
-    return KX_OK;
+    return NULL;
 }
 
 const char *kx_key_meta(const kx_key *key, const char *prop) {
@@ -252,8 +161,10 @@ int kx_keyset_below(const kx_keyset *ks, const char *prefix,
         size_t mid = lo + (hi - lo) / 2;
         const char *name = ks->items[mid].name;
         int cmp = strncmp(name, prefix, plen);
-        if (cmp == 0)
-            cmp = (name[plen] == '\0') ? -1 : (name[plen] < '/' ? -1 : (name[plen] > '/' ? 1 : 0));
+        if (cmp == 0) {
+            unsigned char next = (unsigned char)name[plen]; /* strcmp compares unsigned */
+            cmp = (next > '/') - (next < '/');
+        }
         if (cmp < 0)
             lo = mid + 1;
         else
@@ -334,6 +245,74 @@ static size_t kx_comment_start(const char *line, size_t n) {
     return n;
 }
 
+/* Names seen so far in one parse: open addressing over item indexes, each
+ * slot holding an index + 1 (0 is empty). Sized once from the line count,
+ * at most half full, so a parse is linear in the text whatever the order. */
+typedef struct {
+    unsigned *slots;
+    size_t mask;
+} kx_name_index;
+
+static size_t kx_hash(const char *s, size_t n) {
+    unsigned h = 2166136261u; /* FNV-1a */
+    for (size_t i = 0; i < n; i++)
+        h = (h ^ (unsigned char)s[i]) * 16777619u;
+    return h;
+}
+
+/* index of the item named name (n bytes, already NUL-cut in ks->text),
+ * appending an empty one when the name is new; -1 when out of memory */
+static long kx_parse_key(kx_keyset *ks, kx_name_index *ix, char *name, size_t n) {
+    size_t h = kx_hash(name, n) & ix->mask;
+    for (unsigned slot; (slot = ix->slots[h]) != 0; h = (h + 1) & ix->mask)
+        if (strcmp(ks->items[slot - 1].name, name) == 0)
+            return (long)slot - 1;
+    if (ks->len == ks->cap) {
+        size_t cap = ks->cap ? ks->cap * 2 : 64;
+        kx_key *items = (kx_key *)realloc(ks->items, cap * sizeof(kx_key));
+        if (!items)
+            return -1;
+        ks->items = items;
+        ks->cap = cap;
+    }
+    kx_key *key = &ks->items[ks->len];
+    memset(key, 0, sizeof(*key));
+    key->name = name;
+    key->value = name + n; /* "": the name's own terminator */
+    ix->slots[h] = (unsigned)ks->len + 1;
+    return (long)ks->len++;
+}
+
+/* set prop to value, both NUL-cut in the key set's text; a later line wins */
+static int kx_key_set_prop(kx_key *key, char *prop, char *value) {
+    for (size_t i = 0; i < key->nprops; i++) {
+        if (strcmp(key->props[i], prop) == 0) {
+            key->propvals[i] = value;
+            return KX_OK;
+        }
+    }
+    if (key->nprops + 1 > key->propcap) {
+        size_t cap = key->propcap ? key->propcap * 2 : 4;
+        char **props = (char **)realloc(key->props, cap * sizeof(char *));
+        if (!props)
+            return KX_E_NOMEM;
+        key->props = props;
+        char **vals = (char **)realloc(key->propvals, cap * sizeof(char *));
+        if (!vals)
+            return KX_E_NOMEM;
+        key->propvals = vals;
+        key->propcap = cap;
+    }
+    key->props[key->nprops] = prop;
+    key->propvals[key->nprops] = value;
+    key->nprops++;
+    return KX_OK;
+}
+
+static int kx_key_order(const void *a, const void *b) {
+    return strcmp(((const kx_key *)a)->name, ((const kx_key *)b)->name);
+}
+
 int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
     kx_keyset_init(out);
     long bad = kx_utf8_invalid_at((const unsigned char *)data, len);
@@ -346,20 +325,40 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
         return KX_E_PARSE;
     }
 
-    char *section = NULL; /* display name of the open section */
+    /* a line names at most one new key */
+    size_t lines = 1;
+    for (const char *nl = data; (nl = memchr(nl, '\n', len - (size_t)(nl - data))) != NULL; nl++)
+        lines++;
+    if (lines >= UINT_MAX / 4)
+        return KX_E_NOMEM; /* index slots hold unsigned item indexes */
+    size_t slots = 16;
+    while (slots < 2 * lines)
+        slots *= 2;
+    kx_name_index index = {(unsigned *)calloc(slots, sizeof(unsigned)), slots - 1};
+    /* one copy of the text; every name and value is cut from it in place */
+    out->text = (char *)malloc(len + 1);
+    if (!index.slots || !out->text) {
+        free(index.slots);
+        kx_keyset_free(out);
+        return KX_E_NOMEM;
+    }
+    memcpy(out->text, data, len);
+    out->text[len] = '\0';
+
+    long section = -1; /* item index of the open section */
     int rc = KX_OK;
     int line_no = 0;
-    const char *p = data;
-    const char *data_end = data + len;
+    char *p = out->text;
+    char *text_end = out->text + len;
 
-    while (p <= data_end) {
-        const char *nl = memchr(p, '\n', (size_t)(data_end - p));
-        const char *line_end = nl ? nl : data_end;
+    while (p <= text_end) {
+        char *nl = memchr(p, '\n', (size_t)(text_end - p));
+        char *line_end = nl ? nl : text_end;
         line_no++;
 
         const char *ls = p;
         const char *le = line_end;
-        p = nl ? nl + 1 : data_end + 1;
+        p = nl ? nl + 1 : text_end + 1;
 
         if (le > ls && le[-1] == '\r')
             le--;
@@ -382,19 +381,15 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
             const char *ib = ls + 1;
             const char *ie = le - 1;
             kx_trim(&ib, &ie);
-            if (!kx_name_valid_mem(ib, (size_t)(ie - ib))) {
+            size_t ilen = (size_t)(ie - ib);
+            if (!kx_name_valid_mem(ib, ilen)) {
                 kx_set_error(err, line_no, KX_PK_INVALID_NAME, "invalid section name");
                 rc = KX_E_PARSE;
                 break;
             }
-            kx_key *key = kx_keyset_obtain(out, ib, (size_t)(ie - ib));
-            if (!key) {
-                rc = KX_E_NOMEM;
-                break;
-            }
-            free(section);
-            section = kx_strdup(key->name);
-            if (!section) {
+            *(char *)ie = '\0';
+            section = kx_parse_key(out, &index, (char *)ib, ilen);
+            if (section < 0) {
                 rc = KX_E_NOMEM;
                 break;
             }
@@ -414,19 +409,20 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
         const char *ve = le;
         kx_trim(&vb, &ve);
         size_t nlen = (size_t)(ne - nb);
-        size_t vlen = (size_t)(ve - vb);
         int is_value_prop = (nlen == 5 && memcmp(nb, "value", 5) == 0);
+        /* ne <= eq < vb <= ve: the cuts touch neither string */
+        *(char *)ne = '\0';
+        *(char *)ve = '\0';
 
-        if (section != NULL) {
-            long idx = kx_keyset_find(out, section);
-            kx_key *key = &out->items[idx]; /* section entry always exists */
+        if (section >= 0) {
+            kx_key *key = &out->items[section];
             if (is_value_prop)
-                rc = kx_key_set_value(key, vb, vlen);
+                key->value = (char *)vb;
             else if (nlen == 0) {
                 kx_set_error(err, line_no, KX_PK_INVALID_NAME, "empty property name");
                 rc = KX_E_PARSE;
             } else
-                rc = kx_key_set_prop(key, nb, nlen, vb, vlen);
+                rc = kx_key_set_prop(key, (char *)nb, (char *)vb);
             if (rc != KX_OK)
                 break;
             continue;
@@ -443,21 +439,21 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
             rc = KX_E_PARSE;
             break;
         }
-        kx_key *key = kx_keyset_obtain(out, nb, nlen);
-        if (!key) {
+        long idx = kx_parse_key(out, &index, (char *)nb, nlen);
+        if (idx < 0) {
             rc = KX_E_NOMEM;
             break;
         }
-        rc = kx_key_set_value(key, vb, vlen);
-        if (rc != KX_OK)
-            break;
+        out->items[idx].value = (char *)vb;
     }
 
-    free(section);
+    free(index.slots);
     if (rc != KX_OK) {
         kx_keyset_free(out);
         return rc;
     }
+    /* the order kx_keyset_get and kx_keyset_below search */
+    qsort(out->items, out->len, sizeof(kx_key), kx_key_order);
     return KX_OK;
 }
 

@@ -55,19 +55,24 @@ typedef struct {
     char message[160];
 } kx_error;
 
+/* A parsed spec owns one copy of its text. Every name, value, property
+ * name and property value points into that copy, cut with NULs; the key set
+ * owns only that buffer, the items array and each key's two props arrays,
+ * and kx_keyset_free releases exactly those. */
 typedef struct {
-    char *name;  /* display form, owned */
-    char *value; /* owned, never NULL */
-    char **props;
-    char **propvals;
+    char *name;  /* display form, in the key set's text */
+    char *value; /* in the key set's text, never NULL */
+    char **props;    /* owned array; the strings are in the text */
+    char **propvals; /* owned array; the strings are in the text */
     size_t nprops;
     size_t propcap;
 } kx_key;
 
 typedef struct {
-    kx_key *items; /* sorted by strcmp(name) */
+    kx_key *items; /* sorted by strcmp(name), names unique */
     size_t len;
     size_t cap;
+    char *text; /* owned copy of the spec text every string points into */
 } kx_keyset;
 
 typedef struct {

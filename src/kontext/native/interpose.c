@@ -1,5 +1,7 @@
 /* LD_PRELOAD shim: intercepts getenv, secure_getenv and read-only
- * open/fopen so running programs see contextually resolved configuration.
+ * open/open64/fopen/fopen64, plus the _FORTIFY_SOURCE entry points
+ * __open_2/__open64_2, so running programs see contextually resolved
+ * configuration.
  *
  * Ground rules, in order:
  *   fail open   - on any internal problem the real call happens instead
@@ -24,6 +26,11 @@
  * (another user must not be able to truncate it, SIGBUS); the shim then
  * stats the state file on every registered call and retries the mapping at
  * most once a second. The state file stays the source of truth.
+ *
+ * Shadow files: a registered read-only open gets a file rendered into a
+ * mkdtemp directory under $TMPDIR. The process that made the directory
+ * removes it in its destructor; a forked child makes its own. Exits that
+ * skip destructors (_exit, exec, a fatal signal) leave it behind.
  *
  * Answers: every getenv/ key of the spec owns a slot holding its answer for
  * the state adopted last (g_epoch grows with every adopted state), so a
@@ -122,6 +129,7 @@ typedef struct kx_shadow {
 static kx_shadow *g_shadows = NULL;
 static char g_shadow_dir[PATH_MAX];
 static int g_shadow_dir_state = 0; /* 0 untried, 1 ok, -1 failed */
+static pid_t g_shadow_pid;          /* the process that made g_shadow_dir */
 static int g_shadow_seq = 0;
 
 /* ------------------------------------------------------------------ */
@@ -136,6 +144,13 @@ static char *xdup(const char *s) {
     if (out)
         memcpy(out, s, n + 1);
     return out;
+}
+
+/* libc declares the name and path arguments nonnull, so the compiler may
+ * drop a plain NULL test of them; the empty asm hides where p came from */
+static int kx_is_null(const void *p) {
+    __asm__("" : "+r"(p));
+    return p == NULL;
 }
 
 static long long kx_now_ns(void) {
@@ -261,11 +276,14 @@ static void kx_trace_getenv(const char *name, const char *outcome, const char *v
 /* state loading                                                       */
 /* ------------------------------------------------------------------ */
 
+/* a regular file is read with one read() into a buffer of its size */
 static int kx_read_file(const char *path, char **data_out, size_t *len_out) {
     int fd = kx_real_open(path, O_RDONLY | O_CLOEXEC, 0);
     if (fd < 0)
         return -1;
-    size_t cap = 8192, len = 0;
+    struct stat st;
+    int regular = fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    size_t cap = regular ? (size_t)st.st_size + 1 : 8192, len = 0;
     char *data = (char *)malloc(cap);
     if (!data) {
         close(fd);
@@ -293,6 +311,8 @@ static int kx_read_file(const char *path, char **data_out, size_t *len_out) {
         if (got == 0)
             break;
         len += (size_t)got;
+        if (regular && len < cap)
+            break; /* a short read of a regular file ends at its end */
     }
     close(fd);
     *data_out = data;
@@ -437,8 +457,12 @@ static void kx_fork_parent(void) {
         pthread_mutex_unlock(&g_lock);
 }
 
+/* the parent removes its shadow files when it exits, so the child renders
+ * its own into a directory of its own */
 static void kx_fork_child(void) {
     pthread_mutex_init(&g_lock, NULL);
+    g_shadows = NULL;
+    g_shadow_dir_state = 0;
 }
 
 __attribute__((constructor)) static void kx_on_load(void) {
@@ -530,6 +554,13 @@ __attribute__((destructor)) static void kx_on_unload(void) {
         snprintf(detail, sizeof detail, "calls=%llu;hits=%llu;reloads=%llu;fallthroughs=%llu",
                  g_calls, g_hits, g_reloads, g_fallthroughs);
         kx_trace("counters", detail, NULL, NULL);
+    }
+    /* a child forked without the fork handlers still lists the parent's
+     * shadow files: only the process that made the directory removes it */
+    if (g_shadow_dir_state == 1 && getpid() == g_shadow_pid) {
+        for (kx_shadow *entry = g_shadows; entry; entry = entry->next)
+            unlink(entry->path);
+        rmdir(g_shadow_dir);
     }
     pthread_mutex_unlock(&g_lock);
 }
@@ -633,7 +664,7 @@ static char *kx_getenv_impl(const char *name) {
 }
 
 KX_EXPORT char *getenv(const char *name) {
-    if (!name)
+    if (kx_is_null(name))
         return NULL;
     if (t_inside)
         return kx_env_scan(name);
@@ -665,6 +696,7 @@ static int kx_ensure_shadow_dir(void) {
         g_shadow_dir_state = -1;
         return -1;
     }
+    g_shadow_pid = getpid();
     g_shadow_dir_state = 1;
     return 1;
 }
@@ -730,7 +762,7 @@ static const char *kx_shadow_render(const char *prefix) {
     if (entry) {
         path = entry->path;
     } else {
-        char pathbuf[PATH_MAX];
+        char pathbuf[sizeof g_shadow_dir + 32];
         snprintf(pathbuf, sizeof pathbuf, "%s/s%d.conf", g_shadow_dir, g_shadow_seq++);
         path = xdup(pathbuf);
         if (!path) {
@@ -923,6 +955,15 @@ static int kx_open_impl(const char *path, int flags, mode_t mode, int is64) {
     return is64 ? kx_real_open64(path, flags, mode) : kx_real_open(path, flags, mode);
 }
 
+static int kx_open_entry(const char *path, int flags, mode_t mode, int is64) {
+    if (kx_is_null(path) || t_inside)
+        return is64 ? kx_real_open64(path, flags, mode) : kx_real_open(path, flags, mode);
+    t_inside = 1;
+    int fd = kx_open_impl(path, flags, mode, is64);
+    t_inside = 0;
+    return fd;
+}
+
 KX_EXPORT int open(const char *path, int flags, ...) {
     mode_t mode = 0;
     if (flags & O_CREAT) {
@@ -931,12 +972,7 @@ KX_EXPORT int open(const char *path, int flags, ...) {
         mode = (mode_t)va_arg(ap, int);
         va_end(ap);
     }
-    if (!path || t_inside)
-        return kx_real_open(path, flags, mode);
-    t_inside = 1;
-    int fd = kx_open_impl(path, flags, mode, 0);
-    t_inside = 0;
-    return fd;
+    return kx_open_entry(path, flags, mode, 0);
 }
 
 KX_EXPORT int open64(const char *path, int flags, ...) {
@@ -947,12 +983,17 @@ KX_EXPORT int open64(const char *path, int flags, ...) {
         mode = (mode_t)va_arg(ap, int);
         va_end(ap);
     }
-    if (!path || t_inside)
-        return kx_real_open64(path, flags, mode);
-    t_inside = 1;
-    int fd = kx_open_impl(path, flags, mode, 1);
-    t_inside = 0;
-    return fd;
+    return kx_open_entry(path, flags, mode, 1);
+}
+
+/* what _FORTIFY_SOURCE builds call for open()/open64() when the compiler
+ * cannot see the flags and no mode is passed */
+KX_EXPORT int __open_2(const char *path, int flags) {
+    return kx_open_entry(path, flags, 0, 0);
+}
+
+KX_EXPORT int __open64_2(const char *path, int flags) {
+    return kx_open_entry(path, flags, 0, 1);
 }
 
 KX_EXPORT FILE *fopen(const char *path, const char *mode) {

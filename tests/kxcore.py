@@ -48,7 +48,8 @@ class Key(Structure):
 
 
 class KeySet(Structure):
-    _fields_ = [("items", POINTER(Key)), ("len", c_size_t), ("cap", c_size_t)]
+    _fields_ = [("items", POINTER(Key)), ("len", c_size_t), ("cap", c_size_t),
+                ("text", c_char_p)]
 
 
 class State(Structure):

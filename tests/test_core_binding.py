@@ -1,19 +1,24 @@
-"""The C engine through its ctypes binding: symbol visibility, and the spec
-and state parsers checked against the Python ones by differential testing
-(McKeeman, "Differential Testing for Software", 1998).
+"""The C engine through its ctypes binding: symbol visibility, a
+warning-clean build, the spec and state parsers checked against the Python
+ones by differential testing (McKeeman, "Differential Testing for Software",
+1998), and the spec parser's independence from line order.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kontext import CorruptStateError, SpecParseError, parse_spec, state_read
+from kontext.nativebuild import NATIVE, PRELOAD_FLAGS
 
 # bytes that exercise both grammars, plus what the engines once disagreed
 # on: NUL, stray \r, non-ASCII digits and invalid UTF-8
@@ -74,6 +79,17 @@ def test_engine_symbols_exported_only_from_kxcore(kxcore, kxcore_so, preload_so)
     assert ran.stdout.split() == ["False", "False"]
 
 
+def test_preload_builds_warning_clean(tmp_path):
+    cc = os.environ.get("CC", "cc")
+    if shutil.which(cc) is None:
+        pytest.skip("no C compiler on PATH")
+    cmd = [cc, *PRELOAD_FLAGS, "-Wall", "-Wextra", "-Werror",
+           "-I", str(NATIVE), str(NATIVE / "core.c"), str(NATIVE / "interpose.c"), "-ldl",
+           "-o", str(tmp_path / "_preload.so")]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @settings(max_examples=600, deadline=None)
 @given(data=_text(SPEC_PREFIXES, SPEC_TOKENS))
 @example(data=b"a\x00b=1\n")
@@ -81,10 +97,67 @@ def test_engine_symbols_exported_only_from_kxcore(kxcore, kxcore_so, preload_so)
 @example(data=b"[s]\nk=v\x00\n")
 @example(data=b"a=1\nb=\x00\xff\n")
 @example(data=b"a=\xff\nb=\x00\n")
+# later lines win: a key assigned twice, a reopened section, a section
+# over a plain key without value=, a property set twice
+@example(data=b"a=1\na=2\n")
+@example(data=b"[a]\nx=1\n[b]\ny=2\n[a]\nz=3\n")
+@example(data=b"a=1\n[a]\nx=2\n")
+@example(data=b"[a]\nx=1\nx=2\n")
 def test_spec_parsers_agree(kxcore, data):
     assert spec_outcome(lambda: kxcore.Engine(data).entries()) == spec_outcome(
         lambda: python_spec(data)
     )
+
+
+_NAME = st.lists(st.text(alphabet="abZé~-.", min_size=1, max_size=3), min_size=1,
+                 max_size=3).map("/".join)
+_VALUE = st.text(alphabet="a1é%*/ ", max_size=4)
+
+
+@st.composite
+def _spec_blocks(draw):
+    """(plain lines, section blocks) of a spec whose names are all distinct."""
+    plain, sections = [], []
+    for name in draw(st.lists(_NAME, min_size=1, max_size=12, unique=True)):
+        if draw(st.booleans()):
+            plain.append(f"{name} = {draw(_VALUE)}")
+        else:
+            props = draw(st.dictionaries(st.sampled_from(["value", "owner", "x"]), _VALUE,
+                                         max_size=3))
+            sections.append("\n".join([f"[{name}]"] + [f"{p} = {v}" for p, v in props.items()]))
+    return plain, sections
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=_spec_blocks(), data=st.data())
+def test_spec_line_order_does_not_matter(kxcore, blocks, data):
+    # plain lines go before every section, or a section would own them
+    plain, sections = blocks
+    text = "\n".join(plain + sections) + "\n"
+    shuffled = "\n".join(data.draw(st.permutations(plain)) +
+                         data.draw(st.permutations(sections))) + "\n"
+    entries = kxcore.Engine(text).entries()
+    assert list(kxcore.Engine(shuffled).entries().items()) == list(entries.items())
+    assert entries == python_spec(text)
+    # kx_keyset_get's binary search needs the items strictly increasing
+    names = [name.encode() for name in entries]
+    assert all(a < b for a, b in zip(names, names[1:]))
+
+
+def test_spec_parse_time_does_not_depend_on_line_order(kxcore):
+    lines = [f"k/{i:05d} = v{i}" for i in range(10_000)]
+
+    def best_of_3(text):
+        data, times = text.encode(), []
+        for _ in range(3):
+            start = time.perf_counter()
+            kxcore.Engine(data)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    in_order = best_of_3("\n".join(lines))
+    reversed_ = best_of_3("\n".join(reversed(lines)))
+    assert reversed_ <= 3 * in_order, (reversed_, in_order)
 
 
 @settings(max_examples=600, deadline=None)

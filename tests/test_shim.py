@@ -289,6 +289,19 @@ class TestPreloadEndToEnd:
         assert hit and hit[0].fields[1] == "hit"
         assert hit[0].fields[2] == "default.example.com"
 
+    def test_non_ascii_sibling_keeps_getenv_names_registered(
+        self, demo_bins, preload_so, tmp_path
+    ):
+        # "getenvé" sorts after every "getenv/" name: byte 0xc3 > "/"
+        spec = tmp_path / "spec.ks"
+        spec.write_text("getenv/http_proxy = from-spec\ngetenv\u00e9 = other\n", encoding="utf-8")
+        base = dict(os.environ, http_proxy="from-env")
+        env = child_environment(spec=spec, state=tmp_path / "state.ks", base=base)
+        out = subprocess.run(
+            [str(demo_bins["hello_proxy"])], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert out.stdout == "from-spec\n"
+
     def test_unconfigured_child_passes_environment_through(
         self, demo_bins, preload_so, tmp_path
     ):
@@ -488,3 +501,59 @@ class TestPreloadHardening:
         )
         assert out.returncode == 0
         assert out.stdout.strip() == "proxy.example.org"
+
+
+SHADOW = "host=shadow.example\n"
+
+
+@pytest.fixture
+def shadowed(tmp_path):
+    """A real file the spec registers: (path, env); its shadow reads SHADOW.
+
+    TMPDIR is an empty directory of the test's, where the shim makes its
+    shadow directory.
+    """
+    real = tmp_path / "app.conf"
+    real.write_text("real file\n")
+    spec = tmp_path / "open.ks"
+    spec.write_text(f"conf/app/host = shadow.example\n[open{real}]\ntemplate = conf/app\n")
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    base = dict(os.environ, TMPDIR=str(tmpdir))
+    return real, child_environment(spec=spec, state=tmp_path / "state.ks", base=base)
+
+
+def _run(argv, env):
+    out = subprocess.run([str(a) for a in argv], env=env, capture_output=True, text=True,
+                         timeout=30)
+    assert out.returncode == 0, out
+    return out.stdout
+
+
+class TestShadowFiles:
+    @pytest.mark.parametrize("entry", ["open", "open64"])
+    def test_fortified_read_open_gets_shadow(self, demo_bins, preload_so, shadowed, entry):
+        exe = demo_bins["t13_fortified_open"]
+        assert f"__{entry}_2".encode() in exe.read_bytes()  # the build really fortified it
+        real, env = shadowed
+        assert _run([exe, real, os.O_RDONLY, entry], env) == SHADOW
+
+    @pytest.mark.parametrize("entry", ["open", "open64"])
+    def test_fortified_write_open_passes_through(self, demo_bins, preload_so, shadowed, entry):
+        real, env = shadowed
+        _run([demo_bins["t13_fortified_open"], real, os.O_WRONLY | os.O_TRUNC, entry], env)
+        assert real.read_text() == "written through the fortified open\n"
+
+    def test_shadow_dir_removed_at_exit(self, demo_bins, preload_so, shadowed):
+        real, env = shadowed
+        assert _run([demo_bins["t05_open_read"], real], env) == SHADOW
+        assert list(Path(env["TMPDIR"]).iterdir()) == []
+
+    @pytest.mark.parametrize("how", ["fork", "clone", "orphan"])
+    def test_child_and_parent_keep_their_shadows(self, demo_bins, preload_so, shadowed, how):
+        # "clone" skips the fork handlers, so the child still lists the
+        # parent's shadow files when its destructor runs; an "orphan" child
+        # reads after the parent has removed its own
+        real, env = shadowed
+        assert _run([demo_bins["t14_fork_open"], real, how], env) == SHADOW * 2
+        assert list(Path(env["TMPDIR"]).iterdir()) == []
