@@ -8,7 +8,6 @@ and read-only open calls so existing binaries pick up context changes live,
 without code changes or restarts.
 """
 
-from .bench import BenchReport, run_bench
 from .context import (
     CONTEXT_PROPERTY,
     WILDCARD,
@@ -68,7 +67,6 @@ from .tracing import TraceRecord, TraceReport, aggregate, load_trace, parse_trac
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport",
     "CONTEXT_PROPERTY",
     "FileReport",
     "OccurrenceKind",
@@ -119,7 +117,6 @@ __all__ = [
     "parse_spec",
     "parse_trace",
     "preload_library_path",
-    "run_bench",
     "save_spec",
     "scan_file",
     "scan_tree",

@@ -9,7 +9,6 @@ Subcommands:
     run          exec a program with the interception library preloaded
     trace        run a program with call tracing, then summarize
     scan         count getenv occurrences in a source tree
-    bench        measure lookup latency (baseline vs shim path)
 
 Exit codes: 0 success, 1 not found / lookup miss, 2 usage, 3 spec, state,
 or trace data error, 4 exec failure.
@@ -18,7 +17,6 @@ or trace data error, 4 exec failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -27,7 +25,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
-from .bench import BenchReport, run_bench
 from .context import LayerRef, Literal, Template, template_parse
 from .engine import make_backend
 from .errors import (
@@ -47,7 +44,7 @@ from .layerstate import (
     state_set_layer,
 )
 from .scan import DEFAULT_EXTENSIONS, ScanReport, scan_tree
-from .shim import ENV_SPEC, ENV_STATE, GETENV_PREFIX, child_environment
+from .shim import ENV_SPEC, ENV_STATE, child_environment
 from .specfile import SpecDocument, load_spec, save_spec
 from .tracing import aggregate, load_trace
 
@@ -450,44 +447,6 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-# --------------------------------------------------------------------- bench
-
-
-def _default_bench_key(doc: SpecDocument) -> str:
-    for display in doc.keyset.names():
-        if display.startswith(GETENV_PREFIX):
-            return display[len(GETENV_PREFIX):]
-    raise _fail(EXIT_USAGE, "spec has no getenv/ entries; pass --key")
-
-
-def _print_bench(report: BenchReport, porcelain: bool) -> None:
-    line = json.dumps(report.as_dict(), sort_keys=True)
-    if porcelain:
-        print(line)
-        return
-    _print_table(
-        [
-            ["baseline", f"{report.baseline_ns:.0f}"],
-            ["lookup", f"{report.lookup_ns:.0f}"],
-            ["steady", f"{report.steady_ns:.0f}"],
-            ["churn", f"{report.churn_ns:.0f}"],
-        ],
-        header=["phase", "median ns/call"],
-    )
-    print(f"overhead ratio: {report.overhead_ratio:.2f}")
-    print(f"steady reloads: {report.steady_reloads}, churn reloads: {report.reload_count}")
-    print(line)
-
-
-def cmd_bench(args) -> int:
-    if args.iterations < 1000:
-        raise _fail(EXIT_USAGE, "--iterations must be at least 1000")
-    doc = _load_spec_doc(_spec_path(args))
-    key = args.key or _default_bench_key(doc)
-    _print_bench(run_bench(doc, key, iterations=args.iterations), args.porcelain)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------- main
 
 
@@ -546,11 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ext", action="append", metavar="EXT[,EXT...]",
                    help="extensions to scan (default: %s)" % ",".join(DEFAULT_EXTENSIONS))
     p.set_defaults(handler=cmd_scan)
-
-    p = sub.add_parser("bench", parents=[common], help="measure lookup latency")
-    p.add_argument("--iterations", "-n", type=int, default=100_000, metavar="M")
-    p.add_argument("--key", help="environment variable name (default: first getenv/ entry)")
-    p.set_defaults(handler=cmd_bench)
 
     return parser
 

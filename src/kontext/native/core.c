@@ -245,16 +245,31 @@ static size_t kx_comment_start(const char *line, size_t n) {
     return n;
 }
 
-/* Names seen so far in one parse: open addressing over item indexes, each
- * slot holding an index + 1 (0 is empty). Sized once from the line count,
- * at most half full, so a parse is linear in the text whatever the order. */
+/* Names seen so far in one parse, keys and each section's properties:
+ * open addressing over entries, sized once from the line count (a line
+ * adds at most one entry), at most half full, so a parse is linear in the
+ * text whatever the order. A slot holds 0 (empty), a key's item index + 1,
+ * or KX_PROP_ENTRY | i for props[i]. Slots stay one word: a fresh process
+ * pays a page fault for every page of the table its probes touch. */
+#define KX_PROP_ENTRY 0x80000000u
+
+typedef struct {
+    unsigned item; /* the section's item index */
+    unsigned prop; /* the property's index in that item */
+} kx_prop_entry;
+
 typedef struct {
     unsigned *slots;
     size_t mask;
+    kx_prop_entry *props; /* one per distinct (section, property name) */
+    unsigned nprops;
 } kx_name_index;
 
-static size_t kx_hash(const char *s, size_t n) {
-    unsigned h = 2166136261u; /* FNV-1a */
+/* FNV-1a from a basis offset by seed: the low bits of the hash are a
+ * bijection of the seed's low bits, so a property name repeated over many
+ * sections spreads over the table instead of piling on one slot */
+static size_t kx_hash(const char *s, size_t n, unsigned seed) {
+    unsigned h = 2166136261u ^ seed;
     for (size_t i = 0; i < n; i++)
         h = (h ^ (unsigned char)s[i]) * 16777619u;
     return h;
@@ -263,9 +278,9 @@ static size_t kx_hash(const char *s, size_t n) {
 /* index of the item named name (n bytes, already NUL-cut in ks->text),
  * appending an empty one when the name is new; -1 when out of memory */
 static long kx_parse_key(kx_keyset *ks, kx_name_index *ix, char *name, size_t n) {
-    size_t h = kx_hash(name, n) & ix->mask;
+    size_t h = kx_hash(name, n, 0) & ix->mask;
     for (unsigned slot; (slot = ix->slots[h]) != 0; h = (h + 1) & ix->mask)
-        if (strcmp(ks->items[slot - 1].name, name) == 0)
+        if (!(slot & KX_PROP_ENTRY) && strcmp(ks->items[slot - 1].name, name) == 0)
             return (long)slot - 1;
     if (ks->len == ks->cap) {
         size_t cap = ks->cap ? ks->cap * 2 : 64;
@@ -283,11 +298,18 @@ static long kx_parse_key(kx_keyset *ks, kx_name_index *ix, char *name, size_t n)
     return (long)ks->len++;
 }
 
-/* set prop to value, both NUL-cut in the key set's text; a later line wins */
-static int kx_key_set_prop(kx_key *key, char *prop, char *value) {
-    for (size_t i = 0; i < key->nprops; i++) {
-        if (strcmp(key->props[i], prop) == 0) {
-            key->propvals[i] = value;
+/* set property prop (n bytes) of the item at index item to value, both
+ * NUL-cut in the key set's text; a later line wins */
+static int kx_parse_prop(kx_keyset *ks, kx_name_index *ix, long item, char *prop, size_t n,
+                         char *value) {
+    kx_key *key = &ks->items[item];
+    size_t h = kx_hash(prop, n, (unsigned)item + 1) & ix->mask;
+    for (unsigned slot; (slot = ix->slots[h]) != 0; h = (h + 1) & ix->mask) {
+        if (!(slot & KX_PROP_ENTRY))
+            continue;
+        const kx_prop_entry *entry = &ix->props[slot & ~KX_PROP_ENTRY];
+        if (entry->item == (unsigned)item && strcmp(key->props[entry->prop], prop) == 0) {
+            key->propvals[entry->prop] = value;
             return KX_OK;
         }
     }
@@ -303,6 +325,8 @@ static int kx_key_set_prop(kx_key *key, char *prop, char *value) {
         key->propvals = vals;
         key->propcap = cap;
     }
+    ix->props[ix->nprops] = (kx_prop_entry){(unsigned)item, (unsigned)key->nprops};
+    ix->slots[h] = KX_PROP_ENTRY | ix->nprops++;
     key->props[key->nprops] = prop;
     key->propvals[key->nprops] = value;
     key->nprops++;
@@ -330,15 +354,17 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
     for (const char *nl = data; (nl = memchr(nl, '\n', len - (size_t)(nl - data))) != NULL; nl++)
         lines++;
     if (lines >= UINT_MAX / 4)
-        return KX_E_NOMEM; /* index slots hold unsigned item indexes */
+        return KX_E_NOMEM; /* index slots hold indexes below KX_PROP_ENTRY */
     size_t slots = 16;
     while (slots < 2 * lines)
         slots *= 2;
-    kx_name_index index = {(unsigned *)calloc(slots, sizeof(unsigned)), slots - 1};
+    kx_name_index index = {(unsigned *)calloc(slots, sizeof(unsigned)), slots - 1,
+                           (kx_prop_entry *)malloc(lines * sizeof(kx_prop_entry)), 0};
     /* one copy of the text; every name and value is cut from it in place */
     out->text = (char *)malloc(len + 1);
-    if (!index.slots || !out->text) {
+    if (!index.slots || !index.props || !out->text) {
         free(index.slots);
+        free(index.props);
         kx_keyset_free(out);
         return KX_E_NOMEM;
     }
@@ -415,14 +441,13 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
         *(char *)ve = '\0';
 
         if (section >= 0) {
-            kx_key *key = &out->items[section];
             if (is_value_prop)
-                key->value = (char *)vb;
+                out->items[section].value = (char *)vb;
             else if (nlen == 0) {
                 kx_set_error(err, line_no, KX_PK_INVALID_NAME, "empty property name");
                 rc = KX_E_PARSE;
             } else
-                rc = kx_key_set_prop(key, (char *)nb, (char *)vb);
+                rc = kx_parse_prop(out, &index, section, (char *)nb, nlen, (char *)vb);
             if (rc != KX_OK)
                 break;
             continue;
@@ -448,6 +473,7 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
     }
 
     free(index.slots);
+    free(index.props);
     if (rc != KX_OK) {
         kx_keyset_free(out);
         return rc;

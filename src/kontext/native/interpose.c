@@ -649,13 +649,8 @@ static char *kx_getenv_impl(const char *name) {
         }
     }
 
-    if (!registered) {
-        g_fallthroughs++;
-        result = kx_env_scan(name);
-        kx_trace_getenv(name, result ? "fallthrough" : "null", result);
-    } else {
-        result = kx_getenv_registered(name, key, registered);
-    }
+    result = registered ? kx_getenv_registered(name, key, registered)
+                        : kx_getenv_fallthrough(name);
 
     if (key && key != stack_key)
         free(key);
@@ -996,38 +991,27 @@ KX_EXPORT int __open64_2(const char *path, int flags) {
     return kx_open_entry(path, flags, 0, 1);
 }
 
-KX_EXPORT FILE *fopen(const char *path, const char *mode) {
-    if (!path || !mode || t_inside || !kx_mode_readonly(mode))
-        return kx_real_fopen(path, mode);
+static FILE *kx_fopen_entry(const char *path, const char *mode, int is64) {
+    FILE *(*real)(const char *, const char *) = is64 ? kx_real_fopen64 : kx_real_fopen;
+    if (kx_is_null(path) || !mode || t_inside || !kx_mode_readonly(mode))
+        return real(path, mode);
     t_inside = 1;
     char *shadow = kx_shadow_for(path);
-    FILE *handle;
+    FILE *handle = NULL;
     if (shadow) {
-        handle = kx_real_fopen(shadow, mode);
+        handle = real(shadow, mode);
         free(shadow);
-        if (!handle)
-            handle = kx_real_fopen(path, mode);
-    } else {
-        handle = kx_real_fopen(path, mode);
     }
+    if (!handle) /* no shadow, or it vanished: the real file */
+        handle = real(path, mode);
     t_inside = 0;
     return handle;
 }
 
+KX_EXPORT FILE *fopen(const char *path, const char *mode) {
+    return kx_fopen_entry(path, mode, 0);
+}
+
 KX_EXPORT FILE *fopen64(const char *path, const char *mode) {
-    if (!path || !mode || t_inside || !kx_mode_readonly(mode))
-        return kx_real_fopen64(path, mode);
-    t_inside = 1;
-    char *shadow = kx_shadow_for(path);
-    FILE *handle;
-    if (shadow) {
-        handle = kx_real_fopen64(shadow, mode);
-        free(shadow);
-        if (!handle)
-            handle = kx_real_fopen64(path, mode);
-    } else {
-        handle = kx_real_fopen64(path, mode);
-    }
-    t_inside = 0;
-    return handle;
+    return kx_fopen_entry(path, mode, 1);
 }

@@ -6,8 +6,9 @@ Two distinct layers live here:
     launching unmodified programs under it (used by `kontext run/trace`)
   * ShimSession, an in-process model of the preload shim's getenv path
     (registration check, stat-based state refresh, contextual lookup,
-    environment fallthrough, counters) over the Python engine, used by the
-    benchmark and by tests that need the shim semantics without a subprocess
+    environment fallthrough, counters) over the Python engine. It serves
+    perfbench and the tests only; no command uses it, and the real shim is
+    the C library
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
 from .context import ContextState
-from .engine import PureBackend, SpecLike, make_backend
+from .engine import SpecLike, make_backend
 from .errors import CorruptStateError, InvalidNameError, KontextError
 from .keydb import KeyName
 from .layerstate import default_state_path, state_read
@@ -101,10 +102,6 @@ class ShimSession:
         self.reloads = 0
         self.fallthroughs = 0
         self._load_state(initial=True)
-
-    @property
-    def backend(self) -> PureBackend:
-        return self._backend
 
     @property
     def context(self) -> ContextState:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 
@@ -429,28 +428,3 @@ class TestScan:
         code, out, _ = cli("scan", "--porcelain", str(tmp_path))
         assert code == 0
         assert out.splitlines()[-1] == "total\t0\t0\t0\t0\t-"
-
-
-class TestBench:
-    def test_iterations_floor(self, cli, proxy_spec):
-        code, _, err = cli("bench", "--spec", str(proxy_spec), "-n", "10")
-        assert code == 2
-        assert "at least 1000" in err
-
-    def test_porcelain_json(self, cli, proxy_spec):
-        code, out, _ = cli(
-            "bench", "--porcelain", "-n", "1000",
-            "--spec", str(proxy_spec),
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data["key"] == "http_proxy"
-        assert data["reload_count"] == 10
-        assert data["steady_reloads"] == 0
-
-    def test_no_getenv_keys_needs_explicit_key(self, cli, tmp_path):
-        path = tmp_path / "plain.ks"
-        path.write_text("a/b=1\n")
-        code, _, err = cli("bench", "--spec", str(path), "-n", "1000")
-        assert code == 2
-        assert "--key" in err

@@ -1,7 +1,8 @@
 """The C engine through its ctypes binding: symbol visibility, a
-warning-clean build, the spec and state parsers checked against the Python
-ones by differential testing (McKeeman, "Differential Testing for Software",
-1998), and the spec parser's independence from line order.
+warning-clean build, a run of the shim under AddressSanitizer and UBSan,
+the spec and state parsers checked against the Python ones by differential
+testing (McKeeman, "Differential Testing for Software", 1998), and the spec
+parser's independence from line order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kontext import CorruptStateError, SpecParseError, parse_spec, state_read
+from conftest import PROXY_SPEC
+from kontext import (CorruptStateError, SpecParseError, child_environment, parse_spec,
+                     state_read, state_set_layer)
 from kontext.nativebuild import NATIVE, PRELOAD_FLAGS
 
 # bytes that exercise both grammars, plus what the engines once disagreed
@@ -90,6 +93,67 @@ def test_preload_builds_warning_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, tmp_path):
+    cc = os.environ.get("CC", "cc")
+    if shutil.which(cc) is None:
+        pytest.skip("no C compiler on PATH")
+    asan_so = tmp_path / "_preload_asan.so"
+    cmd = [cc, *PRELOAD_FLAGS, "-fsanitize=address,undefined", "-fno-omit-frame-pointer",
+           "-I", str(NATIVE), str(NATIVE / "core.c"), str(NATIVE / "interpose.c"), "-ldl",
+           "-o", str(asan_so)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    runtime = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+    real = tmp_path / "app.conf"
+    real.write_text("real file\n")
+    spec = tmp_path / "spec.ks"
+    spec.write_text(f"conf/app/host = shadow.example\n{PROXY_SPEC}"
+                    f"[open{real}]\ntemplate = conf/app\n")
+
+    def flips(env, state):
+        # answers and which earlier answer each pointer repeats: the
+        # addresses themselves differ between the builds
+        child = subprocess.Popen([str(demo_bins["sync_getenv_ptr"])], env=env, text=True,
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, bufsize=1)
+        seen, lines = {}, []
+        try:
+            for layer in [None, ("network", "work"), ("network", "home"),
+                          ("interface", "wlan"), ("network", "work"), ("network", "home")]:
+                if layer:
+                    state_set_layer(state, *layer)
+                for name in ("http_proxy", "HOME", "http_proxy"):
+                    child.stdin.write(name + "\n")
+                    child.stdin.flush()
+                    answer, _, address = child.stdout.readline().rstrip("\n").rpartition(" ")
+                    lines.append(f"{answer} {seen.setdefault(address, len(seen))}")
+        except BrokenPipeError:
+            pass  # the child died; its stderr says why
+        out, err = child.communicate(timeout=60)
+        return child.returncode, "\n".join(lines) + out, err
+
+    def run(stem, preload):
+        state = tmp_path / f"{stem}-{preload.name}.ks"
+        state_set_layer(state, "interface", "eth")
+        env = child_environment(spec=spec, state=state, preload=preload,
+                                base=dict(os.environ, UBSAN_OPTIONS="halt_on_error=1"))
+        if preload is asan_so:
+            env["LD_PRELOAD"] = f"{runtime} {asan_so}"  # the runtime must load first
+        if stem == "sync_getenv_ptr":
+            return flips(env, state)
+        argv = [str(demo_bins[stem])] + ([str(real)] if stem == "t07_fopen_read" else [])
+        ran = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        return ran.returncode, ran.stdout, ran.stderr
+
+    for stem in ("t10_mixed", "t07_fopen_read", "t11_fork_threads", "sync_getenv_ptr"):
+        plain = run(stem, preload_so)
+        assert plain[0] == 0, (stem, plain)
+        assert run(stem, asan_so) == (0, plain[1], ""), stem
+        if stem == "t07_fopen_read":  # fopen of the registered path got the shadow
+            assert plain[1] == "host=shadow.example\n"
+
+
 @settings(max_examples=600, deadline=None)
 @given(data=_text(SPEC_PREFIXES, SPEC_TOKENS))
 @example(data=b"a\x00b=1\n")
@@ -158,6 +222,10 @@ def test_spec_parse_time_does_not_depend_on_line_order(kxcore):
     in_order = best_of_3("\n".join(lines))
     reversed_ = best_of_3("\n".join(reversed(lines)))
     assert reversed_ <= 3 * in_order, (reversed_, in_order)
+    # one section with as many properties: each line probes the index, not
+    # the section's earlier properties
+    one_section = best_of_3("\n".join(["[s]"] + [f"p{i:05d} = v{i}" for i in range(10_000)]))
+    assert one_section <= 3 * in_order, (one_section, in_order)
 
 
 @settings(max_examples=600, deadline=None)

@@ -187,7 +187,6 @@ class TestCounters:
     def test_properties(self, tmp_path):
         state = tmp_path / "s.ks"
         sess = session(state)
-        assert sess.backend.name == "pure"
         assert sess.state_path == state
         assert isinstance(sess.context, ContextState)
 
