@@ -12,9 +12,19 @@
  * Initialization is lazy: the constructor only samples the monotonic clock
  * for the trace start record and registers the fork handlers. Everything
  * else (config env vars, spec file, state file, generation word, trace fd)
- * happens under a mutex at the first intercepted call. One process-wide
- * mutex guards all shim state; real work done while it is held is tiny
- * (a word compare, an array read, one write per trace record).
+ * happens under g_lock at the first intercepted call, which ends by storing
+ * g_ready with release. The spec, the name table, the slot range and the
+ * trace fd never change after that, so readers that load g_ready with
+ * acquire use them without the lock.
+ *
+ * Locking: g_lock serializes every writer of shim state (reload, slot fill,
+ * shadow render, trace record). An untraced process reads without it: an
+ * unregistered name or path is probed in the immutable spec and served from
+ * environ or the real file, and a registered getenv whose slot is current
+ * (same coarse second as the last full check, mapped word equal to the word
+ * the adopted state was loaded for, slot epoch equal to g_epoch) returns the
+ * slot's answer. Anything else takes the lock. A traced process takes the
+ * lock on every call, so its trace and exit counters stay exact.
  *
  * Staleness: writers store the published state's generation as 8 bytes in
  * native byte order at offset 0 of <state>.lock, after the rename. The shim
@@ -25,7 +35,11 @@
  * not owned by the effective uid or group/world-writable is never mapped
  * (another user must not be able to truncate it, SIGBUS); the shim then
  * stats the state file on every registered call and retries the mapping at
- * most once a second. The state file stays the source of truth.
+ * most once a second. The state file stays the source of truth. A mapping is
+ * never unmapped, because a lock-free reader may still be loading it: when
+ * the lock file is replaced (a new inode) the old mapping is retired, at a
+ * cost of one page, and a lock file that turns unusable and usable again
+ * gets its old mapping back.
  *
  * Shadow files: a registered read-only open gets a file rendered into a
  * mkdtemp directory under $TMPDIR. The process that made the directory
@@ -35,7 +49,8 @@
  * Answers: every getenv/ key of the spec owns a slot holding its answer for
  * the state adopted last (g_epoch grows with every adopted state), so a
  * steady registered hit makes no lookup. Values are interned in the slot,
- * so A->B->A flips return the first pointer again.
+ * so A->B->A flips return the first pointer again. A hashed table of the
+ * bare registered names (FNV-1a, open addressing) finds the slot.
  *
  * Config environment variables:
  *   KONTEXT_SPEC        spec file path; unset or unparseable -> passthrough
@@ -69,13 +84,22 @@
 extern char **environ;
 
 /* ------------------------------------------------------------------ */
-/* globals (all guarded by g_lock unless noted)                        */
+/* globals                                                             */
 /* ------------------------------------------------------------------ */
+
+/* All written only under g_lock. Read without it, after an acquire load of
+ * g_ready: g_active, g_trace_fd, g_spec, g_names, g_slots_start and
+ * g_slots_len, which never change once ready, and, with atomic loads,
+ * g_checked_s, g_word, *g_word, g_word_seen, g_epoch and each slot's epoch
+ * and answer. Writers publish in this order: a reload adopts the state and
+ * bumps g_epoch, then stores g_word_seen (release); a slot fill stores
+ * answer, then epoch (both release); a full check stores g_checked_s
+ * (release) after its reload. Everything else is read only under g_lock. */
 
 static pthread_mutex_t g_lock = PTHREAD_MUTEX_INITIALIZER;
 static __thread int t_inside = 0; /* reentrancy guard, thread-local */
 
-static int g_initialized = 0;
+static int g_ready = 0; /* init finished; stored once with release */
 static int g_active = 0;
 static long long g_t0_ns = 0; /* set by constructor, lock-free single write */
 
@@ -94,12 +118,15 @@ typedef struct {
 
 static kx_statmeta g_state_stat;
 
+/* kept only by the locked path, so exact in traced processes */
 static unsigned long long g_calls, g_hits, g_reloads, g_fallthroughs;
 
 /* generation word: offset 0 of <state>.lock, mapped read-only */
 static char g_lock_path[PATH_MAX + 8];
-static const unsigned long long *g_word = NULL; /* NULL: stat on every call */
-static unsigned long long g_word_dev, g_word_ino, g_word_seen;
+static const unsigned long long *g_word = NULL;     /* NULL: stat on every call */
+static const unsigned long long *g_word_map = NULL; /* last mapping made, never unmapped */
+static unsigned long long g_word_dev, g_word_ino;   /* the file g_word_map maps */
+static unsigned long long g_word_seen;              /* word the adopted state was loaded for */
 static long long g_checked_s = -1; /* coarse second of the last full check */
 
 /* answer slots, one per key of the spec's contiguous getenv/ range */
@@ -117,6 +144,11 @@ typedef struct {
 static kx_slot *g_slots = NULL;
 static size_t g_slots_start = 0, g_slots_len = 0;
 static unsigned long long g_epoch = 1; /* grows with every adopted state */
+
+/* registered getenv names: slot index + 1 per bucket, 0 for empty; the
+ * size is a power of two at least twice g_slots_len, so probes end */
+static size_t *g_names = NULL;
+static size_t g_names_mask = 0;
 
 /* shadow file registry, one per template prefix */
 typedef struct kx_shadow {
@@ -160,14 +192,22 @@ static long long kx_now_ns(void) {
     return (long long)ts.tv_sec * 1000000000LL + ts.tv_nsec;
 }
 
-/* authoritative environment scan; avoids recursing through interposers */
+/* authoritative environment scan; avoids recursing through interposers.
+ * Like glibc's getenv it compares the first two bytes inline, so most
+ * variables are passed over without a call; a one-byte name matches "X=". */
 static char *kx_env_scan(const char *name) {
     if (!name || !*name || !environ)
         return NULL;
     size_t n = strlen(name);
+    char c0 = name[0], c1 = n == 1 ? '=' : name[1];
     for (char **e = environ; *e; e++) {
-        if (strncmp(*e, name, n) == 0 && (*e)[n] == '=')
-            return *e + n + 1;
+        const char *v = *e;
+        if (v[0] != c0 || v[1] != c1)
+            continue;
+        if (n == 1)
+            return (char *)v + 2;
+        if (strncmp(v + 2, name + 2, n - 2) == 0 && v[n] == '=')
+            return (char *)v + n + 1;
     }
     return NULL;
 }
@@ -364,7 +404,7 @@ static void kx_load_state(int initial) {
     if (initial || fresh.generation > g_state.generation) {
         kx_state_free(&g_state);
         g_state = fresh;
-        g_epoch++;
+        __atomic_store_n(&g_epoch, g_epoch + 1, __ATOMIC_RELAXED); /* published by g_word_seen */
         if (!initial)
             g_reloads++;
     } else {
@@ -400,22 +440,24 @@ static void kx_word_map(void) {
     close(fd);
     if (map == MAP_FAILED)
         return;
-    g_word = (const unsigned long long *)map;
+    g_word_map = (const unsigned long long *)map;
     g_word_dev = (unsigned long long)st.st_dev;
     g_word_ino = (unsigned long long)st.st_ino;
+    __atomic_store_n(&g_word, g_word_map, __ATOMIC_RELEASE);
 }
 
-/* keep the mapping while the lock file is the same usable file, else
- * drop it and map whatever usable file is there now; lock held */
+/* publish the last mapping while the lock file is the usable file it maps,
+ * else map whatever usable file is there now, else publish NULL. Never
+ * munmap: a lock-free reader may still be loading the old word. Lock held. */
 static void kx_word_revalidate(void) {
     struct stat st;
     int usable = lstat(g_lock_path, &st) == 0 && kx_word_usable(&st);
-    if (g_word && usable && (unsigned long long)st.st_dev == g_word_dev &&
-        (unsigned long long)st.st_ino == g_word_ino)
+    if (usable && g_word_map && (unsigned long long)st.st_dev == g_word_dev &&
+        (unsigned long long)st.st_ino == g_word_ino) {
+        __atomic_store_n(&g_word, g_word_map, __ATOMIC_RELEASE);
         return;
-    if (g_word)
-        munmap((void *)g_word, sizeof *g_word);
-    g_word = NULL;
+    }
+    __atomic_store_n(&g_word, NULL, __ATOMIC_RELEASE);
     if (usable)
         kx_word_map();
 }
@@ -426,17 +468,64 @@ static void kx_refresh_if_stale(void) {
         return;
     long long now = kx_coarse_s();
     int due = now != g_checked_s;
-    if (due) {
-        g_checked_s = now;
+    if (due)
         kx_word_revalidate();
-    }
+    unsigned long long word = g_word_seen;
     if (g_word) {
-        unsigned long long word = __atomic_load_n(g_word, __ATOMIC_ACQUIRE);
+        /* read before the reload, so a publish made during it moves it again */
+        word = __atomic_load_n(g_word, __ATOMIC_ACQUIRE);
         if (word == g_word_seen && !due)
             return;
-        g_word_seen = word; /* before the reload: a later publish moves it again */
     }
     kx_load_state(0);
+    /* only after the reload: a lock-free reader that matches the word must
+     * find the state it names adopted, and g_epoch moved with it */
+    __atomic_store_n(&g_word_seen, word, __ATOMIC_RELEASE);
+    if (due)
+        __atomic_store_n(&g_checked_s, now, __ATOMIC_RELEASE);
+}
+
+/* ------------------------------------------------------------------ */
+/* registered getenv names                                             */
+/* ------------------------------------------------------------------ */
+
+static size_t kx_name_hash(const char *name) {
+    unsigned long long h = 14695981039346656037ULL; /* FNV-1a, 64 bit */
+    for (const unsigned char *p = (const unsigned char *)name; *p; p++)
+        h = (h ^ *p) * 1099511628211ULL;
+    return (size_t)h;
+}
+
+/* the name table over the slot range, keyed by the name after "getenv/" */
+static int kx_names_build(void) {
+    size_t size = 1;
+    while (size < 2 * g_slots_len)
+        size *= 2;
+    g_names = (size_t *)calloc(size, sizeof *g_names);
+    if (!g_names)
+        return -1;
+    g_names_mask = size - 1;
+    for (size_t i = 0; i < g_slots_len; i++) {
+        size_t b = kx_name_hash(g_spec.items[g_slots_start + i].name + 7) & g_names_mask;
+        while (g_names[b])
+            b = (b + 1) & g_names_mask;
+        g_names[b] = i + 1;
+    }
+    return 0;
+}
+
+/* the slot of a registered name; immutable data only, so no lock */
+static int kx_name_slot(const char *name, size_t *slot) {
+    if (!g_active)
+        return 0;
+    for (size_t b = kx_name_hash(name) & g_names_mask; g_names[b]; b = (b + 1) & g_names_mask) {
+        size_t i = g_names[b] - 1;
+        if (strcmp(g_spec.items[g_slots_start + i].name + 7, name) == 0) {
+            *slot = i;
+            return 1;
+        }
+    }
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -473,10 +562,8 @@ __attribute__((constructor)) static void kx_on_load(void) {
     pthread_atfork(kx_fork_prepare, kx_fork_parent, kx_fork_child);
 }
 
+/* runs once, under g_lock, from kx_init_once */
 static void kx_ensure_init(void) {
-    if (g_initialized)
-        return;
-    g_initialized = 1;
     if (!g_t0_ns)
         g_t0_ns = kx_now_ns();
     kx_keyset_init(&g_spec);
@@ -518,7 +605,10 @@ static void kx_ensure_init(void) {
             } else {
                 g_slots_start = start;
                 g_slots_len = end - start;
-                g_active = 1;
+                if (kx_names_build() == 0)
+                    g_active = 1;
+                else
+                    snprintf(failure, sizeof failure, "name table: out of memory");
             }
             free(data);
         }
@@ -546,10 +636,23 @@ static void kx_ensure_init(void) {
         kx_trace("init-failed", failure, NULL, NULL);
 }
 
+/* after this returns, everything kx_ensure_init set up is readable without
+ * the lock */
+static void kx_init_once(void) {
+    if (__atomic_load_n(&g_ready, __ATOMIC_ACQUIRE))
+        return;
+    pthread_mutex_lock(&g_lock);
+    if (!g_ready) {
+        kx_ensure_init();
+        __atomic_store_n(&g_ready, 1, __ATOMIC_RELEASE);
+    }
+    pthread_mutex_unlock(&g_lock);
+}
+
 __attribute__((destructor)) static void kx_on_unload(void) {
     if (pthread_mutex_trylock(&g_lock) != 0)
         return;
-    if (g_trace_fd >= 0 && g_initialized) {
+    if (g_trace_fd >= 0 && g_ready) {
         char detail[160];
         snprintf(detail, sizeof detail, "calls=%llu;hits=%llu;reloads=%llu;fallthroughs=%llu",
                  g_calls, g_hits, g_reloads, g_fallthroughs);
@@ -593,30 +696,28 @@ static char *kx_getenv_fallthrough(const char *name) {
 
 /* a registered name: the slot answers, looked up again only after a new
  * state was adopted. Lookup errors are never cached. Lock held. */
-static char *kx_getenv_registered(const char *name, const char *key, const kx_key *registered) {
+static char *kx_getenv_registered(const char *name, size_t i) {
     kx_refresh_if_stale();
-    size_t i = (size_t)(registered - g_spec.items) - g_slots_start;
-    if (i >= g_slots_len) /* every getenv/ key lies in the slot range */
-        return kx_getenv_fallthrough(name);
     kx_slot *slot = &g_slots[i];
     if (slot->epoch != g_epoch) {
         kx_result res;
         kx_error err = {0};
-        int rc = kx_lookup(&g_spec, key, &g_state, &res, &err);
+        int rc = kx_lookup(&g_spec, g_spec.items[g_slots_start + i].name, &g_state, &res, &err);
+        const char *answer = NULL; /* KX_ABSENT caches "no answer" */
         int cached = 1;
         if (rc == KX_OK) {
-            slot->answer = kx_intern(slot, res.value);
-            cached = slot->answer != NULL; /* allocation failed: behave like a miss */
-        } else if (rc == KX_ABSENT) {
-            slot->answer = NULL;
-        } else {
+            answer = kx_intern(slot, res.value);
+            cached = answer != NULL; /* allocation failed: behave like a miss */
+        } else if (rc != KX_ABSENT) {
             cached = 0;
             kx_trace("note", "lookup-error", err.message, NULL);
         }
         kx_result_free(&res);
         if (!cached)
             return kx_getenv_fallthrough(name);
-        slot->epoch = g_epoch;
+        /* a lock-free reader that sees the epoch sees this answer */
+        __atomic_store_n(&slot->answer, answer, __ATOMIC_RELEASE);
+        __atomic_store_n(&slot->epoch, g_epoch, __ATOMIC_RELEASE);
     }
     if (!slot->answer)
         return kx_getenv_fallthrough(name);
@@ -629,31 +730,41 @@ static char *kx_getenv_registered(const char *name, const char *key, const kx_ke
 /* getenv                                                              */
 /* ------------------------------------------------------------------ */
 
+/* the answer of slot i if it is current, without the lock: the check of
+ * this second is done, the mapped word is the one the adopted state was
+ * loaded for, and the slot was filled under the adopted state. Values are
+ * interned and never freed, so a pointer read here stays valid even when a
+ * writer refills the slot meanwhile. */
+static int kx_slot_current(size_t i, const char **answer) {
+    if (kx_coarse_s() != __atomic_load_n(&g_checked_s, __ATOMIC_ACQUIRE))
+        return 0;
+    const unsigned long long *word = __atomic_load_n(&g_word, __ATOMIC_ACQUIRE);
+    if (!word ||
+        __atomic_load_n(word, __ATOMIC_ACQUIRE) != __atomic_load_n(&g_word_seen, __ATOMIC_ACQUIRE))
+        return 0;
+    kx_slot *slot = &g_slots[i];
+    if (__atomic_load_n(&slot->epoch, __ATOMIC_ACQUIRE) != __atomic_load_n(&g_epoch, __ATOMIC_RELAXED))
+        return 0;
+    *answer = __atomic_load_n(&slot->answer, __ATOMIC_ACQUIRE);
+    return 1;
+}
+
+/* a traced process takes the lock on every call, an untraced one only for
+ * a registered name whose slot is not current */
 static char *kx_getenv_impl(const char *name) {
-    char stack_key[512];
-    char *key = NULL;
-    char *result = NULL;
-
-    pthread_mutex_lock(&g_lock);
-    kx_ensure_init();
-    g_calls++;
-
-    const kx_key *registered = NULL;
-    if (g_active) {
-        size_t need = 7 + strlen(name) + 1; /* "getenv/" */
-        key = need <= sizeof stack_key ? stack_key : (char *)malloc(need);
-        if (key) {
-            memcpy(key, "getenv/", 7);
-            strcpy(key + 7, name);
-            registered = kx_keyset_get(&g_spec, key);
-        }
+    kx_init_once();
+    size_t i;
+    int registered = kx_name_slot(name, &i);
+    if (g_trace_fd < 0) {
+        const char *answer;
+        if (!registered)
+            return kx_env_scan(name);
+        if (kx_slot_current(i, &answer))
+            return answer ? (char *)answer : kx_env_scan(name);
     }
-
-    result = registered ? kx_getenv_registered(name, key, registered)
-                        : kx_getenv_fallthrough(name);
-
-    if (key && key != stack_key)
-        free(key);
+    pthread_mutex_lock(&g_lock);
+    g_calls++;
+    char *result = registered ? kx_getenv_registered(name, i) : kx_getenv_fallthrough(name);
     pthread_mutex_unlock(&g_lock);
     return result;
 }
@@ -896,17 +1007,15 @@ static char *kx_canonical_path(const char *path) {
  * for the canonical path. Returns a malloced shadow path (caller frees)
  * or NULL for "use the real file". */
 static char *kx_shadow_for(const char *path) {
-    char *canon = NULL;
+    kx_init_once();
+    if (!g_active)
+        return NULL;
+    char *canon = kx_canonical_path(path);
+    if (!canon)
+        return NULL;
     char *shadow_copy = NULL;
 
-    pthread_mutex_lock(&g_lock);
-    kx_ensure_init();
-    if (!g_active)
-        goto out;
-    canon = kx_canonical_path(path);
-    if (!canon)
-        goto out;
-
+    /* the spec is immutable: only a registered path takes the lock */
     size_t need = 4 + strlen(canon) + 1; /* "open" + canonical path */
     char *keybuf = (char *)malloc(need);
     if (!keybuf)
@@ -921,6 +1030,7 @@ static char *kx_shadow_for(const char *path) {
     if (!prefix || !*prefix)
         goto out;
 
+    pthread_mutex_lock(&g_lock);
     kx_refresh_if_stale();
     const char *shadow = kx_shadow_render(prefix);
     if (shadow) {
@@ -929,10 +1039,10 @@ static char *kx_shadow_for(const char *path) {
     } else {
         kx_trace("open", canon, "fallthrough", NULL);
     }
+    pthread_mutex_unlock(&g_lock);
 
 out:
     free(canon);
-    pthread_mutex_unlock(&g_lock);
     return shadow_copy;
 }
 

@@ -26,7 +26,57 @@ context = http_proxy/%interface%/%network%
 value = default.example.com
 """
 
+# every value PROXY_SPEC gives getenv("http_proxy")
+PROXY_VALUES = ("default.example.com", "proxy.example.com", "proxy.example.org")
+
 KONTEXT_CMD = [sys.executable, "-m", "kontext"]
+
+
+class ThreadsFlip:
+    """A running t15_threads_flip child under `env`, a shim over PROXY_SPEC
+    and `state`, with KXT_PLAIN=plain-value.
+
+    flip() sets one layer and then tells the child the value http_proxy has
+    now ("next": each thread's next read must return it, "soon": within
+    3 s). The value is computed before the flip, so the round reaches the
+    child as soon as the flip returns.
+    """
+
+    def __init__(self, exe, env, state):
+        from kontext import parse_spec, state_read
+
+        self.keyset = parse_spec(PROXY_SPEC).keyset
+        self.state = state
+        self.layers = dict(state_read(state).layers)
+        self.lines = []
+        self.proc = subprocess.Popen([str(exe), *PROXY_VALUES], env=env, text=True,
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE, bufsize=1)
+
+    def flip(self, name, value, mode="next"):
+        """One round: the child's "ok" or "fail", or "" if it died."""
+        from kontext import ContextState, contextual_lookup, state_set_layer
+
+        self.layers[name] = value
+        expected = contextual_lookup(self.keyset, "getenv/http_proxy",
+                                     ContextState(self.layers, 0)).value
+        state_set_layer(self.state, name, value)
+        try:
+            self.proc.stdin.write(f"{mode} {expected}\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # the child died; its stderr says why
+        self.lines.append(self.proc.stdout.readline())
+        return self.lines[-1].strip()
+
+    def close(self):
+        """(exit code, stdout, stderr); stdout holds "ok" per round and the summary."""
+        try:
+            out, err = self.proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            out, err = self.proc.communicate()
+        return self.proc.returncode, "".join(self.lines) + out, err
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@
 #include <string.h>
 
 int main(void) {
-    char line[256];
+    char line[4096];
     while (fgets(line, sizeof line, stdin)) {
         line[strcspn(line, "\n")] = '\0';
         const char *v = getenv(line);

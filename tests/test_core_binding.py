@@ -1,8 +1,9 @@
 """The C engine through its ctypes binding: symbol visibility, a
-warning-clean build, a run of the shim under AddressSanitizer and UBSan,
-the spec and state parsers checked against the Python ones by differential
-testing (McKeeman, "Differential Testing for Software", 1998), and the spec
-parser's independence from line order.
+warning-clean build, a run of the shim under AddressSanitizer and UBSan and
+of its lock-free readers under ThreadSanitizer, the spec and state parsers
+checked against the Python ones by differential testing (McKeeman,
+"Differential Testing for Software", 1998), and the spec parser's
+independence from line order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PROXY_SPEC
+from conftest import DEMO_SRC, PROXY_SPEC, ThreadsFlip
 from kontext import (CorruptStateError, SpecParseError, child_environment, parse_spec,
                      state_read, state_set_layer)
 from kontext.nativebuild import NATIVE, PRELOAD_FLAGS
@@ -93,16 +94,29 @@ def test_preload_builds_warning_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, tmp_path):
+def _sanitized_preload(out, *flags):
+    """_preload.so built with extra sanitizer flags; skips without a compiler."""
     cc = os.environ.get("CC", "cc")
     if shutil.which(cc) is None:
         pytest.skip("no C compiler on PATH")
-    asan_so = tmp_path / "_preload_asan.so"
-    cmd = [cc, *PRELOAD_FLAGS, "-fsanitize=address,undefined", "-fno-omit-frame-pointer",
-           "-I", str(NATIVE), str(NATIVE / "core.c"), str(NATIVE / "interpose.c"), "-ldl",
-           "-o", str(asan_so)]
+    cmd = [cc, *PRELOAD_FLAGS, *flags, "-fno-omit-frame-pointer", "-I", str(NATIVE),
+           str(NATIVE / "core.c"), str(NATIVE / "interpose.c"), "-ldl", "-o", str(out)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return cc
+
+
+def _threads_flip(exe, env, state):
+    """t15_threads_flip through 12 flips: ThreadsFlip.close()'s result."""
+    child = ThreadsFlip(exe, env, state)
+    for layer in [("network", "work"), ("network", "home"), ("interface", "wlan")] * 4:
+        child.flip(*layer)
+    return child.close()
+
+
+def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, tmp_path):
+    asan_so = tmp_path / "_preload_asan.so"
+    cc = _sanitized_preload(asan_so, "-fsanitize=address,undefined")
     runtime = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
                              text=True, check=True).stdout.strip()
     real = tmp_path / "app.conf"
@@ -137,21 +151,42 @@ def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, tmp_path):
         state = tmp_path / f"{stem}-{preload.name}.ks"
         state_set_layer(state, "interface", "eth")
         env = child_environment(spec=spec, state=state, preload=preload,
-                                base=dict(os.environ, UBSAN_OPTIONS="halt_on_error=1"))
+                                base=dict(os.environ, UBSAN_OPTIONS="halt_on_error=1",
+                                          KXT_PLAIN="plain-value"))
         if preload is asan_so:
             env["LD_PRELOAD"] = f"{runtime} {asan_so}"  # the runtime must load first
         if stem == "sync_getenv_ptr":
             return flips(env, state)
+        if stem == "t15_threads_flip":
+            return _threads_flip(demo_bins[stem], env, state)
         argv = [str(demo_bins[stem])] + ([str(real)] if stem == "t07_fopen_read" else [])
         ran = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         return ran.returncode, ran.stdout, ran.stderr
 
-    for stem in ("t10_mixed", "t07_fopen_read", "t11_fork_threads", "sync_getenv_ptr"):
+    for stem in ("t10_mixed", "t07_fopen_read", "t11_fork_threads", "sync_getenv_ptr",
+                 "t15_threads_flip"):
         plain = run(stem, preload_so)
         assert plain[0] == 0, (stem, plain)
         assert run(stem, asan_so) == (0, plain[1], ""), stem
         if stem == "t07_fopen_read":  # fopen of the registered path got the shadow
             assert plain[1] == "host=shadow.example\n"
+
+
+def test_threads_run_clean_under_thread_sanitizer(tmp_path):
+    # the fixture is instrumented too, so TSan sees the rounds' ordering
+    tsan_so = tmp_path / "_preload_tsan.so"
+    cc = _sanitized_preload(tsan_so, "-fsanitize=thread")
+    exe = tmp_path / "t15_threads_flip"
+    subprocess.run([cc, "-O1", "-fsanitize=thread", "-o", str(exe),
+                    str(DEMO_SRC / "t15_threads_flip.c")], check=True, capture_output=True)
+    spec, state = tmp_path / "spec.ks", tmp_path / "state.ks"
+    spec.write_text(PROXY_SPEC)
+    state_set_layer(state, "interface", "eth")
+    env = child_environment(spec=spec, state=state, preload=tsan_so,
+                            base=dict(os.environ, KXT_PLAIN="plain-value"))
+    code, out, err = _threads_flip(exe, env, state)
+    assert (code, err) == (0, "")
+    assert out == "ok\n" * 12 + "rounds=12 failures=0\n"
 
 
 @settings(max_examples=600, deadline=None)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PROXY_SPEC
+from conftest import PROXY_SPEC, ThreadsFlip
 from kontext import (
     ContextState,
     KontextError,
@@ -331,6 +331,7 @@ class _Probe:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
+            encoding="utf-8",
             bufsize=1,
         )
 
@@ -461,6 +462,125 @@ class TestGenerationWord:
         assert child.probe()[0] == self.WORK
         _hand_write(state, generation + 1, "home")
         assert child.probe()[0] == self.HOME
+
+
+@pytest.fixture
+def threads_flip(demo_bins, preload_so, proxy_spec, tmp_path):
+    """A ThreadsFlip child over a state with 3,000 filler layers.
+
+    The filler makes each reload take long enough that a round arrives
+    while another thread is still reloading for the same flip.
+    """
+    state = tmp_path / "state.ks"
+    filler = {f"filler{i}": "x" for i in range(3000)}
+    state_write(state, ContextState(dict(filler, interface="eth", network="work"), 1))
+    base = {k: v for k, v in os.environ.items() if k != "KXT_MISSING"}
+    env = child_environment(spec=proxy_spec, state=state,
+                            base=dict(base, KXT_PLAIN="plain-value"))
+    child = ThreadsFlip(demo_bins["t15_threads_flip"], env, state)
+    yield child
+    if child.proc.poll() is None:
+        child.proc.kill()
+        child.close()
+
+
+def _word_mappings(pid, lock):
+    """The lines of /proc/<pid>/maps that map the lock file."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return [line.split(None, 5)[-1].strip() for line in maps if str(lock) in line]
+
+
+class TestLockFreeReads:
+    """Untraced reads take no lock: threads race flips and lock-file changes."""
+
+    def test_threads_race_flips(self, threads_flip):
+        layers = [("network", "home"), ("network", "work"), ("interface", "wlan"),
+                  ("network", "home"), ("interface", "eth")] * 12
+        for layer in layers:
+            threads_flip.flip(*layer)
+        code, out, err = threads_flip.close()
+        assert (code, err) == (0, "")
+        assert out == "ok\n" * len(layers) + f"rounds={len(layers)} failures=0\n"
+
+    def test_lock_file_replaced_under_readers(self, threads_flip, tmp_path):
+        lock = tmp_path / "state.ks.lock"
+        pid = threads_flip.proc.pid
+
+        def full_check():
+            time.sleep(1.1)  # the shim looks at the lock file once a second
+
+        assert threads_flip.flip("network", "home") == "ok"
+        os.chmod(lock, 0o664)  # unusable: the shim stats the state on every call
+        full_check()
+        assert threads_flip.flip("network", "work") == "ok"
+        os.chmod(lock, 0o644)  # usable again: the same mapping comes back
+        full_check()
+        assert threads_flip.flip("network", "home") == "ok"
+        assert _word_mappings(pid, lock) == [str(lock)]
+
+        fresh = tmp_path / "fresh.lock"
+        fresh.write_bytes(lock.read_bytes())
+        os.chmod(fresh, 0o644)
+        os.rename(fresh, lock)
+        # readers hold the replaced file's word until the next full check
+        assert threads_flip.flip("network", "work", mode="soon") == "ok"
+        assert threads_flip.flip("network", "home") == "ok"
+        # the replaced word stays mapped: a reader may still be loading it
+        assert sorted(_word_mappings(pid, lock)) == [str(lock), f"{lock} (deleted)"]
+        code, out, err = threads_flip.close()
+        assert (code, err) == (0, "")
+        assert out.endswith("rounds=5 failures=0\n")
+
+
+LONG_NAME = "L" * 600  # longer than any fixed key buffer
+
+
+class TestNames:
+    """Names are served as libc would, apart from the spec's registered ones."""
+
+    SPEC = (f"getenv/{LONG_NAME} = long-value\n"
+            "getenv/A/B = slash-value\n"
+            "getenv/caf\u00e9 = cafe-value\n"
+            "getenv/http_proxy = from-spec\n"
+            "getenv\u00e9 = other\n")  # sorts after every getenv/ name
+
+    def test_registered_names_served_from_spec(self, demo_bins, preload_so, tmp_path):
+        spec = tmp_path / "spec.ks"
+        spec.write_text(self.SPEC, encoding="utf-8")
+        environ = dict(os.environ, http_proxy="from-env", **{"A/B": "env", LONG_NAME: "env"})
+        child = _Probe(demo_bins["sync_getenv_ptr"], spec, tmp_path / "state.ks", environ)
+        try:
+            assert [child.getenv(n) for n in (LONG_NAME, "A/B", "caf\u00e9", "http_proxy")] == [
+                "long-value", "slash-value", "cafe-value", "from-spec"]
+            assert child.getenv(LONG_NAME + "x") is None
+        finally:
+            child.close()
+
+    def test_empty_and_equals_names_fall_through(self, demo_bins, preload_so, tmp_path):
+        spec = tmp_path / "spec.ks"
+        spec.write_text(self.SPEC, encoding="utf-8")
+        environ = dict(os.environ, A="B=C")
+        names = ["", "A=B", "A"]
+        libc = subprocess.run([str(demo_bins["sync_getenv_ptr"])], env=environ, text=True,
+                              input="".join(n + "\n" for n in names), capture_output=True,
+                              check=True).stdout.splitlines()
+        assert [line.rsplit(" ", 1)[0] for line in libc] == ["(unset)", "C", "B=C"]
+        child = _Probe(demo_bins["sync_getenv_ptr"], spec, tmp_path / "state.ks", environ)
+        try:
+            assert [child.getenv(n) for n in names] == [None, "C", "B=C"]
+        finally:
+            child.close()
+
+    def test_environment_scan_matches_libc(self, demo_bins, preload_so, proxy_spec, tmp_path):
+        # t16_env_scan appends entries a scan must tell apart to its environ
+        names = ["Q", "QQ", "Q=", "Z", "Y", "NOEQ", "PREFIX", "PREFIXED", "P", "A=B", ""]
+        argv = [str(demo_bins["t16_env_scan"]), *names]
+        libc = subprocess.run(argv, env={}, capture_output=True, text=True, check=True).stdout
+        assert libc.splitlines() == ["one", "two", "(unset)", "(unset)", "yes", "after",
+                                     "(unset)", "long", "short", "C", "(unset)"]
+        env = child_environment(spec=proxy_spec, state=tmp_path / "state.ks", base={})
+        shim = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+        assert shim == libc
 
 
 class TestPreloadHardening:
