@@ -6,6 +6,7 @@
 #include "core.h"
 
 #include <limits.h>
+#include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -105,35 +106,198 @@ int kx_name_valid(const char *name) {
 }
 
 /* ------------------------------------------------------------------ */
+/* hashing                                                             */
+/* ------------------------------------------------------------------ */
+
+#define KX_P1 0x9E3779B97F4A7C15ULL
+#define KX_P2 0xC2B2AE3D27D4EB4FULL
+
+/* one 8-byte step of a lane: a bijection of the lane for every word, and
+ * the shift carries high bits down so later multiplies spread them */
+static uint64_t kx_lane(uint64_t lane, uint64_t word) {
+    lane = (lane ^ word) * KX_P1;
+    return lane ^ (lane >> 29);
+}
+
+/* rounds over n bytes (a multiple of KX_HASH_ROUND); the lanes stay in
+ * registers, as data may alias them */
+static void kx_hash_rounds(uint64_t lane[KX_HASH_LANES], const unsigned char *p, size_t n) {
+    uint64_t l[KX_HASH_LANES];
+    memcpy(l, lane, sizeof l);
+    for (const unsigned char *end = p + n; p < end; p += KX_HASH_ROUND) {
+        uint64_t w[KX_HASH_LANES];
+        memcpy(w, p, sizeof w);
+#pragma GCC unroll 8
+        for (int i = 0; i < KX_HASH_LANES; i++)
+            l[i] = kx_lane(l[i], w[i]);
+    }
+    memcpy(lane, l, sizeof l);
+}
+
+void kx_hash_init(kx_hasher *h) {
+    memset(h, 0, sizeof *h);
+    for (int i = 0; i < KX_HASH_LANES; i++)
+        h->lane[i] = KX_P2 * (uint64_t)(i + 1);
+}
+
+void kx_hash_update(kx_hasher *h, const void *data, size_t n) {
+    const unsigned char *p = (const unsigned char *)data;
+    h->len += n;
+    if (h->npend) {
+        size_t take = n < KX_HASH_ROUND - h->npend ? n : KX_HASH_ROUND - h->npend;
+        memcpy(h->pend + h->npend, p, take);
+        h->npend += take;
+        p += take;
+        n -= take;
+        if (h->npend < KX_HASH_ROUND)
+            return;
+        kx_hash_rounds(h->lane, h->pend, KX_HASH_ROUND);
+        h->npend = 0;
+    }
+    size_t whole = n - n % KX_HASH_ROUND;
+    kx_hash_rounds(h->lane, p, whole);
+    p += whole;
+    n -= whole;
+    memcpy(h->pend, p, n);
+    h->npend = n;
+}
+
+uint64_t kx_hash_final(const kx_hasher *h) {
+    uint64_t lane[KX_HASH_LANES];
+    memcpy(lane, h->lane, sizeof lane);
+    if (h->npend) {
+        unsigned char last[KX_HASH_ROUND] = {0};
+        memcpy(last, h->pend, h->npend);
+        kx_hash_rounds(lane, last, KX_HASH_ROUND);
+    }
+    uint64_t x = h->len * KX_P2;
+    for (int i = 0; i < KX_HASH_LANES; i++)
+        x = kx_lane(x, lane[i]);
+    x ^= x >> 33; /* MurmurHash3's finalizer */
+    x *= 0xFF51AFD7ED558CCDULL;
+    x ^= x >> 33;
+    x *= 0xC4CEB9FE1A85EC53ULL;
+    return x ^ (x >> 33);
+}
+
+uint64_t kx_hash64(const void *data, size_t n) {
+    kx_hasher h;
+    kx_hash_init(&h);
+    kx_hash_update(&h, data, n);
+    return kx_hash_final(&h);
+}
+
+/* ------------------------------------------------------------------ */
 /* key sets                                                            */
 /* ------------------------------------------------------------------ */
 
+/* The block, which is also the image file's content:
+ *
+ *   header | text, NUL-padded to 8 bytes | nkeys kx_key | nprops kx_prop
+ *
+ * The text is the spec's, cut with NULs where the parse cut it, ending in a
+ * NUL; it comes first so the parse cuts it in place in the block. Integers
+ * are native; `order` lets a host of the other byte order refuse the file.
+ * Each offset in a kx_key or kx_prop counts from that entry (back to the
+ * text, on to the property table), so a block works at any address. A
+ * key's properties are contiguous in the property table; a key with none
+ * points just past its predecessor's. */
+#define KX_IMAGE_MAGIC "KXSPEC\0\0"
+#define KX_IMAGE_VERSION 1u
+#define KX_IMAGE_ORDER 0x0102030405060708ULL
+
+typedef struct {
+    char magic[8];
+    uint64_t order;
+    uint32_t version;
+    uint32_t nkeys;
+    uint32_t nprops;
+    uint32_t text_len;  /* the cut text with its final NUL, padding aside */
+    uint64_t size;      /* the whole block */
+    uint64_t spec_len;  /* the spec text it was parsed from */
+    uint64_t spec_hash; /* kx_hash64 of that text; both hashes are 0 */
+    uint64_t checksum;  /* kx_hash64 of the rest; until kx_keyset_image */
+} kx_image_header;
+
+_Static_assert(sizeof(kx_image_header) == 64, "the header has no padding");
+
+struct kx_key {
+    int32_t name;
+    int32_t value;
+    int32_t props; /* the key's first kx_prop */
+    uint32_t nprops;
+};
+
+typedef struct {
+    int32_t name;
+    int32_t value;
+} kx_prop;
+
+/* where the text ends and the key table starts */
+static uint64_t kx_keys_at(uint64_t text_len) {
+    return sizeof(kx_image_header) + ((text_len + 7) & ~(uint64_t)7);
+}
+
+static const char *kx_at(const void *entry, int32_t off) {
+    return (const char *)entry + off;
+}
+
+static int32_t kx_off(const void *entry, const void *target) {
+    return (int32_t)((const char *)target - (const char *)entry);
+}
+
 void kx_keyset_init(kx_keyset *ks) {
-    ks->items = NULL;
-    ks->len = 0;
-    ks->cap = 0;
-    ks->text = NULL;
+    memset(ks, 0, sizeof *ks);
 }
 
 void kx_keyset_free(kx_keyset *ks) {
     if (!ks)
         return;
-    for (size_t i = 0; i < ks->len; i++) {
-        free(ks->items[i].props);
-        free(ks->items[i].propvals);
-    }
-    free(ks->items);
-    free(ks->text);
+    if (ks->owned)
+        free((void *)ks->block);
     kx_keyset_init(ks);
+}
+
+size_t kx_keyset_sizeof(void) {
+    return sizeof(kx_keyset);
+}
+
+size_t kx_keyset_len(const kx_keyset *ks) {
+    return ks->len;
+}
+
+const kx_key *kx_keyset_at(const kx_keyset *ks, size_t i) {
+    return i < ks->len ? &ks->keys[i] : NULL;
+}
+
+const char *kx_key_name(const kx_key *key) {
+    return kx_at(key, key->name);
+}
+
+const char *kx_key_value(const kx_key *key) {
+    return kx_at(key, key->value);
+}
+
+size_t kx_key_nprops(const kx_key *key) {
+    return key->nprops;
+}
+
+const char *kx_key_prop(const kx_key *key, size_t i, const char **value) {
+    if (i >= key->nprops)
+        return NULL;
+    const kx_prop *prop = (const kx_prop *)kx_at(key, key->props) + i;
+    if (value)
+        *value = kx_at(prop, prop->value);
+    return kx_at(prop, prop->name);
 }
 
 const kx_key *kx_keyset_get(const kx_keyset *ks, const char *name) {
     size_t lo = 0, hi = ks->len;
     while (lo < hi) {
         size_t mid = lo + (hi - lo) / 2;
-        int cmp = strcmp(ks->items[mid].name, name);
+        int cmp = strcmp(kx_key_name(&ks->keys[mid]), name);
         if (cmp == 0)
-            return &ks->items[mid];
+            return &ks->keys[mid];
         if (cmp < 0)
             lo = mid + 1;
         else
@@ -143,9 +307,10 @@ const kx_key *kx_keyset_get(const kx_keyset *ks, const char *name) {
 }
 
 const char *kx_key_meta(const kx_key *key, const char *prop) {
-    for (size_t i = 0; i < key->nprops; i++)
-        if (strcmp(key->props[i], prop) == 0)
-            return key->propvals[i];
+    const kx_prop *props = (const kx_prop *)kx_at(key, key->props);
+    for (uint32_t i = 0; i < key->nprops; i++)
+        if (strcmp(kx_at(&props[i], props[i].name), prop) == 0)
+            return kx_at(&props[i], props[i].value);
     return NULL;
 }
 
@@ -159,7 +324,7 @@ int kx_keyset_below(const kx_keyset *ks, const char *prefix,
     size_t lo = 0, hi = ks->len;
     while (lo < hi) {
         size_t mid = lo + (hi - lo) / 2;
-        const char *name = ks->items[mid].name;
+        const char *name = kx_key_name(&ks->keys[mid]);
         int cmp = strncmp(name, prefix, plen);
         if (cmp == 0) {
             unsigned char next = (unsigned char)name[plen]; /* strcmp compares unsigned */
@@ -172,13 +337,93 @@ int kx_keyset_below(const kx_keyset *ks, const char *prefix,
     }
     size_t s = lo;
     while (lo < ks->len) {
-        const char *name = ks->items[lo].name;
+        const char *name = kx_key_name(&ks->keys[lo]);
         if (strncmp(name, prefix, plen) != 0 || name[plen] != '/')
             break;
         lo++;
     }
     *start = s;
     *end = lo;
+    return KX_OK;
+}
+
+const void *kx_keyset_image(kx_keyset *ks, const char *text, size_t len, size_t *size) {
+    *size = ks->size;
+    if (ks->owned) { /* a parse leaves the spec hash and checksum to here */
+        kx_image_header h;
+        memcpy(&h, ks->block, sizeof h);
+        h.spec_hash = kx_hash64(text, len);
+        h.checksum = kx_hash64(ks->block + sizeof h, ks->size - sizeof h);
+        memcpy((unsigned char *)ks->block, &h, sizeof h);
+    }
+    return ks->block;
+}
+
+/* the rule an image breaks, or NULL; only reads inside [data, data + size) */
+static const char *kx_image_refusal(const unsigned char *data, size_t size, uint64_t spec_len,
+                                    uint64_t spec_hash) {
+    kx_image_header h;
+    if (size < sizeof h)
+        return "size";
+    memcpy(&h, data, sizeof h);
+    if (memcmp(h.magic, KX_IMAGE_MAGIC, sizeof h.magic) != 0)
+        return "magic";
+    if (h.version != KX_IMAGE_VERSION)
+        return "version";
+    if (h.order != KX_IMAGE_ORDER)
+        return "order";
+    int64_t text_at = sizeof h, text_end = text_at + h.text_len;
+    int64_t keys_at = (int64_t)kx_keys_at(h.text_len);
+    int64_t props_at = keys_at + (int64_t)h.nkeys * (int64_t)sizeof(kx_key);
+    if (h.size != size || h.text_len == 0 ||
+        props_at + (int64_t)h.nprops * (int64_t)sizeof(kx_prop) != (int64_t)size)
+        return "size";
+    if (h.spec_len != spec_len || h.spec_hash != spec_hash)
+        return "stale";
+    if (kx_hash64(data + sizeof h, size - sizeof h) != h.checksum)
+        return "checksum";
+    if (data[text_end - 1] != '\0')
+        return "bounds";
+    /* every string starts inside the text, which ends in a NUL; every
+     * property run is whole entries of the property table */
+    for (uint32_t i = 0; i < h.nprops; i++) {
+        int64_t at = props_at + (int64_t)i * (int64_t)sizeof(kx_prop);
+        kx_prop prop;
+        memcpy(&prop, data + at, sizeof prop);
+        if (at + prop.name < text_at || at + prop.name >= text_end ||
+            at + prop.value < text_at || at + prop.value >= text_end)
+            return "bounds";
+    }
+    for (uint32_t i = 0; i < h.nkeys; i++) {
+        int64_t at = keys_at + (int64_t)i * (int64_t)sizeof(kx_key);
+        kx_key key;
+        memcpy(&key, data + at, sizeof key);
+        if (at + key.name < text_at || at + key.name >= text_end || at + key.value < text_at ||
+            at + key.value >= text_end)
+            return "bounds";
+        int64_t first = at + key.props;
+        if (key.nprops && (first < props_at || (first - props_at) % (int64_t)sizeof(kx_prop) != 0 ||
+                           key.nprops > h.nprops ||
+                           first + (int64_t)key.nprops * (int64_t)sizeof(kx_prop) > (int64_t)size))
+            return "bounds";
+    }
+    return NULL;
+}
+
+int kx_keyset_from_image(const void *data, size_t size, uint64_t spec_len, uint64_t spec_hash,
+                         kx_keyset *out, const char **why) {
+    kx_keyset_init(out);
+    const char *refusal = kx_image_refusal((const unsigned char *)data, size, spec_len,
+                                           spec_hash);
+    if (why)
+        *why = refusal;
+    if (refusal)
+        return KX_E_IMAGE;
+    const kx_image_header *h = (const kx_image_header *)data;
+    out->block = (const unsigned char *)data;
+    out->size = size;
+    out->keys = (const kx_key *)(out->block + kx_keys_at(h->text_len));
+    out->len = h->nkeys;
     return KX_OK;
 }
 
@@ -248,22 +493,34 @@ static size_t kx_comment_start(const char *line, size_t n) {
 /* Names seen so far in one parse, keys and each section's properties:
  * open addressing over entries, sized once from the line count (a line
  * adds at most one entry), at most half full, so a parse is linear in the
- * text whatever the order. A slot holds 0 (empty), a key's item index + 1,
- * or KX_PROP_ENTRY | i for props[i]. Slots stay one word: a fresh process
+ * text whatever the order. A slot holds 0 (empty), a key's index + 1, or
+ * KX_PROP_ENTRY | i for property i. Slots stay one word: a fresh process
  * pays a page fault for every page of the table its probes touch. */
 #define KX_PROP_ENTRY 0x80000000u
 
+/* a key while parsing: strings are in the parse's copy of the text */
 typedef struct {
-    unsigned item; /* the section's item index */
-    unsigned prop; /* the property's index in that item */
-} kx_prop_entry;
+    char *name;
+    char *value;
+    uint32_t nprops;
+} kx_draft_key;
+
+/* a property while parsing: offsets into the parse's copy of the text */
+typedef struct {
+    uint32_t key; /* its section's index in kx_draft.keys */
+    uint32_t name;
+    uint32_t value;
+} kx_draft_prop;
 
 typedef struct {
+    char *text; /* the copy every name and value is cut from, in the block */
+    kx_draft_key *keys;
+    size_t len, cap;
+    kx_draft_prop *props; /* one per distinct (section, property name) */
+    uint32_t nprops;
     unsigned *slots;
     size_t mask;
-    kx_prop_entry *props; /* one per distinct (section, property name) */
-    unsigned nprops;
-} kx_name_index;
+} kx_draft;
 
 /* FNV-1a from a basis offset by seed: the low bits of the hash are a
  * bijection of the seed's low bits, so a property name repeated over many
@@ -275,66 +532,97 @@ static size_t kx_hash(const char *s, size_t n, unsigned seed) {
     return h;
 }
 
-/* index of the item named name (n bytes, already NUL-cut in ks->text),
+/* index of the key named name (n bytes, already NUL-cut in the text),
  * appending an empty one when the name is new; -1 when out of memory */
-static long kx_parse_key(kx_keyset *ks, kx_name_index *ix, char *name, size_t n) {
-    size_t h = kx_hash(name, n, 0) & ix->mask;
-    for (unsigned slot; (slot = ix->slots[h]) != 0; h = (h + 1) & ix->mask)
-        if (!(slot & KX_PROP_ENTRY) && strcmp(ks->items[slot - 1].name, name) == 0)
+static long kx_parse_key(kx_draft *d, char *name, size_t n) {
+    size_t h = kx_hash(name, n, 0) & d->mask;
+    for (unsigned slot; (slot = d->slots[h]) != 0; h = (h + 1) & d->mask)
+        if (!(slot & KX_PROP_ENTRY) && strcmp(d->keys[slot - 1].name, name) == 0)
             return (long)slot - 1;
-    if (ks->len == ks->cap) {
-        size_t cap = ks->cap ? ks->cap * 2 : 64;
-        kx_key *items = (kx_key *)realloc(ks->items, cap * sizeof(kx_key));
-        if (!items)
+    if (d->len == d->cap) {
+        size_t cap = d->cap ? d->cap * 2 : 64;
+        kx_draft_key *keys = (kx_draft_key *)realloc(d->keys, cap * sizeof *keys);
+        if (!keys)
             return -1;
-        ks->items = items;
-        ks->cap = cap;
+        d->keys = keys;
+        d->cap = cap;
     }
-    kx_key *key = &ks->items[ks->len];
-    memset(key, 0, sizeof(*key));
-    key->name = name;
-    key->value = name + n; /* "": the name's own terminator */
-    ix->slots[h] = (unsigned)ks->len + 1;
-    return (long)ks->len++;
+    /* value "": the name's own terminator */
+    d->keys[d->len] = (kx_draft_key){name, name + n, 0};
+    d->slots[h] = (unsigned)d->len + 1;
+    return (long)d->len++;
 }
 
-/* set property prop (n bytes) of the item at index item to value, both
- * NUL-cut in the key set's text; a later line wins */
-static int kx_parse_prop(kx_keyset *ks, kx_name_index *ix, long item, char *prop, size_t n,
-                         char *value) {
-    kx_key *key = &ks->items[item];
-    size_t h = kx_hash(prop, n, (unsigned)item + 1) & ix->mask;
-    for (unsigned slot; (slot = ix->slots[h]) != 0; h = (h + 1) & ix->mask) {
+/* set property prop (n bytes) of the key at index key to value, both
+ * NUL-cut in the text; a later line wins */
+static void kx_parse_prop(kx_draft *d, long key, char *prop, size_t n, char *value) {
+    size_t h = kx_hash(prop, n, (unsigned)key + 1) & d->mask;
+    for (unsigned slot; (slot = d->slots[h]) != 0; h = (h + 1) & d->mask) {
         if (!(slot & KX_PROP_ENTRY))
             continue;
-        const kx_prop_entry *entry = &ix->props[slot & ~KX_PROP_ENTRY];
-        if (entry->item == (unsigned)item && strcmp(key->props[entry->prop], prop) == 0) {
-            key->propvals[entry->prop] = value;
-            return KX_OK;
+        kx_draft_prop *entry = &d->props[slot & ~KX_PROP_ENTRY];
+        if (entry->key == (uint32_t)key && strcmp(d->text + entry->name, prop) == 0) {
+            entry->value = (uint32_t)(value - d->text);
+            return;
         }
     }
-    if (key->nprops + 1 > key->propcap) {
-        size_t cap = key->propcap ? key->propcap * 2 : 4;
-        char **props = (char **)realloc(key->props, cap * sizeof(char *));
-        if (!props)
-            return KX_E_NOMEM;
-        key->props = props;
-        char **vals = (char **)realloc(key->propvals, cap * sizeof(char *));
-        if (!vals)
-            return KX_E_NOMEM;
-        key->propvals = vals;
-        key->propcap = cap;
-    }
-    ix->props[ix->nprops] = (kx_prop_entry){(unsigned)item, (unsigned)key->nprops};
-    ix->slots[h] = KX_PROP_ENTRY | ix->nprops++;
-    key->props[key->nprops] = prop;
-    key->propvals[key->nprops] = value;
-    key->nprops++;
-    return KX_OK;
+    d->props[d->nprops] = (kx_draft_prop){(uint32_t)key, (uint32_t)(prop - d->text),
+                                          (uint32_t)(value - d->text)};
+    d->slots[h] = KX_PROP_ENTRY | d->nprops++;
+    d->keys[key].nprops++;
 }
 
-static int kx_key_order(const void *a, const void *b) {
-    return strcmp(((const kx_key *)a)->name, ((const kx_key *)b)->name);
+static int kx_draft_order(const void *a, const void *b) {
+    return strcmp((*(const kx_draft_key *const *)a)->name, (*(const kx_draft_key *const *)b)->name);
+}
+
+/* lay the parsed draft out after its text, in the block the text was cut in
+ * (see kx_image_header); the block has room for both tables */
+static int kx_draft_build(kx_draft *d, unsigned char *block, size_t len, kx_keyset *out) {
+    uint64_t keys_at = kx_keys_at(len + 1);
+    uint64_t props_at = keys_at + (uint64_t)d->len * sizeof(kx_key);
+    uint64_t size = props_at + (uint64_t)d->nprops * sizeof(kx_prop);
+    /* the keys in the order kx_keyset_get and kx_keyset_below search; sorting
+     * pointers moves 8 bytes per step, not a whole draft key */
+    kx_draft_key **order = (kx_draft_key **)malloc((d->len ? d->len : 1) * sizeof *order);
+    /* each draft key's next free place in the property table */
+    uint32_t *place = (uint32_t *)malloc((d->len ? d->len : 1) * sizeof *place);
+    if (!order || !place) {
+        free(order);
+        free(place);
+        return KX_E_NOMEM;
+    }
+    for (size_t i = 0; i < d->len; i++)
+        order[i] = &d->keys[i];
+    qsort(order, d->len, sizeof *order, kx_draft_order);
+
+    kx_image_header h = {KX_IMAGE_MAGIC, KX_IMAGE_ORDER, KX_IMAGE_VERSION, (uint32_t)d->len,
+                         d->nprops, (uint32_t)(len + 1), size, len, 0, 0};
+    memcpy(block, &h, sizeof h);
+    memset(d->text + len + 1, 0, keys_at - sizeof h - (len + 1));
+    kx_key *keys = (kx_key *)(block + keys_at);
+    kx_prop *props = (kx_prop *)(block + props_at);
+    uint32_t next = 0;
+    for (size_t i = 0; i < d->len; i++) {
+        const kx_draft_key *dk = order[i];
+        place[dk - d->keys] = next;
+        keys[i] = (kx_key){kx_off(&keys[i], dk->name), kx_off(&keys[i], dk->value),
+                           kx_off(&keys[i], &props[next]), dk->nprops};
+        next += dk->nprops;
+    }
+    for (uint32_t i = 0; i < d->nprops; i++) {
+        const kx_draft_prop *dp = &d->props[i];
+        kx_prop *prop = &props[place[dp->key]++];
+        *prop = (kx_prop){kx_off(prop, d->text + dp->name), kx_off(prop, d->text + dp->value)};
+    }
+    free(order);
+    free(place);
+    out->block = block;
+    out->size = size;
+    out->keys = keys;
+    out->len = d->len;
+    out->owned = 1;
+    return KX_OK;
 }
 
 int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
@@ -349,33 +637,38 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
         return KX_E_PARSE;
     }
 
-    /* a line names at most one new key */
+    /* a line names at most one new key or property */
     size_t lines = 1;
     for (const char *nl = data; (nl = memchr(nl, '\n', len - (size_t)(nl - data))) != NULL; nl++)
         lines++;
-    if (lines >= UINT_MAX / 4)
+    /* a line adds at most one key or property, so lines key entries hold
+     * both tables; offsets in the block are 32-bit signed */
+    uint64_t room = kx_keys_at(len + 1) + (uint64_t)lines * sizeof(kx_key);
+    if (lines >= UINT_MAX / 4 || room > INT32_MAX)
         return KX_E_NOMEM; /* index slots hold indexes below KX_PROP_ENTRY */
     size_t slots = 16;
     while (slots < 2 * lines)
         slots *= 2;
-    kx_name_index index = {(unsigned *)calloc(slots, sizeof(unsigned)), slots - 1,
-                           (kx_prop_entry *)malloc(lines * sizeof(kx_prop_entry)), 0};
-    /* one copy of the text; every name and value is cut from it in place */
-    out->text = (char *)malloc(len + 1);
-    if (!index.slots || !index.props || !out->text) {
-        free(index.slots);
-        free(index.props);
-        kx_keyset_free(out);
-        return KX_E_NOMEM;
-    }
-    memcpy(out->text, data, len);
-    out->text[len] = '\0';
-
-    long section = -1; /* item index of the open section */
+    kx_draft d = {0};
+    d.slots = (unsigned *)calloc(slots, sizeof(unsigned));
+    d.mask = slots - 1;
+    d.props = (kx_draft_prop *)malloc(lines * sizeof(kx_draft_prop));
+    /* the block, with one copy of the text in it; every name and value is
+     * cut from that copy in place */
+    unsigned char *block = (unsigned char *)malloc(room);
     int rc = KX_OK;
+    if (!d.slots || !d.props || !block) {
+        rc = KX_E_NOMEM;
+        goto done;
+    }
+    d.text = (char *)block + sizeof(kx_image_header);
+    memcpy(d.text, data, len);
+    d.text[len] = '\0';
+
+    long section = -1; /* index of the open section's key */
     int line_no = 0;
-    char *p = out->text;
-    char *text_end = out->text + len;
+    char *p = d.text;
+    char *text_end = d.text + len;
 
     while (p <= text_end) {
         char *nl = memchr(p, '\n', (size_t)(text_end - p));
@@ -414,7 +707,7 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
                 break;
             }
             *(char *)ie = '\0';
-            section = kx_parse_key(out, &index, (char *)ib, ilen);
+            section = kx_parse_key(&d, (char *)ib, ilen);
             if (section < 0) {
                 rc = KX_E_NOMEM;
                 break;
@@ -441,15 +734,15 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
         *(char *)ve = '\0';
 
         if (section >= 0) {
-            if (is_value_prop)
-                out->items[section].value = (char *)vb;
-            else if (nlen == 0) {
+            if (is_value_prop) {
+                d.keys[section].value = (char *)vb;
+            } else if (nlen == 0) {
                 kx_set_error(err, line_no, KX_PK_INVALID_NAME, "empty property name");
                 rc = KX_E_PARSE;
-            } else
-                rc = kx_parse_prop(out, &index, section, (char *)nb, nlen, (char *)vb);
-            if (rc != KX_OK)
                 break;
+            } else {
+                kx_parse_prop(&d, section, (char *)nb, nlen, (char *)vb);
+            }
             continue;
         }
 
@@ -464,23 +757,23 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
             rc = KX_E_PARSE;
             break;
         }
-        long idx = kx_parse_key(out, &index, (char *)nb, nlen);
+        long idx = kx_parse_key(&d, (char *)nb, nlen);
         if (idx < 0) {
             rc = KX_E_NOMEM;
             break;
         }
-        out->items[idx].value = (char *)vb;
+        d.keys[idx].value = (char *)vb;
     }
+    if (rc == KX_OK)
+        rc = kx_draft_build(&d, block, len, out);
 
-    free(index.slots);
-    free(index.props);
-    if (rc != KX_OK) {
-        kx_keyset_free(out);
-        return rc;
-    }
-    /* the order kx_keyset_get and kx_keyset_below search */
-    qsort(out->items, out->len, sizeof(kx_key), kx_key_order);
-    return KX_OK;
+done:
+    free(d.slots);
+    free(d.props);
+    free(d.keys);
+    if (rc != KX_OK)
+        free(block);
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */
@@ -980,8 +1273,8 @@ int kx_lookup(const kx_keyset *ks, const char *name, const kx_state *st,
         }
         const char *template_text = kx_key_meta(key, KX_CONTEXT_PROPERTY);
         if (!template_text) {
-            out->value = key->value;
-            out->matched = key->name;
+            out->value = kx_key_value(key);
+            out->matched = kx_key_name(key);
             rc = KX_OK;
             break;
         }
@@ -1017,9 +1310,9 @@ int kx_lookup(const kx_keyset *ks, const char *name, const kx_state *st,
             break;
 
         if (!chosen) {
-            if (key->value[0] != '\0') {
-                out->value = key->value;
-                out->matched = key->name;
+            if (kx_key_value(key)[0] != '\0') {
+                out->value = kx_key_value(key);
+                out->matched = kx_key_name(key);
                 rc = KX_OK;
             } else {
                 rc = KX_ABSENT;

@@ -12,6 +12,7 @@
 #define KX_CORE_H
 
 #include <stddef.h>
+#include <stdint.h>
 
 #ifndef KX_API
 #ifdef __GNUC__
@@ -32,6 +33,7 @@ enum {
     KX_E_CYCLE = -5,
     KX_E_DEPTH = -6,
     KX_E_STATE = -7,
+    KX_E_IMAGE = -8, /* an image refused: stale, damaged or not ours */
 };
 
 /* parse error kinds, mirroring the spec format documentation */
@@ -55,25 +57,35 @@ typedef struct {
     char message[160];
 } kx_error;
 
-/* A parsed spec owns one copy of its text. Every name, value, property
- * name and property value points into that copy, cut with NULs; the key set
- * owns only that buffer, the items array and each key's two props arrays,
- * and kx_keyset_free releases exactly those. */
-typedef struct {
-    char *name;  /* display form, in the key set's text */
-    char *value; /* in the key set's text, never NULL */
-    char **props;    /* owned array; the strings are in the text */
-    char **propvals; /* owned array; the strings are in the text */
-    size_t nprops;
-    size_t propcap;
-} kx_key;
+/* A parsed key set is one block, byte for byte what a spec image file
+ * holds: a header, the spec's text cut with NULs, and a key table and a
+ * property table of fixed-width offsets. An offset in a key or property
+ * counts from that entry, so a block works at any address and a key alone
+ * reaches its strings. kx_parse_spec builds a block with one malloc;
+ * kx_keyset_from_image adopts one it is handed (a mapped file) after
+ * checking every offset. The layout is private to core.c: callers use the
+ * accessors below. */
+typedef struct kx_key kx_key;
 
 typedef struct {
-    kx_key *items; /* sorted by strcmp(name), names unique */
+    const unsigned char *block; /* header, keys, properties, text */
+    size_t size;
+    const kx_key *keys; /* sorted by strcmp(name), names unique */
     size_t len;
-    size_t cap;
-    char *text; /* owned copy of the spec text every string points into */
+    int owned; /* kx_keyset_free frees block: kx_parse_spec's, not an adopted image */
 } kx_keyset;
+
+/* 64-bit hash of a byte string, 8 bytes per step in each of independent
+ * lanes; fed in pieces of any size it gives what one kx_hash64 call gives */
+#define KX_HASH_LANES 8
+#define KX_HASH_ROUND (8 * KX_HASH_LANES)
+
+typedef struct {
+    uint64_t lane[KX_HASH_LANES];
+    uint64_t len;
+    unsigned char pend[KX_HASH_ROUND];
+    size_t npend;
+} kx_hasher;
 
 typedef struct {
     char **names; /* sorted by strcmp */
@@ -93,10 +105,35 @@ typedef struct {
 /* key sets */
 KX_API void kx_keyset_init(kx_keyset *ks);
 KX_API void kx_keyset_free(kx_keyset *ks);
+KX_API size_t kx_keyset_sizeof(void);
+KX_API size_t kx_keyset_len(const kx_keyset *ks);
+KX_API const kx_key *kx_keyset_at(const kx_keyset *ks, size_t i);
 KX_API const kx_key *kx_keyset_get(const kx_keyset *ks, const char *name);
 KX_API int kx_keyset_below(const kx_keyset *ks, const char *prefix,
                            size_t *start, size_t *end);
+KX_API const char *kx_key_name(const kx_key *key);
+KX_API const char *kx_key_value(const kx_key *key);
+KX_API size_t kx_key_nprops(const kx_key *key);
+KX_API const char *kx_key_prop(const kx_key *key, size_t i, const char **value);
 KX_API const char *kx_key_meta(const kx_key *key, const char *prop);
+
+/* spec images: the block of a key set as the image of the spec text it
+ * was parsed from (text, len: kx_keyset_image fills in the header's spec
+ * hash and checksum, which a parse leaves for the processes that write),
+ * and a block adopted without a copy. kx_keyset_from_image checks the
+ * header against the spec text the caller read (its length and kx_hash64),
+ * the checksum of the rest and every offset; on KX_E_IMAGE *why names the
+ * failed rule ("stale" when the image is sound but of other text). data
+ * must outlive the key set. */
+KX_API const void *kx_keyset_image(kx_keyset *ks, const char *text, size_t len, size_t *size);
+KX_API int kx_keyset_from_image(const void *data, size_t size, uint64_t spec_len,
+                                uint64_t spec_hash, kx_keyset *out, const char **why);
+
+/* hashing */
+KX_API void kx_hash_init(kx_hasher *h);
+KX_API void kx_hash_update(kx_hasher *h, const void *data, size_t n);
+KX_API uint64_t kx_hash_final(const kx_hasher *h);
+KX_API uint64_t kx_hash64(const void *data, size_t n);
 
 /* validation */
 KX_API int kx_name_valid(const char *name);

@@ -11,11 +11,25 @@
  *
  * Initialization is lazy: the constructor only samples the monotonic clock
  * for the trace start record and registers the fork handlers. Everything
- * else (config env vars, spec file, state file, generation word, trace fd)
- * happens under g_lock at the first intercepted call, which ends by storing
- * g_ready with release. The spec, the name table, the slot range and the
- * trace fd never change after that, so readers that load g_ready with
- * acquire use them without the lock.
+ * else happens under g_lock at the first intercepted call, in this order:
+ * config env vars and trace fd; the spec (below); the answer slots and name
+ * table; the generation word and state file. It ends by storing g_ready
+ * with release. The spec, the name table, the slot range and the trace fd
+ * never change after that, so readers that load g_ready with acquire use
+ * them without the lock. A traced process writes an init record with the
+ * spec image's outcome and the time each stage took.
+ *
+ * Spec image: the parsed key set is one position-independent block
+ * (core.h), and <spec>.kxi holds that block. The first call reads the spec
+ * in small chunks while hashing it, maps the image and adopts it when the
+ * file passes the generation word's rules below (regular, not a symlink, one
+ * link, owned by the euid, not group/world-writable) and core.c's checks
+ * pass: magic, version, byte order, the spec's length and hash equal to the
+ * bytes just read, the checksum, and every offset in bounds. Otherwise it
+ * parses the text and, if its euid owns the spec and it is not AT_SECURE,
+ * writes the image (temp file, rename) for the next process. Content is the
+ * only staleness rule, so a stale, damaged or foreign image costs a parse
+ * and never changes an answer; deleting it is always safe.
  *
  * Locking: g_lock serializes every writer of shim state (reload, slot fill,
  * shadow render, trace record). An untraced process reads without it: an
@@ -88,8 +102,8 @@ extern char **environ;
 /* ------------------------------------------------------------------ */
 
 /* All written only under g_lock. Read without it, after an acquire load of
- * g_ready: g_active, g_trace_fd, g_spec, g_names, g_slots_start and
- * g_slots_len, which never change once ready, and, with atomic loads,
+ * g_ready: g_active, g_trace_fd, g_spec, g_names, g_slots_len and each
+ * slot's key, which never change once ready, and, with atomic loads,
  * g_checked_s, g_word, *g_word, g_word_seen, g_epoch and each slot's epoch
  * and answer. Writers publish in this order: a reload adopts the state and
  * bumps g_epoch, then stores g_word_seen (release); a slot fill stores
@@ -97,7 +111,9 @@ extern char **environ;
  * (release) after its reload. Everything else is read only under g_lock. */
 
 static pthread_mutex_t g_lock = PTHREAD_MUTEX_INITIALIZER;
-static __thread int t_inside = 0; /* reentrancy guard, thread-local */
+/* reentrancy guard; initial-exec, so a check is one thread-pointer-relative
+ * load and not a __tls_get_addr call */
+static __thread int t_inside __attribute__((tls_model("initial-exec"))) = 0;
 
 static int g_ready = 0; /* init finished; stored once with release */
 static int g_active = 0;
@@ -136,13 +152,14 @@ typedef struct kx_interned {
 } kx_interned;
 
 typedef struct {
+    const char *key;          /* "getenv/NAME" in the spec, never changes */
     unsigned long long epoch; /* g_epoch the answer belongs to; 0 is never current */
     const char *answer;       /* interned value, NULL when the lookup is absent */
     kx_interned *values;      /* every value this name answered, kept forever */
 } kx_slot;
 
 static kx_slot *g_slots = NULL;
-static size_t g_slots_start = 0, g_slots_len = 0;
+static size_t g_slots_len = 0;
 static unsigned long long g_epoch = 1; /* grows with every adopted state */
 
 /* registered getenv names: slot index + 1 per bucket, 0 for empty; the
@@ -316,26 +333,21 @@ static void kx_trace_getenv(const char *name, const char *outcome, const char *v
 /* state loading                                                       */
 /* ------------------------------------------------------------------ */
 
-/* a regular file is read with one read() into a buffer of its size */
-static int kx_read_file(const char *path, char **data_out, size_t *len_out) {
-    int fd = kx_real_open(path, O_RDONLY | O_CLOEXEC, 0);
-    if (fd < 0)
-        return -1;
+/* the rest of fd; a regular file is read with one read() into a buffer of
+ * its size */
+static int kx_read_fd(int fd, char **data_out, size_t *len_out) {
     struct stat st;
     int regular = fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
     size_t cap = regular ? (size_t)st.st_size + 1 : 8192, len = 0;
     char *data = (char *)malloc(cap);
-    if (!data) {
-        close(fd);
+    if (!data)
         return -1;
-    }
     for (;;) {
         if (len == cap) {
             cap *= 2;
             char *grown = (char *)realloc(data, cap);
             if (!grown) {
                 free(data);
-                close(fd);
                 return -1;
             }
             data = grown;
@@ -345,7 +357,6 @@ static int kx_read_file(const char *path, char **data_out, size_t *len_out) {
             if (errno == EINTR)
                 continue;
             free(data);
-            close(fd);
             return -1;
         }
         if (got == 0)
@@ -354,9 +365,32 @@ static int kx_read_file(const char *path, char **data_out, size_t *len_out) {
         if (regular && len < cap)
             break; /* a short read of a regular file ends at its end */
     }
-    close(fd);
     *data_out = data;
     *len_out = len;
+    return 0;
+}
+
+static int kx_read_file(const char *path, char **data_out, size_t *len_out) {
+    int fd = kx_real_open(path, O_RDONLY | O_CLOEXEC, 0);
+    if (fd < 0)
+        return -1;
+    int rc = kx_read_fd(fd, data_out, len_out);
+    close(fd);
+    return rc;
+}
+
+/* write all of data to fd; 0 on success */
+static int kx_write_all(int fd, const char *data, size_t len) {
+    size_t done = 0;
+    while (done < len) {
+        ssize_t put = write(fd, data + done, len - done);
+        if (put < 0) {
+            if (errno == EINTR)
+                continue;
+            return -1;
+        }
+        done += (size_t)put;
+    }
     return 0;
 }
 
@@ -420,12 +454,24 @@ static long long kx_coarse_s(void) {
     return (long long)ts.tv_sec;
 }
 
-/* only a file no other user can truncate under the mapping (SIGBUS), and
- * not a second name of some unrelated file of ours (a hard link); symlinks
- * are never followed */
+/* the rule that keeps a file from being mapped, or NULL: only a file no
+ * other user can truncate under the mapping (SIGBUS) or rewrite, and not a
+ * second name of some unrelated file of ours (a hard link). Callers open
+ * with O_NOFOLLOW or lstat, so symlinks are never followed. */
+static const char *kx_untrusted(const struct stat *st) {
+    if (!S_ISREG(st->st_mode))
+        return "type";
+    if (st->st_uid != geteuid())
+        return "owner";
+    if (st->st_nlink != 1)
+        return "links";
+    if (st->st_mode & (S_IWGRP | S_IWOTH))
+        return "mode";
+    return NULL;
+}
+
 static int kx_word_usable(const struct stat *st) {
-    return S_ISREG(st->st_mode) && st->st_uid == geteuid() && st->st_nlink == 1 &&
-           !(st->st_mode & (S_IWGRP | S_IWOTH)) && st->st_size >= (off_t)sizeof *g_word;
+    return !kx_untrusted(st) && st->st_size >= (off_t)sizeof *g_word;
 }
 
 /* map the generation word if the lock file is usable; lock held */
@@ -506,7 +552,7 @@ static int kx_names_build(void) {
         return -1;
     g_names_mask = size - 1;
     for (size_t i = 0; i < g_slots_len; i++) {
-        size_t b = kx_name_hash(g_spec.items[g_slots_start + i].name + 7) & g_names_mask;
+        size_t b = kx_name_hash(g_slots[i].key + 7) & g_names_mask;
         while (g_names[b])
             b = (b + 1) & g_names_mask;
         g_names[b] = i + 1;
@@ -520,11 +566,172 @@ static int kx_name_slot(const char *name, size_t *slot) {
         return 0;
     for (size_t b = kx_name_hash(name) & g_names_mask; g_names[b]; b = (b + 1) & g_names_mask) {
         size_t i = g_names[b] - 1;
-        if (strcmp(g_spec.items[g_slots_start + i].name + 7, name) == 0) {
+        if (strcmp(g_slots[i].key + 7, name) == 0) {
             *slot = i;
             return 1;
         }
     }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* spec image                                                          */
+/* ------------------------------------------------------------------ */
+
+/* init stages, timed for the traced process's init record */
+enum { KX_ST_READ, KX_ST_HASH, KX_ST_LOAD, KX_ST_WRITE, KX_ST_STATE, KX_ST_SLOTS, KX_NSTAGES };
+static const char *const kx_stage_names[KX_NSTAGES] = {"read", "hash", "load",
+                                                       "write", "state", "slots"};
+static long long g_stage_ns[KX_NSTAGES];
+static char g_image_outcome[48] = "-";
+
+/* charge the time since *mark to stage and move *mark to now */
+static void kx_stage(int stage, long long *mark) {
+    long long now = kx_now_ns();
+    g_stage_ns[stage] += now - *mark;
+    *mark = now;
+}
+
+/* length and kx_hash64 of the rest of fd, read through one small buffer
+ * instead of a copy of the whole file; lock held */
+static int kx_hash_fd(int fd, uint64_t *len, uint64_t *hash, long long *mark) {
+    static char buf[32768];
+    kx_hasher h;
+    kx_hash_init(&h);
+    for (;;) {
+        ssize_t got = read(fd, buf, sizeof buf);
+        if (got < 0 && errno == EINTR)
+            continue;
+        kx_stage(KX_ST_READ, mark);
+        if (got < 0)
+            return -1;
+        if (got == 0)
+            break;
+        kx_hash_update(&h, buf, (size_t)got);
+        kx_stage(KX_ST_HASH, mark);
+    }
+    *len = h.len;
+    *hash = kx_hash_final(&h);
+    return 0;
+}
+
+/* map the image at path if the file passes the generation word's rules;
+ * else NULL and *why: "missing", or the rule the file breaks */
+static const void *kx_image_map(const char *path, size_t *size, const char **why) {
+    int fd = kx_real_open(path, O_RDONLY | O_CLOEXEC | O_NOFOLLOW, 0);
+    if (fd < 0) {
+        *why = errno == ENOENT ? "missing" : errno == ELOOP ? "symlink" : "unreadable";
+        return NULL;
+    }
+    struct stat st;
+    void *map = MAP_FAILED;
+    *why = fstat(fd, &st) != 0 ? "unreadable" : kx_untrusted(&st);
+    if (!*why && st.st_size == 0)
+        *why = "size";
+    if (!*why) {
+        map = mmap(NULL, (size_t)st.st_size, PROT_READ, MAP_PRIVATE, fd, 0);
+        if (map == MAP_FAILED)
+            *why = "unreadable";
+    }
+    close(fd);
+    if (map == MAP_FAILED)
+        return NULL;
+    *size = (size_t)st.st_size;
+    return map;
+}
+
+/* write the image of g_spec, parsed from text, at path: a temp file in the
+ * same directory renamed over it, so readers see a whole image or none */
+static int kx_image_write(const char *path, const char *text, size_t len) {
+    char tmp[PATH_MAX + 16];
+    if (snprintf(tmp, sizeof tmp, "%s.XXXXXX", path) >= (int)sizeof tmp)
+        return -1;
+    int fd = mkostemp(tmp, O_CLOEXEC);
+    if (fd < 0)
+        return -1;
+    size_t size;
+    const char *data = (const char *)kx_keyset_image(&g_spec, text, len, &size);
+    int ok = kx_write_all(fd, data, size) == 0;
+    ok = close(fd) == 0 && ok;
+    if (ok && rename(tmp, path) == 0)
+        return 0;
+    unlink(tmp);
+    return -1;
+}
+
+/* g_spec from <spec>.kxi when that image is valid for the spec's bytes as
+ * read now, else parsed from the text and, when this process may, written
+ * as the image for the next one. Sets g_image_outcome. Returns 0, or -1
+ * with failure filled in. Lock held. */
+static int kx_spec_load(const char *spec_path, char *failure, size_t cap) {
+    long long mark = kx_now_ns();
+    struct stat st;
+    int fd = kx_real_open(spec_path, O_RDONLY | O_CLOEXEC, 0);
+    if (fd < 0 || fstat(fd, &st) != 0) {
+        snprintf(failure, cap, "spec unreadable (errno %d)", errno);
+        if (fd >= 0)
+            close(fd);
+        return -1;
+    }
+    /* only a regular file can be read twice, and has a stable name */
+    char image_path[PATH_MAX];
+    int imaged = S_ISREG(st.st_mode) &&
+                 snprintf(image_path, sizeof image_path, "%s.kxi", spec_path) <
+                     (int)sizeof image_path;
+    const char *why = "missing";
+    size_t size = 0;
+    const void *image = imaged ? kx_image_map(image_path, &size, &why) : NULL;
+    kx_stage(KX_ST_LOAD, &mark);
+    if (image) {
+        uint64_t len, hash;
+        int rc = KX_E_IMAGE;
+        why = "unreadable";
+        if (kx_hash_fd(fd, &len, &hash, &mark) == 0)
+            rc = kx_keyset_from_image(image, size, len, hash, &g_spec, &why);
+        kx_stage(KX_ST_HASH, &mark);
+        if (rc == KX_OK) {
+            close(fd);
+            snprintf(g_image_outcome, sizeof g_image_outcome, "mapped");
+            return 0;
+        }
+        munmap((void *)image, size);
+        if (lseek(fd, 0, SEEK_SET) != 0) {
+            snprintf(failure, cap, "spec unreadable (errno %d)", errno);
+            close(fd);
+            return -1;
+        }
+    }
+
+    char *data = NULL;
+    size_t len = 0;
+    int rc = kx_read_fd(fd, &data, &len);
+    close(fd);
+    kx_stage(KX_ST_READ, &mark);
+    if (rc != 0) {
+        snprintf(failure, cap, "spec unreadable (errno %d)", errno);
+        return -1;
+    }
+    kx_error err;
+    rc = kx_parse_spec(data, len, &g_spec, &err);
+    kx_stage(KX_ST_LOAD, &mark);
+    if (rc != KX_OK) {
+        free(data);
+        snprintf(failure, cap, "spec parse failed: line %d: %s", err.line, err.message);
+        return -1;
+    }
+    /* an image only of a spec this user owns, and never by a setuid program */
+    int wrote = imaged && st.st_uid == geteuid() && !getauxval(AT_SECURE) &&
+                kx_image_write(image_path, data, len) == 0;
+    kx_stage(KX_ST_WRITE, &mark);
+    free(data);
+    char found[40] = ""; /* the image there was: none, "stale" or "refused:RULE" */
+    if (strcmp(why, "missing") != 0)
+        snprintf(found, sizeof found, "%s%s", strcmp(why, "stale") == 0 ? "" : "refused:", why);
+    if (wrote)
+        snprintf(g_image_outcome, sizeof g_image_outcome, "written%s%s", found[0] ? ":" : "",
+                 found);
+    else
+        snprintf(g_image_outcome, sizeof g_image_outcome, "%s", found[0] ? found : "unwritable");
     return 0;
 }
 
@@ -562,10 +769,41 @@ __attribute__((constructor)) static void kx_on_load(void) {
     pthread_atfork(kx_fork_prepare, kx_fork_parent, kx_fork_child);
 }
 
+/* the getenv/ slot range of g_spec and its name table */
+static int kx_slots_build(char *failure, size_t cap) {
+    size_t start, end;
+    if (kx_keyset_below(&g_spec, "getenv", &start, &end) != KX_OK ||
+        !(g_slots = (kx_slot *)calloc(end > start ? end - start : 1, sizeof *g_slots))) {
+        snprintf(failure, cap, "answer slots: out of memory");
+        return -1;
+    }
+    g_slots_len = end - start;
+    for (size_t i = 0; i < g_slots_len; i++)
+        g_slots[i].key = kx_key_name(kx_keyset_at(&g_spec, start + i));
+    if (kx_names_build() != 0) {
+        snprintf(failure, cap, "name table: out of memory");
+        return -1;
+    }
+    return 0;
+}
+
+/* the init record: the image outcome, the us each stage took and the us
+ * from the first call to ready, trace records aside */
+static void kx_trace_init(long long total_ns) {
+    char stages[200];
+    size_t w = 0;
+    for (int i = 0; i < KX_NSTAGES; i++)
+        w += (size_t)snprintf(stages + w, sizeof stages - w, "%s=%.1f;", kx_stage_names[i],
+                              g_stage_ns[i] / 1e3);
+    snprintf(stages + w, sizeof stages - w, "total=%.1f", total_ns / 1e3);
+    kx_trace("init", g_image_outcome, stages, NULL);
+}
+
 /* runs once, under g_lock, from kx_init_once */
 static void kx_ensure_init(void) {
+    long long start_ns = kx_now_ns();
     if (!g_t0_ns)
-        g_t0_ns = kx_now_ns();
+        g_t0_ns = start_ns;
     kx_keyset_init(&g_spec);
     kx_state_init(&g_state);
 
@@ -587,41 +825,24 @@ static void kx_ensure_init(void) {
     }
 
     char failure[200] = "";
-    if (spec_path && *spec_path) {
-        char *data = NULL;
-        size_t len = 0;
-        if (kx_read_file(spec_path, &data, &len) != 0) {
-            snprintf(failure, sizeof failure, "spec unreadable (errno %d)", errno);
-        } else {
-            kx_error err;
-            size_t start, end;
-            if (kx_parse_spec(data, len, &g_spec, &err) != KX_OK) {
-                snprintf(failure, sizeof failure, "spec parse failed: line %d: %s",
-                         err.line, err.message);
-            } else if (kx_keyset_below(&g_spec, "getenv", &start, &end) != KX_OK ||
-                       !(g_slots = (kx_slot *)calloc(end > start ? end - start : 1,
-                                                     sizeof *g_slots))) {
-                snprintf(failure, sizeof failure, "answer slots: out of memory");
-            } else {
-                g_slots_start = start;
-                g_slots_len = end - start;
-                if (kx_names_build() == 0)
-                    g_active = 1;
-                else
-                    snprintf(failure, sizeof failure, "name table: out of memory");
-            }
-            free(data);
-        }
+    long long mark;
+    if (spec_path && *spec_path && kx_spec_load(spec_path, failure, sizeof failure) == 0) {
+        mark = kx_now_ns();
+        g_active = kx_slots_build(failure, sizeof failure) == 0;
+        kx_stage(KX_ST_SLOTS, &mark);
     }
 
     if (g_active) {
+        mark = kx_now_ns();
         snprintf(g_lock_path, sizeof g_lock_path, "%s.lock", g_state_path);
         g_checked_s = kx_coarse_s();
         kx_word_map();
         if (g_word) /* read before the load, as in kx_refresh_if_stale */
             g_word_seen = __atomic_load_n(g_word, __ATOMIC_ACQUIRE);
         kx_load_state(1);
+        kx_stage(KX_ST_STATE, &mark);
     }
+    long long total_ns = kx_now_ns() - start_ns;
 
     if (g_trace_fd >= 0) {
         char t0column[32];
@@ -631,6 +852,7 @@ static void kx_ensure_init(void) {
         char startrec[64];
         snprintf(startrec, sizeof startrec, "%s", g_active ? "active" : "passthrough");
         kx_trace("start", startrec, startup_ms && *startup_ms ? startup_ms : "-", t0column);
+        kx_trace_init(total_ns);
     }
     if (failure[0] && g_trace_fd >= 0)
         kx_trace("init-failed", failure, NULL, NULL);
@@ -702,7 +924,7 @@ static char *kx_getenv_registered(const char *name, size_t i) {
     if (slot->epoch != g_epoch) {
         kx_result res;
         kx_error err = {0};
-        int rc = kx_lookup(&g_spec, g_spec.items[g_slots_start + i].name, &g_state, &res, &err);
+        int rc = kx_lookup(&g_spec, slot->key, &g_state, &res, &err);
         const char *answer = NULL; /* KX_ABSENT caches "no answer" */
         int cached = 1;
         if (rc == KX_OK) {
@@ -769,22 +991,29 @@ static char *kx_getenv_impl(const char *name) {
     return result;
 }
 
+/* Every entry point leaves errno as libc would: the shim's own calls (a
+ * missing state file, a first image) must not show through, so errno is
+ * saved on entry and restored before returning or calling the real entry
+ * point. */
 KX_EXPORT char *getenv(const char *name) {
     if (kx_is_null(name))
         return NULL;
     if (t_inside)
         return kx_env_scan(name);
+    int saved = errno;
     t_inside = 1;
     char *result = kx_getenv_impl(name);
     t_inside = 0;
+    errno = saved;
     return result;
 }
 
 /* setuid/setgid programs get no answers at all, as from libc */
 KX_EXPORT char *secure_getenv(const char *name) {
-    if (getauxval(AT_SECURE))
-        return NULL;
-    return getenv(name);
+    int saved = errno;
+    int secure = getauxval(AT_SECURE) != 0;
+    errno = saved;
+    return secure ? NULL : getenv(name);
 }
 
 /* ------------------------------------------------------------------ */
@@ -826,12 +1055,12 @@ static const char *kx_shadow_render(const char *prefix) {
     char *content = NULL;
     size_t content_len = 0, content_cap = 0;
     for (size_t i = start; i < end; i++) {
-        const kx_key *key = &g_spec.items[i];
+        const char *name = kx_key_name(kx_keyset_at(&g_spec, i));
         kx_result res;
         kx_error err;
-        int rc = kx_lookup(&g_spec, key->name, &g_state, &res, &err);
+        int rc = kx_lookup(&g_spec, name, &g_state, &res, &err);
         if (rc == KX_OK) {
-            const char *rel = key->name + prefix_len + 1;
+            const char *rel = name + prefix_len + 1;
             size_t need = strlen(rel) + 1 + strlen(res.value) + 1;
             if (content_len + need + 1 > content_cap) {
                 size_t cap = content_cap ? content_cap : 256;
@@ -853,7 +1082,7 @@ static const char *kx_shadow_render(const char *prefix) {
             kx_result_free(&res);
         } else {
             kx_result_free(&res);
-            kx_trace("note", "shadow-render-error", key->name, err.message);
+            kx_trace("note", "shadow-render-error", name, err.message);
             free(content);
             return NULL;
         }
@@ -880,20 +1109,7 @@ static const char *kx_shadow_render(const char *prefix) {
     char tmp[PATH_MAX + 8];
     snprintf(tmp, sizeof tmp, "%s.tmp", path);
     int fd = kx_real_open(tmp, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
-    int ok = fd >= 0;
-    if (ok && content_len > 0) {
-        size_t done = 0;
-        while (done < content_len) {
-            ssize_t put = write(fd, content + done, content_len - done);
-            if (put < 0) {
-                if (errno == EINTR)
-                    continue;
-                ok = 0;
-                break;
-            }
-            done += (size_t)put;
-        }
-    }
+    int ok = fd >= 0 && kx_write_all(fd, content, content_len) == 0;
     if (fd >= 0)
         close(fd);
     if (ok && rename(tmp, path) != 0)
@@ -1046,25 +1262,30 @@ out:
     return shadow_copy;
 }
 
-static int kx_open_impl(const char *path, int flags, mode_t mode, int is64) {
-    if (!kx_flags_readonly(flags))
-        return is64 ? kx_real_open64(path, flags, mode) : kx_real_open(path, flags, mode);
+/* the real open, with errno as the caller left it */
+static int kx_open_real(const char *path, int flags, mode_t mode, int is64, int saved) {
+    errno = saved;
+    return is64 ? kx_real_open64(path, flags, mode) : kx_real_open(path, flags, mode);
+}
+
+static int kx_open_impl(const char *path, int flags, mode_t mode, int is64, int saved) {
     char *shadow = kx_shadow_for(path);
     if (!shadow)
-        return is64 ? kx_real_open64(path, flags, mode) : kx_real_open(path, flags, mode);
-    int fd = is64 ? kx_real_open64(shadow, flags, mode) : kx_real_open(shadow, flags, mode);
+        return kx_open_real(path, flags, mode, is64, saved);
+    int fd = kx_open_real(shadow, flags, mode, is64, saved);
     free(shadow);
     if (fd >= 0)
         return fd;
     /* shadow vanished or is unreadable: fail open to the real file */
-    return is64 ? kx_real_open64(path, flags, mode) : kx_real_open(path, flags, mode);
+    return kx_open_real(path, flags, mode, is64, saved);
 }
 
 static int kx_open_entry(const char *path, int flags, mode_t mode, int is64) {
-    if (kx_is_null(path) || t_inside)
-        return is64 ? kx_real_open64(path, flags, mode) : kx_real_open(path, flags, mode);
+    int saved = errno;
+    if (kx_is_null(path) || t_inside || !kx_flags_readonly(flags))
+        return kx_open_real(path, flags, mode, is64, saved);
     t_inside = 1;
-    int fd = kx_open_impl(path, flags, mode, is64);
+    int fd = kx_open_impl(path, flags, mode, is64, saved);
     t_inside = 0;
     return fd;
 }
@@ -1105,15 +1326,19 @@ static FILE *kx_fopen_entry(const char *path, const char *mode, int is64) {
     FILE *(*real)(const char *, const char *) = is64 ? kx_real_fopen64 : kx_real_fopen;
     if (kx_is_null(path) || !mode || t_inside || !kx_mode_readonly(mode))
         return real(path, mode);
+    int saved = errno;
     t_inside = 1;
     char *shadow = kx_shadow_for(path);
     FILE *handle = NULL;
     if (shadow) {
+        errno = saved;
         handle = real(shadow, mode);
         free(shadow);
     }
-    if (!handle) /* no shadow, or it vanished: the real file */
+    if (!handle) { /* no shadow, or it vanished: the real file */
+        errno = saved;
         handle = real(path, mode);
+    }
     t_inside = 0;
     return handle;
 }

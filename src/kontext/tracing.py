@@ -10,6 +10,10 @@ Record kinds and their fields:
     open         canonical path, outcome, shadow path (on hit)
     start        mode (active|passthrough), startup-ms setting or '-',
                  process t0 in monotonic ns (constructor timestamp)
+    init         spec image outcome (mapped|written[:<found>]|stale|
+                 refused:<rule>|unwritable|-), and the us the first call spent
+                 per stage: read=..;hash=..;load=..;write=..;state=..;slots=..;
+                 total=..
     init-failed  reason
     note         topic, detail
     counters     calls=..;hits=..;reloads=..;fallthroughs=..

@@ -1,15 +1,18 @@
 """ctypes binding of the C engine: native/core.c built alone as _kxcore.so.
 
-The structs mirror core.h's, and every call raises the Python engine's
-exception with the same kind and line, so the equivalence tests drive both
-engines through one contract. Call load() once before using anything else.
+Key sets are reached only through core.h's accessors, so the binding does
+not depend on their layout; the state, result and error structs mirror
+core.h's. Every call raises the Python engine's exception with the same kind
+and line, so the equivalence tests drive both engines through one contract.
+Call load() once before using anything else.
 """
 
 from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from ctypes import POINTER, Structure, byref, c_char, c_char_p, c_int, c_longlong, c_size_t
+from ctypes import (POINTER, Structure, byref, c_char, c_char_p, c_int, c_longlong, c_size_t,
+                    c_uint64, c_void_p)
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from kontext.context import ContextState, LookupOutcome
@@ -42,16 +45,6 @@ class Error(Structure):
     _fields_ = [("line", c_int), ("kind", c_int), ("message", c_char * 160)]
 
 
-class Key(Structure):
-    _fields_ = [("name", c_char_p), ("value", c_char_p), ("props", POINTER(c_char_p)),
-                ("propvals", POINTER(c_char_p)), ("nprops", c_size_t), ("propcap", c_size_t)]
-
-
-class KeySet(Structure):
-    _fields_ = [("items", POINTER(Key)), ("len", c_size_t), ("cap", c_size_t),
-                ("text", c_char_p)]
-
-
 class State(Structure):
     _fields_ = [("names", POINTER(c_char_p)), ("values", POINTER(c_char_p)),
                 ("len", c_size_t), ("cap", c_size_t), ("generation", c_longlong)]
@@ -63,11 +56,23 @@ class Result(Structure):
 
 
 # every core.h function the binding calls: (restype, argtypes)
+# (key sets and keys are opaque pointers)
 SIGNATURES = {
-    "kx_keyset_free": (None, [POINTER(KeySet)]),
-    "kx_keyset_get": (POINTER(Key), [POINTER(KeySet), c_char_p]),
+    "kx_keyset_sizeof": (c_size_t, []),
+    "kx_keyset_free": (None, [c_void_p]),
+    "kx_keyset_len": (c_size_t, [c_void_p]),
+    "kx_keyset_at": (c_void_p, [c_void_p, c_size_t]),
+    "kx_keyset_get": (c_void_p, [c_void_p, c_char_p]),
+    "kx_key_name": (c_char_p, [c_void_p]),
+    "kx_key_value": (c_char_p, [c_void_p]),
+    "kx_key_nprops": (c_size_t, [c_void_p]),
+    "kx_key_prop": (c_char_p, [c_void_p, c_size_t, POINTER(c_char_p)]),
+    "kx_keyset_image": (c_void_p, [c_void_p, c_char_p, c_size_t, POINTER(c_size_t)]),
+    "kx_keyset_from_image": (c_int, [c_void_p, c_size_t, c_uint64, c_uint64, c_void_p,
+                                     POINTER(c_char_p)]),
+    "kx_hash64": (c_uint64, [c_char_p, c_size_t]),
     "kx_name_valid": (c_int, [c_char_p]),
-    "kx_parse_spec": (c_int, [c_char_p, c_size_t, POINTER(KeySet), POINTER(Error)]),
+    "kx_parse_spec": (c_int, [c_char_p, c_size_t, c_void_p, POINTER(Error)]),
     "kx_state_init": (None, [POINTER(State)]),
     "kx_state_free": (None, [POINTER(State)]),
     "kx_state_set": (c_int, [POINTER(State), c_char_p, c_char_p]),
@@ -75,7 +80,7 @@ SIGNATURES = {
     "kx_candidates": (c_int, [c_char_p, POINTER(State), POINTER(POINTER(c_char_p)),
                               POINTER(c_size_t), POINTER(Error)]),
     "kx_names_free": (None, [POINTER(c_char_p), c_size_t]),
-    "kx_lookup": (c_int, [POINTER(KeySet), c_char_p, POINTER(State), POINTER(Result),
+    "kx_lookup": (c_int, [c_void_p, c_char_p, POINTER(State), POINTER(Result),
                           POINTER(Error)]),
     "kx_result_free": (None, [POINTER(Result)]),
 }
@@ -115,33 +120,64 @@ def _state(layers: Mapping[str, str]):
         _lib.kx_state_free(byref(st))
 
 
+class ImageRefused(Exception):
+    """kx_keyset_from_image refused an image; args[0] names the rule."""
+
+
 class Engine:
-    """A spec parsed by kx_parse_spec; the backend contract served by kx_lookup."""
+    """A spec parsed by kx_parse_spec, or an image adopted by
+    kx_keyset_from_image; the backend contract served by kx_lookup."""
 
     name = "c"
 
     def __init__(self, spec_text):
-        self._ks = KeySet()
-        data, err = _as_bytes(spec_text), Error()
-        rc = _lib.kx_parse_spec(data, len(data), byref(self._ks), byref(err))
+        self._ks = ctypes.create_string_buffer(_lib.kx_keyset_sizeof())
+        self._text = data = _as_bytes(spec_text)
+        err = Error()
+        rc = _lib.kx_parse_spec(data, len(data), self._ks, byref(err))
         if rc == KX_E_NOMEM:
             raise MemoryError()
         if rc != KX_OK:
             raise SpecParseError(err.line, _PARSE_KINDS.get(err.kind), _message(err))
 
+    @classmethod
+    def from_image(cls, image, spec_text) -> "Engine":
+        """The key set in `image`, a writable buffer (bytearray, mmap) kept
+        alive with the engine, checked against `spec_text`."""
+        self = cls.__new__(cls)
+        self._ks = ctypes.create_string_buffer(_lib.kx_keyset_sizeof())
+        self._image, self._text = image, _as_bytes(spec_text)
+        address = ctypes.addressof(ctypes.c_char.from_buffer(image))
+        why = c_char_p()
+        rc = _lib.kx_keyset_from_image(address, len(image), len(self._text), hash64(self._text),
+                                       self._ks, byref(why))
+        if rc != KX_OK:
+            raise ImageRefused(why.value.decode())
+        return self
+
     def __del__(self):
-        _lib.kx_keyset_free(byref(self._ks))
+        _lib.kx_keyset_free(self._ks)
+
+    def image(self) -> bytes:
+        """The image of the parsed spec: what the shim writes as <spec>.kxi."""
+        size = c_size_t()
+        address = _lib.kx_keyset_image(self._ks, self._text, len(self._text), byref(size))
+        return ctypes.string_at(address, size.value)
 
     def entries(self) -> Dict[str, Tuple[str, Dict[str, str]]]:
         """{name: (value, meta)} in key set order."""
         out = {}
-        for key in self._ks.items[: self._ks.len]:
-            meta = {key.props[i].decode(): key.propvals[i].decode() for i in range(key.nprops)}
-            out[key.name.decode()] = (key.value.decode(), meta)
+        for i in range(_lib.kx_keyset_len(self._ks)):
+            key, meta = _lib.kx_keyset_at(self._ks, i), {}
+            for j in range(_lib.kx_key_nprops(key)):
+                value = c_char_p()
+                prop = _lib.kx_key_prop(key, j, byref(value))
+                meta[prop.decode()] = value.value.decode()
+            out[_lib.kx_key_name(key).decode()] = (_lib.kx_key_value(key).decode(), meta)
         return out
 
     def has_key(self, name: str) -> bool:
-        return bool(_lib.kx_keyset_get(byref(self._ks), _as_bytes(name)))
+        return bool(_lib.kx_keyset_get(self._ks, _as_bytes(name)))
 
     def lookup(self, name: str, ctx: ContextState) -> Optional[LookupOutcome]:
         if not name_valid(name):
@@ -149,8 +185,7 @@ class Engine:
             raise InvalidNameError(f"invalid key name: {name!r}")
         res, err = Result(), Error()
         with _state(ctx.layers) as st:
-            rc = _lib.kx_lookup(byref(self._ks), _as_bytes(name), byref(st), byref(res),
-                                byref(err))
+            rc = _lib.kx_lookup(self._ks, _as_bytes(name), byref(st), byref(res), byref(err))
         chain = tuple(link.decode() for link in res.chain[: res.chain_len])
         outcome = None
         if rc == KX_OK:
@@ -182,6 +217,11 @@ def candidates(template_text: str, layers: Mapping[str, str]) -> List[str]:
     out = [name.decode() for name in names[: count.value]]
     _lib.kx_names_free(names, count)
     return out
+
+
+def hash64(data: bytes) -> int:
+    """kx_hash64 of data: the spec hash and checksum of an image's header."""
+    return _lib.kx_hash64(data, len(data))
 
 
 def name_valid(name: str) -> bool:

@@ -9,17 +9,20 @@ independence from line order.
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_SRC, PROXY_SPEC, ThreadsFlip
+from conftest import DEMO_SRC, PROXY_SPEC, ThreadsFlip, resign_image
 from kontext import (CorruptStateError, SpecParseError, child_environment, parse_spec,
                      state_read, state_set_layer)
 from kontext.nativebuild import NATIVE, PRELOAD_FLAGS
@@ -94,6 +97,21 @@ def test_preload_builds_warning_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_core_probe_builds(tmp_path):
+    # perfbench links coreprobe.c straight against core.c; build it with the
+    # benchmark's own recipe, so a core.h change that would break the
+    # benchmark's traced run fails here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "nativebuild.py"
+    spec = importlib.util.spec_from_file_location("perfbench_nativebuild", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    cc = os.environ.get("CC", "cc")
+    args = bench._recipes(NATIVE)["coreprobe"]
+    proc = subprocess.run([cc, *args, "-o", str(tmp_path / "coreprobe")], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _sanitized_preload(out, *flags):
     """_preload.so built with extra sanitizer flags; skips without a compiler."""
     cc = os.environ.get("CC", "cc")
@@ -114,7 +132,7 @@ def _threads_flip(exe, env, state):
     return child.close()
 
 
-def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, tmp_path):
+def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_path):
     asan_so = tmp_path / "_preload_asan.so"
     cc = _sanitized_preload(asan_so, "-fsanitize=address,undefined")
     runtime = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
@@ -170,6 +188,36 @@ def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, tmp_path):
         assert run(stem, asan_so) == (0, plain[1], ""), stem
         if stem == "t07_fopen_read":  # fopen of the registered path got the shadow
             assert plain[1] == "host=shadow.example\n"
+
+    # every run above but the first mapped the spec's image; now damaged
+    # ones: refused, so the answers stay the text's, or, re-signed, read in
+    # bounds
+    image = spec.with_name(spec.name + ".kxi")
+    pristine = image.read_bytes()
+    state = tmp_path / "damaged.ks"
+    state_set_layer(state, "interface", "eth")
+    env = child_environment(spec=spec, state=state, preload=asan_so,
+                            base=dict(os.environ, UBSAN_OPTIONS="halt_on_error=1",
+                                      KXT_PLAIN="plain-value"))
+    env["LD_PRELOAD"] = f"{runtime} {asan_so}"
+    names = "http_proxy\nKXT_PLAIN\nHOME\n"
+
+    def answers():
+        ran = subprocess.run([str(demo_bins["sync_getenv_ptr"])], env=env, input=names,
+                             capture_output=True, text=True, timeout=120)
+        assert (ran.returncode, ran.stderr) == (0, "")
+        return [line.rpartition(" ")[0] for line in ran.stdout.splitlines()]
+
+    want = answers()
+    rng = random.Random(11)
+    for round in range(16):
+        data = bytearray(pristine)
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] ^= rng.randint(1, 255)
+        signed = round % 2 == 1
+        image.write_bytes(resign_image(kxcore, data) if signed else data)
+        got = answers()
+        assert signed or got == want, round
 
 
 def test_threads_run_clean_under_thread_sanitizer(tmp_path):

@@ -584,6 +584,34 @@ class TestNames:
 
 
 class TestPreloadHardening:
+    def test_errno_left_as_libc_leaves_it(self, demo_bins, preload_so, tmp_path):
+        # inside the shim a missing state file fails a stat, the first image
+        # is missing and a shadow file is rendered; none of it shows in errno
+        real = tmp_path / "app.conf"
+        real.write_text("real file\n")
+        spec = tmp_path / "spec.ks"
+        spec.write_text(f"conf/app/host = shadow.example\n{PROXY_SPEC}"
+                        f"[open{real}]\ntemplate = conf/app\n")
+        argv = [str(demo_bins["t17_errno"]), str(real)]
+        base = {k: v for k, v in os.environ.items() if k != "http_proxy"}
+        base["TMPDIR"] = str(tmp_path)
+        libc = subprocess.run(argv, env=base, capture_output=True, text=True,
+                              check=True).stdout.splitlines()
+        env = child_environment(spec=spec, state=tmp_path / "none" / "state.ks", base=base)
+        shim = subprocess.run(argv, env=env, capture_output=True, text=True,
+                              check=True).stdout.splitlines()
+        calls = ["getenv", "getenv-registered", "secure_getenv", "open", "fopen"]
+        assert [line.split()[2] for line in libc] == ["errno=0"] * 5
+        assert shim == [f"{call} ok=1 errno=0" for call in calls]
+
+    def test_reentrancy_guard_needs_no_tls_call(self, preload_so):
+        # t_inside is initial-exec TLS, read with one thread-pointer-relative
+        # load; the general-dynamic model would import __tls_get_addr
+        listing = subprocess.run(["readelf", "-W", "--dyn-syms", "--relocs", str(preload_so)],
+                                 capture_output=True, text=True, check=True).stdout
+        assert "getenv" in listing
+        assert "__tls_get_addr" not in listing
+
     def test_fork_while_thread_in_shim(self, demo_bins, preload_so, proxy_spec, tmp_path):
         state = tmp_path / "state.ks"
         state_set_layer(state, "interface", "eth")
