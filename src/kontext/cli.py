@@ -36,9 +36,9 @@ from .errors import (
 )
 from .keydb import SEPARATOR, Key, KeyName, KeySet
 from .layerstate import (
-    SIGNAL_WHITELIST,
     default_state_path,
     notify,
+    signal_number,
     state_read,
     state_serialize,
     state_set_layer,
@@ -281,12 +281,10 @@ def _notify_plan(args) -> Optional[List[int]]:
     """Validate --notify/--signal up front, before the state is touched."""
     if not args.notify:
         return None
-    name = args.signal.upper()
-    if name.startswith("SIG"):
-        name = name[3:]
-    if name not in SIGNAL_WHITELIST:
-        allowed = ", ".join(sorted(SIGNAL_WHITELIST))
-        raise _fail(EXIT_USAGE, f"signal {args.signal!r} not allowed (one of: {allowed})")
+    try:
+        signal_number(args.signal)
+    except ValueError as exc:
+        raise _fail(EXIT_USAGE, str(exc)) from None
     return _parse_pids(args.notify)
 
 

@@ -35,7 +35,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from .context import ContextState, check_layer_name, check_layer_value
 from .errors import CorruptStateError, InvalidLayerError, LockTimeoutError, UnsafeLockError
@@ -200,13 +200,11 @@ def state_set_layer(
     name: str,
     value: Optional[str],
     timeout: float = DEFAULT_LOCK_TIMEOUT,
-    _after_write: Optional[Callable[[], None]] = None,
 ) -> int:
     """Set (value given) or unset (value None) one layer, under the lock.
 
     Returns the new generation. The generation advances on every call,
-    including unsetting a layer that was not present. _after_write is a
-    test hook invoked between the temp-file write and the rename.
+    including unsetting a layer that was not present.
     """
     check_layer_name(name)
     if value is not None:
@@ -217,27 +215,9 @@ def state_set_layer(
             updated = current.without_layer(name)
         else:
             updated = current.with_layer(name, value)
-        if _after_write is None:
-            atomic_write_text(path, state_serialize(updated))
-        else:
-            # split write for crash-consistency tests
-            _write_with_hook(path, updated, _after_write)
+        atomic_write_text(path, state_serialize(updated))
         _publish_generation(lock.fd, updated.generation)
         return updated.generation
-
-
-def _write_with_hook(path: PathLike, ctx: ContextState, hook: Callable[[], None]) -> None:
-    import tempfile
-
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        handle.write(state_serialize(ctx))
-        handle.flush()
-        os.fsync(handle.fileno())
-    hook()
-    os.replace(tmp, target)
 
 
 @dataclass(frozen=True)
@@ -247,19 +227,25 @@ class NotifyResult:
     error: Optional[str] = None
 
 
-def notify(pids: Iterable[int], signal_name: str) -> List[NotifyResult]:
-    """Send a whitelisted signal to each pid; per-pid results, no raise.
-
-    Non-positive pids are rejected before any kill(2) call: pid 0 and
-    negative pids address whole process groups.
-    """
+def signal_number(signal_name: str) -> int:
+    """The number of a whitelisted signal, named with or without "SIG" in
+    any case; ValueError ("... not allowed ...") for any other name."""
     name = signal_name.upper()
     if name.startswith("SIG"):
         name = name[3:]
     if name not in SIGNAL_WHITELIST:
         allowed = ", ".join(sorted(SIGNAL_WHITELIST))
         raise ValueError(f"signal {signal_name!r} not allowed (one of: {allowed})")
-    signum = SIGNAL_WHITELIST[name]
+    return SIGNAL_WHITELIST[name]
+
+
+def notify(pids: Iterable[int], signal_name: str) -> List[NotifyResult]:
+    """Send a whitelisted signal to each pid; per-pid results, no raise.
+
+    Non-positive pids are rejected before any kill(2) call: pid 0 and
+    negative pids address whole process groups.
+    """
+    signum = signal_number(signal_name)
 
     results: List[NotifyResult] = []
     for pid in pids:

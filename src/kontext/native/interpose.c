@@ -32,13 +32,17 @@
  * and never changes an answer; deleting it is always safe.
  *
  * Locking: g_lock serializes every writer of shim state (reload, slot fill,
- * shadow render, trace record). An untraced process reads without it: an
- * unregistered name or path is probed in the immutable spec and served from
- * environ or the real file, and a registered getenv whose slot is current
- * (same coarse second as the last full check, mapped word equal to the word
- * the adopted state was loaded for, slot epoch equal to g_epoch) returns the
- * slot's answer. Anything else takes the lock. A traced process takes the
- * lock on every call, so its trace and exit counters stay exact.
+ * shadow render). Readers go without it, traced or not: an unregistered name
+ * or path is probed in the immutable spec and served from environ or the
+ * real file, and a registered getenv whose slot is current (same coarse
+ * second as the last full check, mapped word equal to the word the adopted
+ * state was loaded for, slot epoch equal to g_epoch) returns the slot's
+ * answer. Only a registered name whose slot is not current, or a registered
+ * path, takes the lock.
+ *
+ * Tracing: a traced process writes one record per getenv and per registered
+ * open, and one per reload, each with a single write() to the O_APPEND trace
+ * fd, so the counts survive _exit, exec and a fatal signal.
  *
  * Staleness: writers store the published state's generation as 8 bytes in
  * native byte order at offset 0 of <state>.lock, after the rename. The shim
@@ -133,9 +137,6 @@ typedef struct {
 } kx_statmeta;
 
 static kx_statmeta g_state_stat;
-
-/* kept only by the locked path, so exact in traced processes */
-static unsigned long long g_calls, g_hits, g_reloads, g_fallthroughs;
 
 /* generation word: offset 0 of <state>.lock, mapped read-only */
 static char g_lock_path[PATH_MAX + 8];
@@ -277,11 +278,10 @@ static FILE *kx_real_fopen64(const char *path, const char *mode) {
 /* trace records                                                       */
 /* ------------------------------------------------------------------ */
 
-/* escape tab, newline, cr, backslash into out (bounded, truncating) */
-static void kx_escape(const char *in, char *out, size_t cap) {
+/* escape tab, newline, cr, backslash into out (bounded, truncating);
+ * returns the length written before the NUL */
+static size_t kx_escape(const char *in, char *out, size_t cap) {
     size_t w = 0;
-    if (!in)
-        in = "";
     for (const char *p = in; *p && w + 2 < cap; p++) {
         char c = *p;
         if (c == '\t' || c == '\n' || c == '\r' || c == '\\') {
@@ -292,41 +292,28 @@ static void kx_escape(const char *in, char *out, size_t cap) {
         }
     }
     out[w] = '\0';
+    return w;
 }
 
-/* write one record; lock must be held; fields after kind may be NULL */
+/* write one record: the time, kind (a short literal) and the fields up to
+ * the first NULL, each escaped into at most 511 bytes. A record is one
+ * write() on an O_APPEND fd, so records of concurrent threads and processes
+ * never interleave and no lock is needed. */
 static void kx_trace(const char *kind, const char *f3, const char *f4, const char *f5) {
     if (g_trace_fd < 0)
         return;
-    char e3[512], e4[512], e5[512];
-    char line[1700];
-    int len;
-    long long ns = kx_now_ns();
-    if (f5) {
-        kx_escape(f3, e3, sizeof e3);
-        kx_escape(f4, e4, sizeof e4);
-        kx_escape(f5, e5, sizeof e5);
-        len = snprintf(line, sizeof line, "%lld\t%s\t%s\t%s\t%s\n", ns, kind, e3, e4, e5);
-    } else if (f4) {
-        kx_escape(f3, e3, sizeof e3);
-        kx_escape(f4, e4, sizeof e4);
-        len = snprintf(line, sizeof line, "%lld\t%s\t%s\t%s\n", ns, kind, e3, e4);
-    } else if (f3) {
-        kx_escape(f3, e3, sizeof e3);
-        len = snprintf(line, sizeof line, "%lld\t%s\t%s\n", ns, kind, e3);
-    } else {
-        len = snprintf(line, sizeof line, "%lld\t%s\n", ns, kind);
+    const char *fields[] = {f3, f4, f5};
+    char line[64 + 3 * 513];
+    size_t w = (size_t)snprintf(line, 64, "%lld\t%s", kx_now_ns(), kind);
+    if (w > 63)
+        w = 63; /* truncated */
+    for (int i = 0; i < 3 && fields[i]; i++) {
+        line[w++] = '\t';
+        w += kx_escape(fields[i], line + w, 512);
     }
-    if (len > 0) {
-        if ((size_t)len >= sizeof line)
-            len = (int)sizeof line - 1;
-        ssize_t ignored = write(g_trace_fd, line, (size_t)len);
-        (void)ignored;
-    }
-}
-
-static void kx_trace_getenv(const char *name, const char *outcome, const char *value) {
-    kx_trace("getenv", name, outcome, value ? value : "");
+    line[w++] = '\n';
+    ssize_t ignored = write(g_trace_fd, line, w);
+    (void)ignored;
 }
 
 /* ------------------------------------------------------------------ */
@@ -439,8 +426,11 @@ static void kx_load_state(int initial) {
         kx_state_free(&g_state);
         g_state = fresh;
         __atomic_store_n(&g_epoch, g_epoch + 1, __ATOMIC_RELAXED); /* published by g_word_seen */
-        if (!initial)
-            g_reloads++;
+        if (!initial && g_trace_fd >= 0) {
+            char generation[24];
+            snprintf(generation, sizeof generation, "%lld", g_state.generation);
+            kx_trace("reload", generation, NULL, NULL);
+        }
     } else {
         kx_state_free(&fresh);
     }
@@ -874,12 +864,6 @@ static void kx_init_once(void) {
 __attribute__((destructor)) static void kx_on_unload(void) {
     if (pthread_mutex_trylock(&g_lock) != 0)
         return;
-    if (g_trace_fd >= 0 && g_ready) {
-        char detail[160];
-        snprintf(detail, sizeof detail, "calls=%llu;hits=%llu;reloads=%llu;fallthroughs=%llu",
-                 g_calls, g_hits, g_reloads, g_fallthroughs);
-        kx_trace("counters", detail, NULL, NULL);
-    }
     /* a child forked without the fork handlers still lists the parent's
      * shadow files: only the process that made the directory removes it */
     if (g_shadow_dir_state == 1 && getpid() == g_shadow_pid) {
@@ -909,16 +893,10 @@ static const char *kx_intern(kx_slot *slot, const char *value) {
     return v->value;
 }
 
-static char *kx_getenv_fallthrough(const char *name) {
-    g_fallthroughs++;
-    char *result = kx_env_scan(name);
-    kx_trace_getenv(name, result ? "fallthrough" : "null", result);
-    return result;
-}
-
-/* a registered name: the slot answers, looked up again only after a new
- * state was adopted. Lookup errors are never cached. Lock held. */
-static char *kx_getenv_registered(const char *name, size_t i) {
+/* the answer of slot i, looked up again only after a new state was adopted,
+ * or NULL to fall through to environ. Lookup errors are never cached. Lock
+ * held. */
+static const char *kx_slot_fill(size_t i) {
     kx_refresh_if_stale();
     kx_slot *slot = &g_slots[i];
     if (slot->epoch != g_epoch) {
@@ -936,16 +914,12 @@ static char *kx_getenv_registered(const char *name, size_t i) {
         }
         kx_result_free(&res);
         if (!cached)
-            return kx_getenv_fallthrough(name);
+            return NULL;
         /* a lock-free reader that sees the epoch sees this answer */
         __atomic_store_n(&slot->answer, answer, __ATOMIC_RELEASE);
         __atomic_store_n(&slot->epoch, g_epoch, __ATOMIC_RELEASE);
     }
-    if (!slot->answer)
-        return kx_getenv_fallthrough(name);
-    g_hits++;
-    kx_trace_getenv(name, "hit", slot->answer);
-    return (char *)slot->answer;
+    return slot->answer;
 }
 
 /* ------------------------------------------------------------------ */
@@ -971,23 +945,21 @@ static int kx_slot_current(size_t i, const char **answer) {
     return 1;
 }
 
-/* a traced process takes the lock on every call, an untraced one only for
- * a registered name whose slot is not current */
+/* the lock is taken only for a registered name whose slot is not current;
+ * a slot without an answer, and any other name, are served from environ */
 static char *kx_getenv_impl(const char *name) {
     kx_init_once();
     size_t i;
-    int registered = kx_name_slot(name, &i);
-    if (g_trace_fd < 0) {
-        const char *answer;
-        if (!registered)
-            return kx_env_scan(name);
-        if (kx_slot_current(i, &answer))
-            return answer ? (char *)answer : kx_env_scan(name);
+    const char *answer = NULL;
+    if (kx_name_slot(name, &i) && !kx_slot_current(i, &answer)) {
+        pthread_mutex_lock(&g_lock);
+        answer = kx_slot_fill(i);
+        pthread_mutex_unlock(&g_lock);
     }
-    pthread_mutex_lock(&g_lock);
-    g_calls++;
-    char *result = registered ? kx_getenv_registered(name, i) : kx_getenv_fallthrough(name);
-    pthread_mutex_unlock(&g_lock);
+    char *result = answer ? (char *)answer : kx_env_scan(name);
+    if (__builtin_expect(g_trace_fd >= 0, 0)) /* keeps the record off the untraced path */
+        kx_trace("getenv", name, answer ? "hit" : result ? "fallthrough" : "null",
+                 result ? result : "");
     return result;
 }
 

@@ -16,7 +16,12 @@ Record kinds and their fields:
                  total=..
     init-failed  reason
     note         topic, detail
-    counters     calls=..;hits=..;reloads=..;fallthroughs=..
+    reload       generation of the state adopted (not written for the
+                 state the first call loads)
+
+A process writes each record with one write(), so every count survives
+_exit, exec and a fatal signal: calls are the getenv records, hits those
+with outcome hit, reloads the reload records.
 
 Tabs, newlines, carriage returns, and backslashes inside fields are escaped
 as \\t, \\n, \\r, \\\\.
@@ -40,7 +45,7 @@ RECORD_OPEN = "open"
 RECORD_START = "start"
 RECORD_INIT_FAILED = "init-failed"
 RECORD_NOTE = "note"
-RECORD_COUNTERS = "counters"
+RECORD_RELOAD = "reload"
 
 GETENV_OUTCOMES = ("hit", "fallthrough", "null")
 

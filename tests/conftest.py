@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import Optional
@@ -51,7 +52,8 @@ class ThreadsFlip:
     flip() sets one layer and then tells the child the value http_proxy has
     now ("next": each thread's next read must return it, "soon": within
     3 s). The value is computed before the flip, so the round reaches the
-    child as soon as the flip returns.
+    child as soon as the flip returns. After close(), `calls` holds the
+    number of getenv calls the child's threads made.
     """
 
     def __init__(self, exe, env, state):
@@ -61,6 +63,7 @@ class ThreadsFlip:
         self.state = state
         self.layers = dict(state_read(state).layers)
         self.lines = []
+        self.calls = None
         self.proc = subprocess.Popen([str(exe), *PROXY_VALUES], env=env, text=True,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      stderr=subprocess.PIPE, bufsize=1)
@@ -82,13 +85,26 @@ class ThreadsFlip:
         return self.lines[-1].strip()
 
     def close(self):
-        """(exit code, stdout, stderr); stdout holds "ok" per round and the summary."""
+        """(exit code, stdout, stderr); stdout holds "ok" per round and the
+        summary, and the calls line goes to `calls`."""
         try:
             out, err = self.proc.communicate(timeout=60)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             out, err = self.proc.communicate()
+        summary, _, calls = out.rpartition("calls=")
+        if calls.strip().isdigit():
+            out, self.calls = summary, int(calls)
         return self.proc.returncode, "".join(self.lines) + out, err
+
+
+def wait_for_getenv_record(trace, timeout=10.0):
+    """Wait until a traced child wrote its first getenv record: its shim
+    has then loaded the state, so a later flip is a reload."""
+    deadline = time.monotonic() + timeout
+    while not (trace.exists() and "\tgetenv\t" in trace.read_text()):
+        assert time.monotonic() < deadline, f"no getenv record in {trace}"
+        time.sleep(0.01)
 
 
 @pytest.fixture(scope="session")

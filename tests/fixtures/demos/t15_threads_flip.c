@@ -7,8 +7,8 @@
  * read VALUE within 3 s. After every thread finished the round, main prints
  * "ok" or "fail", flushed. Every read must return one of the argv values
  * (the set variable its value, the unset one NULL), and one value must keep
- * one address in every thread. At EOF main prints "rounds=N failures=F"
- * and exits 1 if F > 0. */
+ * one address in every thread. At EOF main prints "rounds=N failures=F",
+ * then "calls=C", the getenv calls all threads made, and exits 1 if F > 0. */
 #include <pthread.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -22,6 +22,7 @@ typedef struct {
     int id;
     const char *seen[MAX_SEEN]; /* distinct answer pointers, never two equal strings */
     int nseen;
+    unsigned long calls; /* getenv calls made */
 } reader;
 
 static int g_nvalues;
@@ -63,18 +64,24 @@ static void check_answer(reader *me, const char *v) {
         me->seen[me->nseen++] = v;
 }
 
+static const char *counted_getenv(reader *me, const char *name) {
+    me->calls++;
+    return getenv(name);
+}
+
 static void *run_reader(void *arg) {
     reader *me = arg;
     unsigned done = 0;
     while (!__atomic_load_n(&g_stop, __ATOMIC_ACQUIRE)) {
         unsigned round = __atomic_load_n(&g_round, __ATOMIC_ACQUIRE);
-        const char *v = getenv("http_proxy");
+        const char *v = counted_getenv(me, "http_proxy");
         check_answer(me, v);
-        const char *plain = getenv("KXT_PLAIN");
+        const char *plain = counted_getenv(me, "KXT_PLAIN");
         if (!plain || strcmp(plain, "plain-value") != 0)
             fail("KXT_PLAIN wrong", me->id, plain);
-        if (getenv("KXT_MISSING"))
-            fail("KXT_MISSING set", me->id, getenv("KXT_MISSING"));
+        const char *missing = counted_getenv(me, "KXT_MISSING");
+        if (missing)
+            fail("KXT_MISSING set", me->id, missing);
         if (round == done)
             continue;
         if (v && strcmp(v, g_expected) == 0) {
@@ -98,6 +105,7 @@ int main(int argc, char **argv) {
     for (int i = 0; i < THREADS; i++) {
         readers[i].id = i;
         readers[i].nseen = 0;
+        readers[i].calls = 0;
         if (pthread_create(&threads[i], NULL, run_reader, &readers[i]) != 0)
             return 2;
     }
@@ -137,6 +145,9 @@ int main(int argc, char **argv) {
                     if (strcmp(readers[a].seen[i], readers[b].seen[j]) == 0 &&
                         readers[a].seen[i] != readers[b].seen[j])
                         fail("value at another thread's address", b, readers[b].seen[j]);
-    printf("rounds=%u failures=%u\n", rounds, g_failures);
+    unsigned long calls = 0;
+    for (int i = 0; i < THREADS; i++)
+        calls += readers[i].calls;
+    printf("rounds=%u failures=%u\ncalls=%lu\n", rounds, g_failures, calls);
     return g_failures ? 1 : 0;
 }

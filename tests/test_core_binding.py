@@ -1,9 +1,9 @@
-"""The C engine through its ctypes binding: symbol visibility, a
-warning-clean build, a run of the shim under AddressSanitizer and UBSan and
-of its lock-free readers under ThreadSanitizer, the spec and state parsers
-checked against the Python ones by differential testing (McKeeman,
-"Differential Testing for Software", 1998), and the spec parser's
-independence from line order.
+"""The C engine through its ctypes binding: symbol visibility, warning-clean
+builds of both libraries, a run of the shim under AddressSanitizer and UBSan
+and of its lock-free readers, untraced and traced, under ThreadSanitizer,
+the spec and state parsers checked against the Python ones by differential
+testing (McKeeman, "Differential Testing for Software", 1998), and the spec
+parser's independence from line order.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_SRC, PROXY_SPEC, ThreadsFlip, resign_image
+from conftest import DEMO_SRC, PROXY_SPEC, ThreadsFlip, resign_image, wait_for_getenv_record
 from kontext import (CorruptStateError, SpecParseError, child_environment, parse_spec,
-                     state_read, state_set_layer)
+                     parse_trace, state_read, state_set_layer)
 from kontext.nativebuild import NATIVE, PRELOAD_FLAGS
 
 # bytes that exercise both grammars, plus what the engines once disagreed
@@ -97,6 +97,19 @@ def test_preload_builds_warning_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_kxcore_builds_warning_clean(tmp_path):
+    # core.c alone, exported as for _kxcore.so: a static that only the
+    # shim used must not be left behind unused
+    cc = os.environ.get("CC", "cc")
+    if shutil.which(cc) is None:
+        pytest.skip("no C compiler on PATH")
+    cmd = [cc, *PRELOAD_FLAGS, "-Wall", "-Wextra", "-Werror", "-I", str(NATIVE),
+           '-DKX_API=__attribute__((visibility("default")))', str(NATIVE / "core.c"),
+           "-o", str(tmp_path / "_kxcore.so")]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_benchmark_core_probe_builds(tmp_path):
     # perfbench links coreprobe.c straight against core.c; build it with the
     # benchmark's own recipe, so a core.h change that would break the
@@ -125,11 +138,15 @@ def _sanitized_preload(out, *flags):
 
 
 def _threads_flip(exe, env, state):
-    """t15_threads_flip through 12 flips: ThreadsFlip.close()'s result."""
+    """t15_threads_flip through 12 flips: ThreadsFlip.close()'s result and
+    the number of getenv calls the child made. A traced child gets the
+    first flip only after its first call."""
     child = ThreadsFlip(exe, env, state)
+    if "KONTEXT_TRACE" in env:
+        wait_for_getenv_record(Path(env["KONTEXT_TRACE"]))
     for layer in [("network", "work"), ("network", "home"), ("interface", "wlan")] * 4:
         child.flip(*layer)
-    return child.close()
+    return child.close(), child.calls
 
 
 def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_path):
@@ -176,7 +193,7 @@ def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_
         if stem == "sync_getenv_ptr":
             return flips(env, state)
         if stem == "t15_threads_flip":
-            return _threads_flip(demo_bins[stem], env, state)
+            return _threads_flip(demo_bins[stem], env, state)[0]
         argv = [str(demo_bins[stem])] + ([str(real)] if stem == "t07_fopen_read" else [])
         ran = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         return ran.returncode, ran.stdout, ran.stderr
@@ -227,14 +244,20 @@ def test_threads_run_clean_under_thread_sanitizer(tmp_path):
     exe = tmp_path / "t15_threads_flip"
     subprocess.run([cc, "-O1", "-fsanitize=thread", "-o", str(exe),
                     str(DEMO_SRC / "t15_threads_flip.c")], check=True, capture_output=True)
-    spec, state = tmp_path / "spec.ks", tmp_path / "state.ks"
+    spec = tmp_path / "spec.ks"
     spec.write_text(PROXY_SPEC)
-    state_set_layer(state, "interface", "eth")
-    env = child_environment(spec=spec, state=state, preload=tsan_so,
-                            base=dict(os.environ, KXT_PLAIN="plain-value"))
-    code, out, err = _threads_flip(exe, env, state)
-    assert (code, err) == (0, "")
-    assert out == "ok\n" * 12 + "rounds=12 failures=0\n"
+    # untraced, then traced: both read without the lock
+    for trace in (None, tmp_path / "trace.log"):
+        state = tmp_path / f"state-{trace is not None}.ks"
+        state_set_layer(state, "interface", "eth")
+        env = child_environment(spec=spec, state=state, preload=tsan_so, trace=trace,
+                                base=dict(os.environ, KXT_PLAIN="plain-value"))
+        (code, out, err), calls = _threads_flip(exe, env, state)
+        assert (code, err) == (0, ""), trace
+        assert out == "ok\n" * 12 + "rounds=12 failures=0\n"
+    records = parse_trace(trace.read_text())
+    assert sum(r.kind == "getenv" for r in records) == calls > 0
+    assert sum(r.kind == "reload" for r in records) == 12
 
 
 @settings(max_examples=600, deadline=None)

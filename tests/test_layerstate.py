@@ -24,6 +24,7 @@ from kontext import (
     state_set_layer,
     state_write,
 )
+from kontext import fsutil
 from kontext.layerstate import GENERATION_MAX, default_state_path
 
 
@@ -204,31 +205,38 @@ class TestSetLayer:
         # lock released: the same call now succeeds
         assert state_set_layer(path, "a", "1", timeout=0.2) == 1
 
-    def test_crash_before_rename_leaves_old_state(self, tmp_path):
+    def test_crash_before_rename_leaves_old_state(self, tmp_path, monkeypatch):
         path = tmp_path / "state.ks"
         state_set_layer(path, "a", "1")
         before = path.read_text()
 
-        def boom():
+        def boom(src, dst):
             raise RuntimeError("simulated crash before publish")
 
+        monkeypatch.setattr(fsutil.os, "replace", boom)
         with pytest.raises(RuntimeError):
-            state_set_layer(path, "a", "2", _after_write=boom)
+            state_set_layer(path, "a", "2")
         assert path.read_text() == before
         assert state_read(path).get("a") == "1"
+        assert list(tmp_path.glob(".state.ks.*")) == []  # no temp file left
 
-    def test_hook_runs_between_write_and_rename(self, tmp_path):
+    def test_hook_runs_between_write_and_rename(self, tmp_path, monkeypatch):
         path = tmp_path / "state.ks"
         state_set_layer(path, "a", "1")
         seen = {}
+        real_replace = fsutil.os.replace
 
-        def peek():
-            # target still holds the old snapshot while the hook runs
+        def peek(src, dst):
+            # the new snapshot is written, the target still holds the old one
+            seen["temp"] = state_read(src).generation
             seen["during"] = state_read(path).generation
+            real_replace(src, dst)
 
-        state_set_layer(path, "a", "2", _after_write=peek)
-        assert seen["during"] == 1
+        monkeypatch.setattr(fsutil.os, "replace", peek)
+        state_set_layer(path, "a", "2")
+        assert seen == {"temp": 2, "during": 1}
         assert state_read(path).generation == 2
+        assert list(tmp_path.glob(".state.ks.*")) == []  # no temp file left
 
     def test_stale_temp_file_does_not_break_readers(self, tmp_path):
         path = tmp_path / "state.ks"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PROXY_SPEC, ThreadsFlip
+from conftest import PROXY_SPEC, ThreadsFlip, wait_for_getenv_record
 from kontext import (
     ContextState,
     KontextError,
@@ -288,6 +288,46 @@ class TestPreloadEndToEnd:
         assert hit and hit[0].fields[1] == "hit"
         assert hit[0].fields[2] == "default.example.com"
 
+    def test_trace_counts_survive_exit_without_handlers(
+        self, demo_bins, preload_so, proxy_spec, tmp_path
+    ):
+        # the child reads across K flips and leaves by _exit: no destructor
+        # runs, and the trace still holds every call and every reload
+        state = tmp_path / "state.ks"
+        trace = tmp_path / "child.trace"
+        state_set_layer(state, "interface", "eth")
+        env = child_environment(spec=proxy_spec, state=state, trace=trace,
+                                base={k: v for k, v in os.environ.items() if k != "http_proxy"})
+        child = subprocess.Popen([str(demo_bins["sync_getenv"])], env=env, text=True,
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=1)
+        flips = [("network", "work"), ("network", "home"), ("interface", "wlan")] * 2
+        try:
+            child.stdin.write("probe\n")
+            child.stdin.flush()
+            answers = [child.stdout.readline().strip()]
+            for layer in flips:
+                state_set_layer(state, *layer)
+                child.stdin.write("probe\n")
+                child.stdin.flush()
+                answers.append(child.stdout.readline().strip())
+            child.stdin.write("exit\n")
+            child.stdin.flush()
+            assert child.wait(timeout=10) == 0
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stdin.close()
+            child.stdout.close()
+        assert answers == ["default.example.com", "proxy.example.com", "default.example.com",
+                           "proxy.example.org", "default.example.com", "proxy.example.org",
+                           "proxy.example.org"]
+        records = parse_trace(trace.read_text())
+        calls = [(r.fields[0], r.fields[1]) for r in records if r.kind == "getenv"]
+        assert calls == [("http_proxy", "hit")] * (1 + len(flips))
+        reloads = [int(r.fields[0]) for r in records if r.kind == "reload"]
+        assert reloads == list(range(2, 2 + len(flips)))
+
     def test_non_ascii_sibling_keeps_getenv_names_registered(
         self, demo_bins, preload_so, tmp_path
     ):
@@ -465,23 +505,35 @@ class TestGenerationWord:
 
 
 @pytest.fixture
-def threads_flip(demo_bins, preload_so, proxy_spec, tmp_path):
-    """A ThreadsFlip child over a state with 3,000 filler layers.
+def threads_flip_under(demo_bins, preload_so, proxy_spec, tmp_path):
+    """Start a ThreadsFlip child over a state with 3,000 filler layers,
+    traced to `trace` if given.
 
     The filler makes each reload take long enough that a round arrives
     while another thread is still reloading for the same flip.
     """
-    state = tmp_path / "state.ks"
-    filler = {f"filler{i}": "x" for i in range(3000)}
-    state_write(state, ContextState(dict(filler, interface="eth", network="work"), 1))
-    base = {k: v for k, v in os.environ.items() if k != "KXT_MISSING"}
-    env = child_environment(spec=proxy_spec, state=state,
-                            base=dict(base, KXT_PLAIN="plain-value"))
-    child = ThreadsFlip(demo_bins["t15_threads_flip"], env, state)
-    yield child
-    if child.proc.poll() is None:
-        child.proc.kill()
-        child.close()
+    children = []
+
+    def start(trace=None):
+        state = tmp_path / "state.ks"
+        filler = {f"filler{i}": "x" for i in range(3000)}
+        state_write(state, ContextState(dict(filler, interface="eth", network="work"), 1))
+        base = {k: v for k, v in os.environ.items() if k != "KXT_MISSING"}
+        env = child_environment(spec=proxy_spec, state=state, trace=trace,
+                                base=dict(base, KXT_PLAIN="plain-value"))
+        children.append(ThreadsFlip(demo_bins["t15_threads_flip"], env, state))
+        return children[-1]
+
+    yield start
+    for child in children:
+        if child.proc.poll() is None:
+            child.proc.kill()
+            child.close()
+
+
+@pytest.fixture
+def threads_flip(threads_flip_under):
+    return threads_flip_under()
 
 
 def _word_mappings(pid, lock):
@@ -493,14 +545,31 @@ def _word_mappings(pid, lock):
 class TestLockFreeReads:
     """Untraced reads take no lock: threads race flips and lock-file changes."""
 
-    def test_threads_race_flips(self, threads_flip):
-        layers = [("network", "home"), ("network", "work"), ("interface", "wlan"),
-                  ("network", "home"), ("interface", "eth")] * 12
-        for layer in layers:
-            threads_flip.flip(*layer)
-        code, out, err = threads_flip.close()
+    LAYERS = [("network", "home"), ("network", "work"), ("interface", "wlan"),
+              ("network", "home"), ("interface", "eth")] * 12
+
+    def _race(self, child):
+        for layer in self.LAYERS:
+            child.flip(*layer)
+        code, out, err = child.close()
         assert (code, err) == (0, "")
-        assert out == "ok\n" * len(layers) + f"rounds={len(layers)} failures=0\n"
+        assert out == "ok\n" * len(self.LAYERS) + f"rounds={len(self.LAYERS)} failures=0\n"
+
+    def test_threads_race_flips(self, threads_flip):
+        self._race(threads_flip)
+
+    def test_threads_race_flips_traced(self, threads_flip_under, tmp_path):
+        # a traced process reads without the lock too: one record per call
+        # and one per reload, each a whole line
+        trace = tmp_path / "trace.log"
+        child = threads_flip_under(trace)
+        wait_for_getenv_record(trace)
+        self._race(child)
+        records = parse_trace(trace.read_text())
+        assert sum(r.kind == "getenv" for r in records) == child.calls > 0
+        # the state starts at generation 1 and every flip is adopted once
+        reloads = [int(r.fields[0]) for r in records if r.kind == "reload"]
+        assert reloads == list(range(2, 2 + len(self.LAYERS)))
 
     def test_lock_file_replaced_under_readers(self, threads_flip, tmp_path):
         lock = tmp_path / "state.ks.lock"

@@ -194,7 +194,7 @@ class TestAggregate:
             rec(1, "start", "active", "0", "1"),
             rec(2, "open", "/etc/hosts", "fallthrough"),
             rec(3, "note", "topic", "detail"),
-            rec(4, "counters", "calls=1;hits=0;reloads=0;fallthroughs=1"),
+            rec(4, "reload", "2"),
             rec(5, "getenv", "A", "null", ""),
         ]
         report = aggregate(records, startup_ms=0)
