@@ -316,10 +316,10 @@ def cmd_layer(args) -> int:
 # ----------------------------------------------------------------------- run
 
 
-def _child_env(args, trace: Optional[Path] = None, startup_ms: Optional[int] = None):
+def _child_env(args, trace: Optional[Path] = None):
     spec = _spec_path(args, required=False)
     state = _state_path(args, explicit_only=True)
-    return child_environment(spec=spec, state=state, trace=trace, startup_ms=startup_ms)
+    return child_environment(spec=spec, state=state, trace=trace)
 
 
 def cmd_run(args) -> int:
@@ -341,7 +341,7 @@ def cmd_trace(args) -> int:
     spec = _spec_path(args, required=False)
     doc = _load_spec_doc(spec) if spec else None
     try:
-        env = _child_env(args, trace=Path(trace_path), startup_ms=args.startup_ms)
+        env = _child_env(args, trace=Path(trace_path))
         argv = [args.program] + list(args.args)
         t0 = time.monotonic_ns()
         try:

@@ -27,7 +27,7 @@
  * pass: magic, version, byte order, the spec's length and hash equal to the
  * bytes just read, the checksum, and every offset in bounds. Otherwise it
  * parses the text and, if its euid owns the spec and it is not AT_SECURE,
- * writes the image (temp file, rename) for the next process. Content is the
+ * writes the image (kx_write_file) for the next process. Content is the
  * only staleness rule, so a stale, damaged or foreign image costs a parse
  * and never changes an answer; deleting it is always safe.
  *
@@ -59,10 +59,17 @@
  * cost of one page, and a lock file that turns unusable and usable again
  * gets its old mapping back.
  *
- * Shadow files: a registered read-only open gets a file rendered into a
- * mkdtemp directory under $TMPDIR. The process that made the directory
- * removes it in its destructor; a forked child makes its own. Exits that
- * skip destructors (_exit, exec, a fatal signal) leave it behind.
+ * Shadow files: a registered read-only open gets the keys below its
+ * template rendered into a file named by its content, <len>-<hash>.conf
+ * (kx_hash64 in hex), in the per-user store ${TMPDIR:-/tmp}/kontext-shadow-
+ * <euid>. The shim makes the store with mode 0700 and uses it only while
+ * lstat shows a directory of the euid with no group or other bits; else the
+ * open gets the real file. Equal content gets the same name, so every
+ * process of the user serves the same file, no process owns one and none
+ * removes one: the store holds one file per distinct rendered content, and
+ * an exit by _exit, exec or a fatal signal leaves nothing of its own. Each
+ * process remembers the file per template prefix and renders again only
+ * after a new state was adopted.
  *
  * Answers: every getenv/ key of the spec owns a slot holding its answer for
  * the state adopted last (g_epoch grows with every adopted state), so a
@@ -74,7 +81,7 @@
  *   KONTEXT_SPEC        spec file path; unset or unparseable -> passthrough
  *   KONTEXT_STATE       state file path; default ${XDG_RUNTIME_DIR:-/tmp}/kontext/state.ks
  *   KONTEXT_TRACE       trace file path (append); unset -> no tracing
- *   KONTEXT_STARTUP_MS  recorded in the start record for later analysis
+ *   TMPDIR              where the shadow store is; unset or empty -> /tmp
  */
 
 #define _GNU_SOURCE
@@ -168,7 +175,7 @@ static unsigned long long g_epoch = 1; /* grows with every adopted state */
 static size_t *g_names = NULL;
 static size_t g_names_mask = 0;
 
-/* shadow file registry, one per template prefix */
+/* the shadow file each template prefix got, and the generation it is of */
 typedef struct kx_shadow {
     char *prefix;
     char *path;
@@ -177,10 +184,6 @@ typedef struct kx_shadow {
 } kx_shadow;
 
 static kx_shadow *g_shadows = NULL;
-static char g_shadow_dir[PATH_MAX];
-static int g_shadow_dir_state = 0; /* 0 untried, 1 ok, -1 failed */
-static pid_t g_shadow_pid;          /* the process that made g_shadow_dir */
-static int g_shadow_seq = 0;
 
 /* ------------------------------------------------------------------ */
 /* tiny helpers                                                        */
@@ -366,19 +369,30 @@ static int kx_read_file(const char *path, char **data_out, size_t *len_out) {
     return rc;
 }
 
-/* write all of data to fd; 0 on success */
-static int kx_write_all(int fd, const char *data, size_t len) {
+/* data as the whole of path: a temp file in the same directory renamed
+ * over it, so readers see the old file or the new one, never a part; 0 on
+ * success */
+static int kx_write_file(const char *path, const char *data, size_t len) {
+    char tmp[PATH_MAX + 16];
+    if (snprintf(tmp, sizeof tmp, "%s.XXXXXX", path) >= (int)sizeof tmp)
+        return -1;
+    int fd = mkostemp(tmp, O_CLOEXEC);
+    if (fd < 0)
+        return -1;
     size_t done = 0;
     while (done < len) {
         ssize_t put = write(fd, data + done, len - done);
-        if (put < 0) {
-            if (errno == EINTR)
-                continue;
-            return -1;
-        }
+        if (put < 0 && errno == EINTR)
+            continue;
+        if (put < 0)
+            break;
         done += (size_t)put;
     }
-    return 0;
+    int ok = close(fd) == 0 && done == len;
+    if (ok && rename(tmp, path) == 0)
+        return 0;
+    unlink(tmp);
+    return -1;
 }
 
 static int kx_stat_meta(const char *path, kx_statmeta *meta) {
@@ -445,10 +459,11 @@ static long long kx_coarse_s(void) {
 }
 
 /* the rule that keeps a file from being mapped, or NULL: only a file no
- * other user can truncate under the mapping (SIGBUS) or rewrite, and not a
- * second name of some unrelated file of ours (a hard link). Callers open
- * with O_NOFOLLOW or lstat, so symlinks are never followed. */
-static const char *kx_untrusted(const struct stat *st) {
+ * other user can truncate under the mapping (SIGBUS) or rewrite, not a
+ * second name of some unrelated file of ours (a hard link), and holding at
+ * least min bytes. Callers open with O_NOFOLLOW or lstat, so symlinks are
+ * never followed. */
+static const char *kx_untrusted(const struct stat *st, off_t min) {
     if (!S_ISREG(st->st_mode))
         return "type";
     if (st->st_uid != geteuid())
@@ -457,24 +472,38 @@ static const char *kx_untrusted(const struct stat *st) {
         return "links";
     if (st->st_mode & (S_IWGRP | S_IWOTH))
         return "mode";
+    if (st->st_size < min)
+        return "size";
     return NULL;
 }
 
-static int kx_word_usable(const struct stat *st) {
-    return !kx_untrusted(st) && st->st_size >= (off_t)sizeof *g_word;
+/* all of path mapped read-only when the file passes kx_untrusted with at
+ * least min bytes, and *st its stat; else NULL and *why: "missing",
+ * "symlink", "unreadable" or the rule the file breaks */
+static const void *kx_map_trusted(const char *path, off_t min, struct stat *st,
+                                  const char **why) {
+    int fd = kx_real_open(path, O_RDONLY | O_CLOEXEC | O_NOFOLLOW, 0);
+    if (fd < 0) {
+        *why = errno == ENOENT ? "missing" : errno == ELOOP ? "symlink" : "unreadable";
+        return NULL;
+    }
+    void *map = MAP_FAILED;
+    *why = fstat(fd, st) != 0 ? "unreadable" : kx_untrusted(st, min);
+    if (!*why) {
+        map = mmap(NULL, (size_t)st->st_size, PROT_READ, MAP_SHARED, fd, 0);
+        if (map == MAP_FAILED)
+            *why = "unreadable";
+    }
+    close(fd);
+    return map == MAP_FAILED ? NULL : map;
 }
 
 /* map the generation word if the lock file is usable; lock held */
 static void kx_word_map(void) {
-    int fd = kx_real_open(g_lock_path, O_RDONLY | O_CLOEXEC | O_NOFOLLOW, 0);
-    if (fd < 0)
-        return;
     struct stat st;
-    void *map = MAP_FAILED;
-    if (fstat(fd, &st) == 0 && kx_word_usable(&st))
-        map = mmap(NULL, sizeof *g_word, PROT_READ, MAP_SHARED, fd, 0);
-    close(fd);
-    if (map == MAP_FAILED)
+    const char *why;
+    const void *map = kx_map_trusted(g_lock_path, sizeof *g_word, &st, &why);
+    if (!map)
         return;
     g_word_map = (const unsigned long long *)map;
     g_word_dev = (unsigned long long)st.st_dev;
@@ -487,7 +516,7 @@ static void kx_word_map(void) {
  * munmap: a lock-free reader may still be loading the old word. Lock held. */
 static void kx_word_revalidate(void) {
     struct stat st;
-    int usable = lstat(g_lock_path, &st) == 0 && kx_word_usable(&st);
+    int usable = lstat(g_lock_path, &st) == 0 && !kx_untrusted(&st, sizeof *g_word);
     if (usable && g_word_map && (unsigned long long)st.st_dev == g_word_dev &&
         (unsigned long long)st.st_ino == g_word_ino) {
         __atomic_store_n(&g_word, g_word_map, __ATOMIC_RELEASE);
@@ -605,48 +634,11 @@ static int kx_hash_fd(int fd, uint64_t *len, uint64_t *hash, long long *mark) {
     return 0;
 }
 
-/* map the image at path if the file passes the generation word's rules;
- * else NULL and *why: "missing", or the rule the file breaks */
-static const void *kx_image_map(const char *path, size_t *size, const char **why) {
-    int fd = kx_real_open(path, O_RDONLY | O_CLOEXEC | O_NOFOLLOW, 0);
-    if (fd < 0) {
-        *why = errno == ENOENT ? "missing" : errno == ELOOP ? "symlink" : "unreadable";
-        return NULL;
-    }
-    struct stat st;
-    void *map = MAP_FAILED;
-    *why = fstat(fd, &st) != 0 ? "unreadable" : kx_untrusted(&st);
-    if (!*why && st.st_size == 0)
-        *why = "size";
-    if (!*why) {
-        map = mmap(NULL, (size_t)st.st_size, PROT_READ, MAP_PRIVATE, fd, 0);
-        if (map == MAP_FAILED)
-            *why = "unreadable";
-    }
-    close(fd);
-    if (map == MAP_FAILED)
-        return NULL;
-    *size = (size_t)st.st_size;
-    return map;
-}
-
-/* write the image of g_spec, parsed from text, at path: a temp file in the
- * same directory renamed over it, so readers see a whole image or none */
+/* write the image of g_spec, parsed from text, at path */
 static int kx_image_write(const char *path, const char *text, size_t len) {
-    char tmp[PATH_MAX + 16];
-    if (snprintf(tmp, sizeof tmp, "%s.XXXXXX", path) >= (int)sizeof tmp)
-        return -1;
-    int fd = mkostemp(tmp, O_CLOEXEC);
-    if (fd < 0)
-        return -1;
     size_t size;
     const char *data = (const char *)kx_keyset_image(&g_spec, text, len, &size);
-    int ok = kx_write_all(fd, data, size) == 0;
-    ok = close(fd) == 0 && ok;
-    if (ok && rename(tmp, path) == 0)
-        return 0;
-    unlink(tmp);
-    return -1;
+    return kx_write_file(path, data, size);
 }
 
 /* g_spec from <spec>.kxi when that image is valid for the spec's bytes as
@@ -669,10 +661,11 @@ static int kx_spec_load(const char *spec_path, char *failure, size_t cap) {
                  snprintf(image_path, sizeof image_path, "%s.kxi", spec_path) <
                      (int)sizeof image_path;
     const char *why = "missing";
-    size_t size = 0;
-    const void *image = imaged ? kx_image_map(image_path, &size, &why) : NULL;
+    struct stat image_st;
+    const void *image = imaged ? kx_map_trusted(image_path, 1, &image_st, &why) : NULL;
     kx_stage(KX_ST_LOAD, &mark);
     if (image) {
+        size_t size = (size_t)image_st.st_size;
         uint64_t len, hash;
         int rc = KX_E_IMAGE;
         why = "unreadable";
@@ -743,12 +736,11 @@ static void kx_fork_parent(void) {
         pthread_mutex_unlock(&g_lock);
 }
 
-/* the parent removes its shadow files when it exits, so the child renders
- * its own into a directory of its own */
+/* the child's copy of g_lock may be held by a thread the child does not
+ * have; the shadow files it inherits belong to no process, so it keeps
+ * serving them */
 static void kx_fork_child(void) {
     pthread_mutex_init(&g_lock, NULL);
-    g_shadows = NULL;
-    g_shadow_dir_state = 0;
 }
 
 __attribute__((constructor)) static void kx_on_load(void) {
@@ -799,7 +791,6 @@ static void kx_ensure_init(void) {
 
     const char *spec_path = kx_env_scan("KONTEXT_SPEC");
     const char *trace_path = kx_env_scan("KONTEXT_TRACE");
-    const char *startup_ms = kx_env_scan("KONTEXT_STARTUP_MS");
     const char *state_path = kx_env_scan("KONTEXT_STATE");
 
     if (trace_path && *trace_path)
@@ -841,7 +832,7 @@ static void kx_ensure_init(void) {
          * so analysis has the true process t0, not the first-call time */
         char startrec[64];
         snprintf(startrec, sizeof startrec, "%s", g_active ? "active" : "passthrough");
-        kx_trace("start", startrec, startup_ms && *startup_ms ? startup_ms : "-", t0column);
+        kx_trace("start", startrec, "-", t0column);
         kx_trace_init(total_ns);
     }
     if (failure[0] && g_trace_fd >= 0)
@@ -857,19 +848,6 @@ static void kx_init_once(void) {
     if (!g_ready) {
         kx_ensure_init();
         __atomic_store_n(&g_ready, 1, __ATOMIC_RELEASE);
-    }
-    pthread_mutex_unlock(&g_lock);
-}
-
-__attribute__((destructor)) static void kx_on_unload(void) {
-    if (pthread_mutex_trylock(&g_lock) != 0)
-        return;
-    /* a child forked without the fork handlers still lists the parent's
-     * shadow files: only the process that made the directory removes it */
-    if (g_shadow_dir_state == 1 && getpid() == g_shadow_pid) {
-        for (kx_shadow *entry = g_shadows; entry; entry = entry->next)
-            unlink(entry->path);
-        rmdir(g_shadow_dir);
     }
     pthread_mutex_unlock(&g_lock);
 }
@@ -992,20 +970,23 @@ KX_EXPORT char *secure_getenv(const char *name) {
 /* shadow files                                                        */
 /* ------------------------------------------------------------------ */
 
-static int kx_ensure_shadow_dir(void) {
-    if (g_shadow_dir_state != 0)
-        return g_shadow_dir_state;
+/* the path of name in the per-user shadow store, ${TMPDIR:-/tmp}/kontext-
+ * shadow-<euid>; 0 only when the store is a directory of the euid with no
+ * group or other bits, so no other user can list it or swap a file in it */
+static int kx_shadow_path(const char *name, char *path, size_t cap) {
     const char *base = kx_env_scan("TMPDIR");
     if (!base || !*base)
         base = "/tmp";
-    snprintf(g_shadow_dir, sizeof g_shadow_dir, "%s/kontext-shadow-XXXXXX", base);
-    if (mkdtemp(g_shadow_dir) == NULL) {
-        g_shadow_dir_state = -1;
+    uid_t euid = geteuid();
+    int n = snprintf(path, cap, "%s/kontext-shadow-%u", base, (unsigned)euid);
+    if (n < 0 || (size_t)n >= cap)
         return -1;
-    }
-    g_shadow_pid = getpid();
-    g_shadow_dir_state = 1;
-    return 1;
+    mkdir(path, 0700); /* it usually exists already: the lstat decides */
+    struct stat st;
+    if (lstat(path, &st) != 0 || !S_ISDIR(st.st_mode) || st.st_uid != euid ||
+        (st.st_mode & (S_IRWXG | S_IRWXO)))
+        return -1;
+    return snprintf(path + n, cap - (size_t)n, "/%s", name) < (int)(cap - (size_t)n) ? 0 : -1;
 }
 
 /* render (or reuse) the shadow file for a template prefix; lock held.
@@ -1017,8 +998,6 @@ static const char *kx_shadow_render(const char *prefix) {
     if (entry && entry->gen == g_state.generation)
         return entry->path;
 
-    if (!kx_name_valid(prefix))
-        return NULL;
     size_t start, end;
     if (kx_keyset_below(&g_spec, prefix, &start, &end) != KX_OK || start == end)
         return NULL; /* nothing below the prefix: nothing to serve */
@@ -1060,57 +1039,30 @@ static const char *kx_shadow_render(const char *prefix) {
         }
     }
 
-    if (kx_ensure_shadow_dir() != 1) {
-        free(content);
-        return NULL;
-    }
-
-    char *path;
-    if (entry) {
-        path = entry->path;
-    } else {
-        char pathbuf[sizeof g_shadow_dir + 32];
-        snprintf(pathbuf, sizeof pathbuf, "%s/s%d.conf", g_shadow_dir, g_shadow_seq++);
-        path = xdup(pathbuf);
-        if (!path) {
-            free(content);
-            return NULL;
-        }
-    }
-
-    char tmp[PATH_MAX + 8];
-    snprintf(tmp, sizeof tmp, "%s.tmp", path);
-    int fd = kx_real_open(tmp, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
-    int ok = fd >= 0 && kx_write_all(fd, content, content_len) == 0;
-    if (fd >= 0)
-        close(fd);
-    if (ok && rename(tmp, path) != 0)
-        ok = 0;
+    /* named by its content: a file of that name holds these bytes, whoever
+     * wrote it, so any process of the user may serve it */
+    const char *bytes = content ? content : "";
+    char name[48], path[PATH_MAX];
+    snprintf(name, sizeof name, "%zu-%016llx.conf", content_len,
+             (unsigned long long)kx_hash64(bytes, content_len));
+    int ok = kx_shadow_path(name, path, sizeof path) == 0 &&
+             kx_write_file(path, bytes, content_len) == 0;
     free(content);
-    if (!ok) {
-        unlink(tmp);
-        if (!entry)
-            free(path);
+    char *copy = ok ? xdup(path) : NULL;
+    if (!copy)
         return NULL;
-    }
-
     if (!entry) {
-        entry = (kx_shadow *)malloc(sizeof *entry);
-        if (!entry) {
-            /* file exists but we cannot remember it; fail open */
-            free(path);
-            return NULL;
-        }
-        entry->prefix = xdup(prefix);
-        if (!entry->prefix) {
-            free(path);
+        entry = (kx_shadow *)calloc(1, sizeof *entry);
+        if (!entry || !(entry->prefix = xdup(prefix))) {
             free(entry);
+            free(copy);
             return NULL;
         }
-        entry->path = path;
         entry->next = g_shadows;
         g_shadows = entry;
     }
+    free(entry->path);
+    entry->path = copy;
     entry->gen = g_state.generation;
     return entry->path;
 }

@@ -26,7 +26,6 @@ from .layerstate import default_state_path, state_read
 ENV_SPEC = "KONTEXT_SPEC"
 ENV_STATE = "KONTEXT_STATE"
 ENV_TRACE = "KONTEXT_TRACE"
-ENV_STARTUP_MS = "KONTEXT_STARTUP_MS"
 ENV_PRELOAD_OVERRIDE = "KONTEXT_PRELOAD"
 
 GETENV_PREFIX = "getenv/"
@@ -49,7 +48,6 @@ def child_environment(
     spec: Optional[Union[str, os.PathLike]] = None,
     state: Optional[Union[str, os.PathLike]] = None,
     trace: Optional[Union[str, os.PathLike]] = None,
-    startup_ms: Optional[int] = None,
     base: Optional[Mapping[str, str]] = None,
     preload: Optional[Union[str, os.PathLike]] = None,
 ) -> Dict[str, str]:
@@ -68,8 +66,6 @@ def child_environment(
         env[ENV_STATE] = str(Path(state).resolve())
     if trace is not None:
         env[ENV_TRACE] = str(Path(trace).resolve())
-    if startup_ms is not None:
-        env[ENV_STARTUP_MS] = str(int(startup_ms))
     return env
 
 

@@ -8,8 +8,9 @@ Record kinds and their fields:
 
     getenv       name, outcome (hit|fallthrough|null), value (may be empty)
     open         canonical path, outcome, shadow path (on hit)
-    start        mode (active|passthrough), startup-ms setting or '-',
-                 process t0 in monotonic ns (constructor timestamp)
+    start        mode (active|passthrough), '-' (unused, so the record
+                 keeps its shape), process t0 in monotonic ns (constructor
+                 timestamp)
     init         spec image outcome (mapped|written[:<found>]|stale|
                  refused:<rule>|unwritable|-), and the us the first call spent
                  per stage: read=..;hash=..;load=..;write=..;state=..;slots=..;

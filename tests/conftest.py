@@ -147,7 +147,6 @@ def _clean_kontext_env(monkeypatch, _session_preload):
         "KONTEXT_SPEC",
         "KONTEXT_STATE",
         "KONTEXT_TRACE",
-        "KONTEXT_STARTUP_MS",
         "KONTEXT_PRELOAD",
         "LD_PRELOAD",
     ):

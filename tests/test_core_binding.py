@@ -187,7 +187,7 @@ def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_
         state_set_layer(state, "interface", "eth")
         env = child_environment(spec=spec, state=state, preload=preload,
                                 base=dict(os.environ, UBSAN_OPTIONS="halt_on_error=1",
-                                          KXT_PLAIN="plain-value"))
+                                          KXT_PLAIN="plain-value", TMPDIR=str(tmp_path)))
         if preload is asan_so:
             env["LD_PRELOAD"] = f"{runtime} {asan_so}"  # the runtime must load first
         if stem == "sync_getenv_ptr":

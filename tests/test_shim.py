@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import os
+import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -152,6 +154,25 @@ class TestStateRefresh:
         state.unlink()
         assert sess.getenv("http_proxy") == "proxy.example.com"
 
+    @pytest.mark.parametrize("change", ["stale", "corrupt", "deleted"])
+    def test_preload_keeps_cached_answer(self, probe_child, tmp_path, change):
+        # the cases above on the real shim: an older generation moves the
+        # word backwards, a hand-written corrupt file moves no word and is
+        # read at the once-a-second check, a deleted file fails that stat
+        state = tmp_path / "s.ks"
+        state_write(state, ContextState({"interface": "eth", "network": "work"}, 9))
+        child = probe_child(state)
+        assert child.getenv("http_proxy") == "proxy.example.com"
+        if change == "stale":
+            state_write(state, ContextState({"interface": "wlan", "network": "home"}, 3))
+        elif change == "corrupt":
+            state.write_text("generation=zzz\n")
+        else:
+            state.unlink()
+        assert child.getenv("http_proxy") == "proxy.example.com"
+        time.sleep(1.1)  # past the next full check
+        assert child.getenv("http_proxy") == "proxy.example.com"
+
     def test_corrupt_file_remembered_until_it_changes(self, tmp_path):
         state = tmp_path / "s.ks"
         state_write(state, ContextState({"interface": "eth", "network": "work"}, 2))
@@ -210,7 +231,6 @@ class TestChildEnvironment:
             spec="rel-spec.ks",
             state=tmp_path / "state.ks",
             trace=tmp_path / "out.trace",
-            startup_ms=750,
             base={},
             preload=lib,
         )
@@ -219,7 +239,6 @@ class TestChildEnvironment:
         assert env["KONTEXT_SPEC"].endswith("rel-spec.ks")
         assert env["KONTEXT_STATE"] == str(tmp_path / "state.ks")
         assert env["KONTEXT_TRACE"] == str(tmp_path / "out.trace")
-        assert env["KONTEXT_STARTUP_MS"] == "750"
 
     def test_prepends_to_existing_preload(self, tmp_path):
         lib = tmp_path / "fake_preload.so"
@@ -727,7 +746,7 @@ def shadowed(tmp_path):
     """A real file the spec registers: (path, env); its shadow reads SHADOW.
 
     TMPDIR is an empty directory of the test's, where the shim makes its
-    shadow directory.
+    shadow store.
     """
     real = tmp_path / "app.conf"
     real.write_text("real file\n")
@@ -746,6 +765,22 @@ def _run(argv, env):
     return out.stdout
 
 
+def _store(env):
+    return Path(env["TMPDIR"]) / f"kontext-shadow-{os.geteuid()}"
+
+
+def _assert_store_holds_shadow(env):
+    """TMPDIR holds only the shim's store, mode 0700, and the store holds
+    one file, named by its content, whose bytes are SHADOW."""
+    store = _store(env)
+    assert list(Path(env["TMPDIR"]).iterdir()) == [store]
+    assert stat.S_ISDIR(store.lstat().st_mode)
+    assert stat.S_IMODE(store.lstat().st_mode) == 0o700
+    files = list(store.iterdir())
+    assert [f.read_text() for f in files] == [SHADOW]
+    assert re.fullmatch(rf"{len(SHADOW)}-[0-9a-f]{{16}}\.conf", files[0].name)
+
+
 class TestShadowFiles:
     @pytest.mark.parametrize("entry", ["open", "open64"])
     def test_fortified_read_open_gets_shadow(self, demo_bins, preload_so, shadowed, entry):
@@ -760,16 +795,40 @@ class TestShadowFiles:
         _run([demo_bins["t13_fortified_open"], real, os.O_WRONLY | os.O_TRUNC, entry], env)
         assert real.read_text() == "written through the fortified open\n"
 
-    def test_shadow_dir_removed_at_exit(self, demo_bins, preload_so, shadowed):
+    def test_store_keeps_one_file_after_exit(self, demo_bins, preload_so, shadowed):
         real, env = shadowed
         assert _run([demo_bins["t05_open_read"], real], env) == SHADOW
-        assert list(Path(env["TMPDIR"]).iterdir()) == []
+        _assert_store_holds_shadow(env)
+
+    def test_exits_without_handlers_share_one_file(self, demo_bins, preload_so, shadowed):
+        # _exit runs no exit handler; the three processes render the same
+        # content and so share one file
+        real, env = shadowed
+        for _ in range(3):
+            assert _run([demo_bins["t18_open_exit"], real], env) == SHADOW
+        _assert_store_holds_shadow(env)
 
     @pytest.mark.parametrize("how", ["fork", "clone", "orphan"])
     def test_child_and_parent_keep_their_shadows(self, demo_bins, preload_so, shadowed, how):
-        # "clone" skips the fork handlers, so the child still lists the
-        # parent's shadow files when its destructor runs; an "orphan" child
-        # reads after the parent has removed its own
+        # "clone" skips the fork handlers and an "orphan" child reads after
+        # the parent exited; no process removes a file, so parent and child
+        # serve the same one
         real, env = shadowed
         assert _run([demo_bins["t14_fork_open"], real, how], env) == SHADOW * 2
-        assert list(Path(env["TMPDIR"]).iterdir()) == []
+        _assert_store_holds_shadow(env)
+
+    @pytest.mark.parametrize("store", ["world-writable", "symlink"])
+    def test_untrusted_store_serves_real_file(self, demo_bins, preload_so, shadowed, tmp_path,
+                                              store):
+        real, env = shadowed
+        inside = _store(env)
+        if store == "world-writable":
+            inside.mkdir()
+            os.chmod(inside, 0o777)
+        else:  # to a directory that would be trusted if followed
+            inside = tmp_path / "elsewhere"
+            inside.mkdir(mode=0o700)
+            _store(env).symlink_to(inside)
+        assert _run([demo_bins["t05_open_read"], real], env) == "real file\n"
+        assert _run([demo_bins["t18_open_exit"], real], env) == "real file\n"
+        assert list(inside.iterdir()) == []
