@@ -32,13 +32,13 @@
  * and never changes an answer; deleting it is always safe.
  *
  * Locking: g_lock serializes every writer of shim state (reload, slot fill,
- * shadow render). Readers go without it, traced or not: an unregistered name
- * or path is probed in the immutable spec and served from environ or the
- * real file, and a registered getenv whose slot is current (same coarse
- * second as the last full check, mapped word equal to the word the adopted
- * state was loaded for, slot epoch equal to g_epoch) returns the slot's
- * answer. Only a registered name whose slot is not current, or a registered
- * path, takes the lock.
+ * which renders a shadow file for a path). Readers go without it, traced or
+ * not: an unregistered name or path is probed in the immutable name table
+ * and served from environ or the real file, and a registered name or path
+ * whose slot is current (same coarse second as the last full check, mapped
+ * word equal to the word the adopted state was loaded for, slot epoch equal
+ * to g_epoch) gets the slot's answer. Only a registered name or path whose
+ * slot is not current takes the lock.
  *
  * Tracing: a traced process writes one record per getenv and per registered
  * open, and one per reload, each with a single write() to the O_APPEND trace
@@ -67,15 +67,18 @@
  * open gets the real file. Equal content gets the same name, so every
  * process of the user serves the same file, no process owns one and none
  * removes one: the store holds one file per distinct rendered content, and
- * an exit by _exit, exec or a fatal signal leaves nothing of its own. Each
- * process remembers the file per template prefix and renders again only
- * after a new state was adopted.
+ * an exit by _exit, exec or a fatal signal leaves nothing of its own. The
+ * path of the file is the answer of the registered path's slot, so a process
+ * renders again only after a new state was adopted.
  *
- * Answers: every getenv/ key of the spec owns a slot holding its answer for
- * the state adopted last (g_epoch grows with every adopted state), so a
- * steady registered hit makes no lookup. Values are interned in the slot,
- * so A->B->A flips return the first pointer again. A hashed table of the
- * bare registered names (FNV-1a, open addressing) finds the slot.
+ * Answers: every getenv/ key of the spec, and every open/ key with a
+ * template, owns a slot holding its answer for the state adopted last
+ * (g_epoch grows with every adopted state): the name's value, or the path of
+ * the path's shadow file. So a steady registered hit makes no lookup and
+ * renders nothing. Answers are interned in the slot, so A->B->A flips return
+ * the first pointer again. One hashed table (FNV-1a, open addressing) finds
+ * the slot of a bare getenv name or of a canonical path; a name never starts
+ * with '/' (a key has no empty segment) and a path always does.
  *
  * Config environment variables:
  *   KONTEXT_SPEC        spec file path; unset or unparseable -> passthrough
@@ -113,13 +116,14 @@ extern char **environ;
 /* ------------------------------------------------------------------ */
 
 /* All written only under g_lock. Read without it, after an acquire load of
- * g_ready: g_active, g_trace_fd, g_spec, g_names, g_slots_len and each
- * slot's key, which never change once ready, and, with atomic loads,
- * g_checked_s, g_word, *g_word, g_word_seen, g_epoch and each slot's epoch
- * and answer. Writers publish in this order: a reload adopts the state and
- * bumps g_epoch, then stores g_word_seen (release); a slot fill stores
- * answer, then epoch (both release); a full check stores g_checked_s
- * (release) after its reload. Everything else is read only under g_lock. */
+ * g_ready: g_active, g_trace_fd, g_spec, g_names, g_slots_len, g_getenv_len
+ * and each slot's key and name, which never change once ready, and, with
+ * atomic loads, g_checked_s, g_word, *g_word, g_word_seen, g_epoch and each
+ * slot's epoch and answer. Writers publish in this order: a reload adopts
+ * the state and bumps g_epoch, then stores g_word_seen (release); a slot
+ * fill stores answer, then epoch (both release); a full check stores
+ * g_checked_s (release) after its reload. Everything else is read only under
+ * g_lock. */
 
 static pthread_mutex_t g_lock = PTHREAD_MUTEX_INITIALIZER;
 /* reentrancy guard; initial-exec, so a check is one thread-pointer-relative
@@ -153,51 +157,34 @@ static unsigned long long g_word_dev, g_word_ino;   /* the file g_word_map maps 
 static unsigned long long g_word_seen;              /* word the adopted state was loaded for */
 static long long g_checked_s = -1; /* coarse second of the last full check */
 
-/* answer slots, one per key of the spec's contiguous getenv/ range */
+/* answer slots: one per key of the spec's contiguous getenv/ range, then one
+ * per open/ key with a template, in key order */
 typedef struct kx_interned {
     struct kx_interned *next;
     char value[];
 } kx_interned;
 
 typedef struct {
-    const char *key;          /* "getenv/NAME" in the spec, never changes */
+    const char *key;          /* "getenv/NAME", or the path's template prefix */
+    const char *name;         /* NAME, or the canonical path: what g_names finds */
     unsigned long long epoch; /* g_epoch the answer belongs to; 0 is never current */
-    const char *answer;       /* interned value, NULL when the lookup is absent */
-    kx_interned *values;      /* every value this name answered, kept forever */
+    const char *answer;       /* interned value or shadow path, NULL when absent */
+    kx_interned *values;      /* every answer this slot gave, kept forever */
 } kx_slot;
 
 static kx_slot *g_slots = NULL;
 static size_t g_slots_len = 0;
+static size_t g_getenv_len = 0;        /* slots [0, g_getenv_len) are getenv names */
 static unsigned long long g_epoch = 1; /* grows with every adopted state */
 
-/* registered getenv names: slot index + 1 per bucket, 0 for empty; the
- * size is a power of two at least twice g_slots_len, so probes end */
+/* every slot's name: slot index + 1 per bucket, 0 for empty; the size is a
+ * power of two at least twice g_slots_len, so probes end */
 static size_t *g_names = NULL;
 static size_t g_names_mask = 0;
-
-/* the shadow file each template prefix got, and the generation it is of */
-typedef struct kx_shadow {
-    char *prefix;
-    char *path;
-    long long gen;
-    struct kx_shadow *next;
-} kx_shadow;
-
-static kx_shadow *g_shadows = NULL;
 
 /* ------------------------------------------------------------------ */
 /* tiny helpers                                                        */
 /* ------------------------------------------------------------------ */
-
-static char *xdup(const char *s) {
-    if (!s)
-        return NULL;
-    size_t n = strlen(s);
-    char *out = (char *)malloc(n + 1);
-    if (out)
-        memcpy(out, s, n + 1);
-    return out;
-}
 
 /* libc declares the name and path arguments nonnull, so the compiler may
  * drop a plain NULL test of them; the empty asm hides where p came from */
@@ -551,7 +538,7 @@ static void kx_refresh_if_stale(void) {
 }
 
 /* ------------------------------------------------------------------ */
-/* registered getenv names                                             */
+/* registered names and paths                                          */
 /* ------------------------------------------------------------------ */
 
 static size_t kx_name_hash(const char *name) {
@@ -561,7 +548,7 @@ static size_t kx_name_hash(const char *name) {
     return (size_t)h;
 }
 
-/* the name table over the slot range, keyed by the name after "getenv/" */
+/* the name table over every slot, keyed by the slot's name */
 static int kx_names_build(void) {
     size_t size = 1;
     while (size < 2 * g_slots_len)
@@ -571,7 +558,7 @@ static int kx_names_build(void) {
         return -1;
     g_names_mask = size - 1;
     for (size_t i = 0; i < g_slots_len; i++) {
-        size_t b = kx_name_hash(g_slots[i].key + 7) & g_names_mask;
+        size_t b = kx_name_hash(g_slots[i].name) & g_names_mask;
         while (g_names[b])
             b = (b + 1) & g_names_mask;
         g_names[b] = i + 1;
@@ -579,13 +566,15 @@ static int kx_names_build(void) {
     return 0;
 }
 
-/* the slot of a registered name; immutable data only, so no lock */
-static int kx_name_slot(const char *name, size_t *slot) {
+/* the slot of a registered name or canonical path; immutable data only, so
+ * no lock. Inlined into getenv and kx_shadow_for alike, so that getenv's hit
+ * makes no call. */
+static inline __attribute__((always_inline)) int kx_name_slot(const char *name, size_t *slot) {
     if (!g_active)
         return 0;
     for (size_t b = kx_name_hash(name) & g_names_mask; g_names[b]; b = (b + 1) & g_names_mask) {
         size_t i = g_names[b] - 1;
-        if (strcmp(g_slots[i].key + 7, name) == 0) {
+        if (strcmp(g_slots[i].name, name) == 0) {
             *slot = i;
             return 1;
         }
@@ -751,17 +740,29 @@ __attribute__((constructor)) static void kx_on_load(void) {
     pthread_atfork(kx_fork_prepare, kx_fork_parent, kx_fork_child);
 }
 
-/* the getenv/ slot range of g_spec and its name table */
+/* a slot per getenv/ key of g_spec, then per open/ key with a template, and
+ * their name table */
 static int kx_slots_build(char *failure, size_t cap) {
-    size_t start, end;
+    size_t start, end, open_start, open_end;
     if (kx_keyset_below(&g_spec, "getenv", &start, &end) != KX_OK ||
-        !(g_slots = (kx_slot *)calloc(end > start ? end - start : 1, sizeof *g_slots))) {
+        kx_keyset_below(&g_spec, "open", &open_start, &open_end) != KX_OK ||
+        !(g_slots = (kx_slot *)calloc(end - start + open_end - open_start + 1, sizeof *g_slots))) {
         snprintf(failure, cap, "answer slots: out of memory");
         return -1;
     }
-    g_slots_len = end - start;
-    for (size_t i = 0; i < g_slots_len; i++)
-        g_slots[i].key = kx_key_name(kx_keyset_at(&g_spec, start + i));
+    for (size_t i = start; i < end; i++, g_slots_len++) {
+        g_slots[g_slots_len].key = kx_key_name(kx_keyset_at(&g_spec, i));
+        g_slots[g_slots_len].name = g_slots[g_slots_len].key + 7; /* after "getenv/" */
+    }
+    g_getenv_len = g_slots_len;
+    for (size_t i = open_start; i < open_end; i++) {
+        const kx_key *key = kx_keyset_at(&g_spec, i);
+        const char *prefix = kx_key_meta(key, "template");
+        if (prefix && *prefix) {
+            g_slots[g_slots_len].key = prefix;
+            g_slots[g_slots_len++].name = kx_key_name(key) + 4; /* the path after "open" */
+        }
+    }
     if (kx_names_build() != 0) {
         snprintf(failure, cap, "name table: out of memory");
         return -1;
@@ -853,6 +854,85 @@ static void kx_init_once(void) {
 }
 
 /* ------------------------------------------------------------------ */
+/* shadow files                                                        */
+/* ------------------------------------------------------------------ */
+
+/* the path of name in the per-user shadow store, ${TMPDIR:-/tmp}/kontext-
+ * shadow-<euid>; 0 only when the store is a directory of the euid with no
+ * group or other bits, so no other user can list it or swap a file in it */
+static int kx_shadow_path(const char *name, char *path, size_t cap) {
+    const char *base = kx_env_scan("TMPDIR");
+    if (!base || !*base)
+        base = "/tmp";
+    uid_t euid = geteuid();
+    int n = snprintf(path, cap, "%s/kontext-shadow-%u", base, (unsigned)euid);
+    if (n < 0 || (size_t)n >= cap)
+        return -1;
+    mkdir(path, 0700); /* it usually exists already: the lstat decides */
+    struct stat st;
+    if (lstat(path, &st) != 0 || !S_ISDIR(st.st_mode) || st.st_uid != euid ||
+        (st.st_mode & (S_IRWXG | S_IRWXO)))
+        return -1;
+    return snprintf(path + n, cap - (size_t)n, "/%s", name) < (int)(cap - (size_t)n) ? 0 : -1;
+}
+
+/* render the keys below a template prefix under the adopted state into the
+ * shadow file of that content, and put its path in path; 0, or -1 to fail
+ * open. Lock held. */
+static int kx_shadow_render(const char *prefix, char *path, size_t cap) {
+    size_t start, end;
+    if (kx_keyset_below(&g_spec, prefix, &start, &end) != KX_OK || start == end)
+        return -1; /* nothing below the prefix: nothing to serve */
+
+    size_t prefix_len = strlen(prefix);
+    char *content = NULL;
+    size_t content_len = 0, content_cap = 0;
+    for (size_t i = start; i < end; i++) {
+        const char *name = kx_key_name(kx_keyset_at(&g_spec, i));
+        kx_result res;
+        kx_error err;
+        int rc = kx_lookup(&g_spec, name, &g_state, &res, &err);
+        if (rc == KX_OK) {
+            const char *rel = name + prefix_len + 1;
+            size_t need = strlen(rel) + 1 + strlen(res.value) + 1;
+            if (content_len + need + 1 > content_cap) {
+                size_t grown_cap = content_cap ? content_cap : 256;
+                while (grown_cap < content_len + need + 1)
+                    grown_cap *= 2;
+                char *grown = (char *)realloc(content, grown_cap);
+                if (!grown) {
+                    free(content);
+                    kx_result_free(&res);
+                    return -1;
+                }
+                content = grown;
+                content_cap = grown_cap;
+            }
+            content_len += (size_t)snprintf(content + content_len, content_cap - content_len,
+                                            "%s=%s\n", rel, res.value);
+            kx_result_free(&res);
+        } else if (rc == KX_ABSENT) {
+            kx_result_free(&res);
+        } else {
+            kx_result_free(&res);
+            kx_trace("note", "shadow-render-error", name, err.message);
+            free(content);
+            return -1;
+        }
+    }
+
+    /* named by its content: a file of that name holds these bytes, whoever
+     * wrote it, so any process of the user may serve it */
+    const char *bytes = content ? content : "";
+    char name[48];
+    snprintf(name, sizeof name, "%zu-%016llx.conf", content_len,
+             (unsigned long long)kx_hash64(bytes, content_len));
+    int ok = kx_shadow_path(name, path, cap) == 0 && kx_write_file(path, bytes, content_len) == 0;
+    free(content);
+    return ok ? 0 : -1;
+}
+
+/* ------------------------------------------------------------------ */
 /* answer slots                                                        */
 /* ------------------------------------------------------------------ */
 
@@ -871,45 +951,46 @@ static const char *kx_intern(kx_slot *slot, const char *value) {
     return v->value;
 }
 
-/* the answer of slot i, looked up again only after a new state was adopted,
- * or NULL to fall through to environ. Lookup errors are never cached. Lock
+/* the answer of slot i, computed again only after a new state was adopted:
+ * a getenv slot's value, or the path of a path slot's shadow file; NULL
+ * falls through to environ or the real file. Errors are never cached. Lock
  * held. */
 static const char *kx_slot_fill(size_t i) {
     kx_refresh_if_stale();
     kx_slot *slot = &g_slots[i];
-    if (slot->epoch != g_epoch) {
+    if (slot->epoch == g_epoch)
+        return slot->answer;
+    const char *answer = NULL;
+    int cached; /* a failed allocation behaves like an error */
+    if (i < g_getenv_len) {
         kx_result res;
         kx_error err = {0};
         int rc = kx_lookup(&g_spec, slot->key, &g_state, &res, &err);
-        const char *answer = NULL; /* KX_ABSENT caches "no answer" */
-        int cached = 1;
-        if (rc == KX_OK) {
+        if (rc == KX_OK)
             answer = kx_intern(slot, res.value);
-            cached = answer != NULL; /* allocation failed: behave like a miss */
-        } else if (rc != KX_ABSENT) {
-            cached = 0;
+        else if (rc != KX_ABSENT)
             kx_trace("note", "lookup-error", err.message, NULL);
-        }
         kx_result_free(&res);
-        if (!cached)
-            return NULL;
-        /* a lock-free reader that sees the epoch sees this answer */
-        __atomic_store_n(&slot->answer, answer, __ATOMIC_RELEASE);
-        __atomic_store_n(&slot->epoch, g_epoch, __ATOMIC_RELEASE);
+        cached = answer || rc == KX_ABSENT; /* KX_ABSENT caches "no answer" */
+    } else {
+        char path[PATH_MAX];
+        cached = kx_shadow_render(slot->key, path, sizeof path) == 0 &&
+                 (answer = kx_intern(slot, path)) != NULL;
     }
-    return slot->answer;
+    if (!cached)
+        return NULL;
+    /* a lock-free reader that sees the epoch sees this answer */
+    __atomic_store_n(&slot->answer, answer, __ATOMIC_RELEASE);
+    __atomic_store_n(&slot->epoch, g_epoch, __ATOMIC_RELEASE);
+    return answer;
 }
-
-/* ------------------------------------------------------------------ */
-/* getenv                                                              */
-/* ------------------------------------------------------------------ */
 
 /* the answer of slot i if it is current, without the lock: the check of
  * this second is done, the mapped word is the one the adopted state was
- * loaded for, and the slot was filled under the adopted state. Values are
+ * loaded for, and the slot was filled under the adopted state. Answers are
  * interned and never freed, so a pointer read here stays valid even when a
  * writer refills the slot meanwhile. */
-static int kx_slot_current(size_t i, const char **answer) {
+static inline __attribute__((always_inline)) int kx_slot_current(size_t i, const char **answer) {
     if (kx_coarse_s() != __atomic_load_n(&g_checked_s, __ATOMIC_ACQUIRE))
         return 0;
     const unsigned long long *word = __atomic_load_n(&g_word, __ATOMIC_ACQUIRE);
@@ -923,13 +1004,18 @@ static int kx_slot_current(size_t i, const char **answer) {
     return 1;
 }
 
+/* ------------------------------------------------------------------ */
+/* getenv                                                              */
+/* ------------------------------------------------------------------ */
+
 /* the lock is taken only for a registered name whose slot is not current;
- * a slot without an answer, and any other name, are served from environ */
+ * a slot without an answer, a path and any other name are served from
+ * environ */
 static char *kx_getenv_impl(const char *name) {
     kx_init_once();
     size_t i;
     const char *answer = NULL;
-    if (kx_name_slot(name, &i) && !kx_slot_current(i, &answer)) {
+    if (kx_name_slot(name, &i) && i < g_getenv_len && !kx_slot_current(i, &answer)) {
         pthread_mutex_lock(&g_lock);
         answer = kx_slot_fill(i);
         pthread_mutex_unlock(&g_lock);
@@ -967,107 +1053,6 @@ KX_EXPORT char *secure_getenv(const char *name) {
 }
 
 /* ------------------------------------------------------------------ */
-/* shadow files                                                        */
-/* ------------------------------------------------------------------ */
-
-/* the path of name in the per-user shadow store, ${TMPDIR:-/tmp}/kontext-
- * shadow-<euid>; 0 only when the store is a directory of the euid with no
- * group or other bits, so no other user can list it or swap a file in it */
-static int kx_shadow_path(const char *name, char *path, size_t cap) {
-    const char *base = kx_env_scan("TMPDIR");
-    if (!base || !*base)
-        base = "/tmp";
-    uid_t euid = geteuid();
-    int n = snprintf(path, cap, "%s/kontext-shadow-%u", base, (unsigned)euid);
-    if (n < 0 || (size_t)n >= cap)
-        return -1;
-    mkdir(path, 0700); /* it usually exists already: the lstat decides */
-    struct stat st;
-    if (lstat(path, &st) != 0 || !S_ISDIR(st.st_mode) || st.st_uid != euid ||
-        (st.st_mode & (S_IRWXG | S_IRWXO)))
-        return -1;
-    return snprintf(path + n, cap - (size_t)n, "/%s", name) < (int)(cap - (size_t)n) ? 0 : -1;
-}
-
-/* render (or reuse) the shadow file for a template prefix; lock held.
- * Returns the path, or NULL to fail open. */
-static const char *kx_shadow_render(const char *prefix) {
-    kx_shadow *entry = g_shadows;
-    while (entry && strcmp(entry->prefix, prefix) != 0)
-        entry = entry->next;
-    if (entry && entry->gen == g_state.generation)
-        return entry->path;
-
-    size_t start, end;
-    if (kx_keyset_below(&g_spec, prefix, &start, &end) != KX_OK || start == end)
-        return NULL; /* nothing below the prefix: nothing to serve */
-
-    size_t prefix_len = strlen(prefix);
-    char *content = NULL;
-    size_t content_len = 0, content_cap = 0;
-    for (size_t i = start; i < end; i++) {
-        const char *name = kx_key_name(kx_keyset_at(&g_spec, i));
-        kx_result res;
-        kx_error err;
-        int rc = kx_lookup(&g_spec, name, &g_state, &res, &err);
-        if (rc == KX_OK) {
-            const char *rel = name + prefix_len + 1;
-            size_t need = strlen(rel) + 1 + strlen(res.value) + 1;
-            if (content_len + need + 1 > content_cap) {
-                size_t cap = content_cap ? content_cap : 256;
-                while (cap < content_len + need + 1)
-                    cap *= 2;
-                char *grown = (char *)realloc(content, cap);
-                if (!grown) {
-                    free(content);
-                    kx_result_free(&res);
-                    return NULL;
-                }
-                content = grown;
-                content_cap = cap;
-            }
-            content_len += (size_t)snprintf(content + content_len, content_cap - content_len,
-                                            "%s=%s\n", rel, res.value);
-            kx_result_free(&res);
-        } else if (rc == KX_ABSENT) {
-            kx_result_free(&res);
-        } else {
-            kx_result_free(&res);
-            kx_trace("note", "shadow-render-error", name, err.message);
-            free(content);
-            return NULL;
-        }
-    }
-
-    /* named by its content: a file of that name holds these bytes, whoever
-     * wrote it, so any process of the user may serve it */
-    const char *bytes = content ? content : "";
-    char name[48], path[PATH_MAX];
-    snprintf(name, sizeof name, "%zu-%016llx.conf", content_len,
-             (unsigned long long)kx_hash64(bytes, content_len));
-    int ok = kx_shadow_path(name, path, sizeof path) == 0 &&
-             kx_write_file(path, bytes, content_len) == 0;
-    free(content);
-    char *copy = ok ? xdup(path) : NULL;
-    if (!copy)
-        return NULL;
-    if (!entry) {
-        entry = (kx_shadow *)calloc(1, sizeof *entry);
-        if (!entry || !(entry->prefix = xdup(prefix))) {
-            free(entry);
-            free(copy);
-            return NULL;
-        }
-        entry->next = g_shadows;
-        g_shadows = entry;
-    }
-    free(entry->path);
-    entry->path = copy;
-    entry->gen = g_state.generation;
-    return entry->path;
-}
-
-/* ------------------------------------------------------------------ */
 /* open family                                                         */
 /* ------------------------------------------------------------------ */
 
@@ -1092,29 +1077,26 @@ static int kx_mode_readonly(const char *mode) {
     return 1;
 }
 
-/* textual canonicalization: cwd join plus . / .. / duplicate-slash
- * collapse; symlinks are not resolved (registered paths must match the
- * spelling programs use after normalization) */
-static char *kx_canonical_path(const char *path) {
-    if (!path || !*path)
-        return NULL;
-    char joined[2 * PATH_MAX];
-    if (path[0] == '/') {
-        if (snprintf(joined, sizeof joined, "%s", path) >= (int)sizeof joined)
-            return NULL;
-    } else {
-        char cwd[PATH_MAX];
-        if (!getcwd(cwd, sizeof cwd))
-            return NULL;
-        if (snprintf(joined, sizeof joined, "%s/%s", cwd, path) >= (int)sizeof joined)
-            return NULL;
+/* textual canonicalization into canon (2 * PATH_MAX bytes): cwd join plus
+ * . / .. / duplicate-slash collapse, in place, since a write never passes
+ * the read position; symlinks are not resolved (registered paths must match
+ * the spelling programs use after normalization). 0 on success. */
+static int kx_canonical_path(const char *path, char *canon) {
+    size_t w = 0, len = strlen(path);
+    if (len == 0)
+        return -1;
+    if (path[0] != '/') {
+        if (!getcwd(canon, PATH_MAX))
+            return -1;
+        w = strlen(canon);
+        canon[w++] = '/';
     }
+    if (w + len >= 2 * PATH_MAX)
+        return -1;
+    memcpy(canon + w, path, len + 1);
 
-    char *out = (char *)malloc(strlen(joined) + 2);
-    if (!out)
-        return NULL;
-    size_t w = 0;
-    const char *p = joined;
+    w = 0;
+    const char *p = canon;
     while (*p) {
         while (*p == '/')
             p++;
@@ -1127,63 +1109,39 @@ static char *kx_canonical_path(const char *path) {
         if (seg_len == 1 && seg[0] == '.')
             continue;
         if (seg_len == 2 && seg[0] == '.' && seg[1] == '.') {
-            while (w > 0 && out[w - 1] != '/')
+            while (w > 0 && canon[w - 1] != '/')
                 w--;
             if (w > 0)
                 w--; /* drop the slash too */
             continue;
         }
-        out[w++] = '/';
-        memcpy(out + w, seg, seg_len);
+        canon[w++] = '/';
+        memmove(canon + w, seg, seg_len);
         w += seg_len;
     }
     if (w == 0)
-        out[w++] = '/';
-    out[w] = '\0';
-    return out;
+        canon[w++] = '/';
+    canon[w] = '\0';
+    return 0;
 }
 
-/* shared open/fopen front half: decide whether a shadow file substitutes
- * for the canonical path. Returns a malloced shadow path (caller frees)
- * or NULL for "use the real file". */
-static char *kx_shadow_for(const char *path) {
+/* shared open/fopen front half: the shadow file that substitutes for the
+ * path, or NULL for "use the real file". Like getenv, the lock is taken
+ * only for a registered path whose slot is not current. */
+static const char *kx_shadow_for(const char *path) {
     kx_init_once();
-    if (!g_active)
+    char canon[2 * PATH_MAX];
+    size_t i;
+    const char *shadow = NULL;
+    if (!g_active || kx_canonical_path(path, canon) != 0 || !kx_name_slot(canon, &i))
         return NULL;
-    char *canon = kx_canonical_path(path);
-    if (!canon)
-        return NULL;
-    char *shadow_copy = NULL;
-
-    /* the spec is immutable: only a registered path takes the lock */
-    size_t need = 4 + strlen(canon) + 1; /* "open" + canonical path */
-    char *keybuf = (char *)malloc(need);
-    if (!keybuf)
-        goto out;
-    memcpy(keybuf, "open", 4);
-    strcpy(keybuf + 4, canon);
-    const kx_key *registered = kx_keyset_get(&g_spec, keybuf);
-    free(keybuf);
-    if (!registered)
-        goto out;
-    const char *prefix = kx_key_meta(registered, "template");
-    if (!prefix || !*prefix)
-        goto out;
-
-    pthread_mutex_lock(&g_lock);
-    kx_refresh_if_stale();
-    const char *shadow = kx_shadow_render(prefix);
-    if (shadow) {
-        shadow_copy = xdup(shadow);
-        kx_trace("open", canon, "hit", shadow);
-    } else {
-        kx_trace("open", canon, "fallthrough", NULL);
+    if (!kx_slot_current(i, &shadow)) {
+        pthread_mutex_lock(&g_lock);
+        shadow = kx_slot_fill(i);
+        pthread_mutex_unlock(&g_lock);
     }
-    pthread_mutex_unlock(&g_lock);
-
-out:
-    free(canon);
-    return shadow_copy;
+    kx_trace("open", canon, shadow ? "hit" : "fallthrough", shadow);
+    return shadow;
 }
 
 /* the real open, with errno as the caller left it */
@@ -1193,11 +1151,10 @@ static int kx_open_real(const char *path, int flags, mode_t mode, int is64, int 
 }
 
 static int kx_open_impl(const char *path, int flags, mode_t mode, int is64, int saved) {
-    char *shadow = kx_shadow_for(path);
+    const char *shadow = kx_shadow_for(path);
     if (!shadow)
         return kx_open_real(path, flags, mode, is64, saved);
     int fd = kx_open_real(shadow, flags, mode, is64, saved);
-    free(shadow);
     if (fd >= 0)
         return fd;
     /* shadow vanished or is unreadable: fail open to the real file */
@@ -1214,9 +1171,18 @@ static int kx_open_entry(const char *path, int flags, mode_t mode, int is64) {
     return fd;
 }
 
+/* glibc's __OPEN_NEEDS_MODE: the flags with which open takes a mode */
+static int kx_needs_mode(int flags) {
+#ifdef O_TMPFILE
+    if ((flags & O_TMPFILE) == O_TMPFILE)
+        return 1;
+#endif
+    return (flags & O_CREAT) != 0;
+}
+
 KX_EXPORT int open(const char *path, int flags, ...) {
     mode_t mode = 0;
-    if (flags & O_CREAT) {
+    if (kx_needs_mode(flags)) {
         va_list ap;
         va_start(ap, flags);
         mode = (mode_t)va_arg(ap, int);
@@ -1227,7 +1193,7 @@ KX_EXPORT int open(const char *path, int flags, ...) {
 
 KX_EXPORT int open64(const char *path, int flags, ...) {
     mode_t mode = 0;
-    if (flags & O_CREAT) {
+    if (kx_needs_mode(flags)) {
         va_list ap;
         va_start(ap, flags);
         mode = (mode_t)va_arg(ap, int);
@@ -1252,12 +1218,11 @@ static FILE *kx_fopen_entry(const char *path, const char *mode, int is64) {
         return real(path, mode);
     int saved = errno;
     t_inside = 1;
-    char *shadow = kx_shadow_for(path);
+    const char *shadow = kx_shadow_for(path);
     FILE *handle = NULL;
     if (shadow) {
         errno = saved;
         handle = real(shadow, mode);
-        free(shadow);
     }
     if (!handle) { /* no shadow, or it vanished: the real file */
         errno = saved;

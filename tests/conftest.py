@@ -31,6 +31,14 @@ value = default.example.com
 # every value PROXY_SPEC gives getenv("http_proxy")
 PROXY_VALUES = ("default.example.com", "proxy.example.com", "proxy.example.org")
 
+
+def path_spec(real: Path) -> str:
+    """PROXY_SPEC plus `real` registered with template conf/app, whose one
+    key, conf/app/host, takes http_proxy's value under every state."""
+    return (f"{PROXY_SPEC}\n[conf/app/host]\ncontext = http_proxy/%interface%/%network%\n"
+            f"\n[open{real}]\ntemplate = conf/app\n")
+
+
 KONTEXT_CMD = [sys.executable, "-m", "kontext"]
 
 # a spec image's checksum and header size (kx_image_header, native/core.c)
@@ -47,16 +55,18 @@ def resign_image(kxcore, data: bytearray) -> bytearray:
 
 class ThreadsFlip:
     """A running t15_threads_flip child under `env`, a shim over PROXY_SPEC
-    and `state`, with KXT_PLAIN=plain-value.
+    and `state`, with KXT_PLAIN=plain-value; or, given `path`, a
+    t20_threads_open child reading that registered path, whose shadow file
+    holds one line, host=<http_proxy's value> (path_spec).
 
     flip() sets one layer and then tells the child the value http_proxy has
     now ("next": each thread's next read must return it, "soon": within
     3 s). The value is computed before the flip, so the round reaches the
     child as soon as the flip returns. After close(), `calls` holds the
-    number of getenv calls the child's threads made.
+    number of getenv calls (or opens) the child's threads made.
     """
 
-    def __init__(self, exe, env, state):
+    def __init__(self, exe, env, state, path=None):
         from kontext import parse_spec, state_read
 
         self.keyset = parse_spec(PROXY_SPEC).keyset
@@ -64,7 +74,10 @@ class ThreadsFlip:
         self.layers = dict(state_read(state).layers)
         self.lines = []
         self.calls = None
-        self.proc = subprocess.Popen([str(exe), *PROXY_VALUES], env=env, text=True,
+        self.form = "host={}" if path else "{}"
+        argv = [str(exe), *([str(path)] if path else []),
+                *(self.form.format(v) for v in PROXY_VALUES)]
+        self.proc = subprocess.Popen(argv, env=env, text=True,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      stderr=subprocess.PIPE, bufsize=1)
 
@@ -73,8 +86,8 @@ class ThreadsFlip:
         from kontext import ContextState, contextual_lookup, state_set_layer
 
         self.layers[name] = value
-        expected = contextual_lookup(self.keyset, "getenv/http_proxy",
-                                     ContextState(self.layers, 0)).value
+        expected = self.form.format(contextual_lookup(
+            self.keyset, "getenv/http_proxy", ContextState(self.layers, 0)).value)
         state_set_layer(self.state, name, value)
         try:
             self.proc.stdin.write(f"{mode} {expected}\n")
@@ -98,12 +111,13 @@ class ThreadsFlip:
         return self.proc.returncode, "".join(self.lines) + out, err
 
 
-def wait_for_getenv_record(trace, timeout=10.0):
-    """Wait until a traced child wrote its first getenv record: its shim
-    has then loaded the state, so a later flip is a reload."""
+def wait_for_getenv_record(trace, timeout=10.0, kind="getenv"):
+    """Wait until a traced child wrote its first getenv record (or record of
+    `kind`): its shim has then loaded the state, so a later flip is a
+    reload."""
     deadline = time.monotonic() + timeout
-    while not (trace.exists() and "\tgetenv\t" in trace.read_text()):
-        assert time.monotonic() < deadline, f"no getenv record in {trace}"
+    while not (trace.exists() and f"\t{kind}\t" in trace.read_text()):
+        assert time.monotonic() < deadline, f"no {kind} record in {trace}"
         time.sleep(0.01)
 
 

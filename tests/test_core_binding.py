@@ -22,7 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_SRC, PROXY_SPEC, ThreadsFlip, resign_image, wait_for_getenv_record
+from conftest import (DEMO_SRC, PROXY_SPEC, ThreadsFlip, path_spec, resign_image,
+                      wait_for_getenv_record)
 from kontext import (CorruptStateError, SpecParseError, child_environment, parse_spec,
                      parse_trace, state_read, state_set_layer)
 from kontext.nativebuild import NATIVE, PRELOAD_FLAGS
@@ -137,13 +138,13 @@ def _sanitized_preload(out, *flags):
     return cc
 
 
-def _threads_flip(exe, env, state):
-    """t15_threads_flip through 12 flips: ThreadsFlip.close()'s result and
-    the number of getenv calls the child made. A traced child gets the
-    first flip only after its first call."""
-    child = ThreadsFlip(exe, env, state)
+def _threads_flip(exe, env, state, path=None):
+    """t15_threads_flip (or, given `path`, t20_threads_open) through 12
+    flips: ThreadsFlip.close()'s result and the number of calls the child
+    made. A traced child gets the first flip only after its first call."""
+    child = ThreadsFlip(exe, env, state, path)
     if "KONTEXT_TRACE" in env:
-        wait_for_getenv_record(Path(env["KONTEXT_TRACE"]))
+        wait_for_getenv_record(Path(env["KONTEXT_TRACE"]), kind="open" if path else "getenv")
     for layer in [("network", "work"), ("network", "home"), ("interface", "wlan")] * 4:
         child.flip(*layer)
     return child.close(), child.calls
@@ -257,6 +258,31 @@ def test_threads_run_clean_under_thread_sanitizer(tmp_path):
         assert out == "ok\n" * 12 + "rounds=12 failures=0\n"
     records = parse_trace(trace.read_text())
     assert sum(r.kind == "getenv" for r in records) == calls > 0
+    assert sum(r.kind == "reload" for r in records) == 12
+
+
+def test_path_threads_run_clean_under_thread_sanitizer(tmp_path):
+    # registered opens read their path's slot without the lock, as getenv
+    # reads a name's; the flips make the slot render its file again
+    tsan_so = tmp_path / "_preload_tsan.so"
+    cc = _sanitized_preload(tsan_so, "-fsanitize=thread")
+    exe = tmp_path / "t20_threads_open"
+    subprocess.run([cc, "-O1", "-fsanitize=thread", "-o", str(exe),
+                    str(DEMO_SRC / "t20_threads_open.c")], check=True, capture_output=True)
+    real = tmp_path / "app.conf"
+    real.write_text("real file\n")
+    spec = tmp_path / "spec.ks"
+    spec.write_text(path_spec(real))
+    for trace in (None, tmp_path / "trace.log"):
+        state = tmp_path / f"state-{trace is not None}.ks"
+        state_set_layer(state, "interface", "eth")
+        env = child_environment(spec=spec, state=state, preload=tsan_so, trace=trace,
+                                base=dict(os.environ, TMPDIR=str(tmp_path)))
+        (code, out, err), calls = _threads_flip(exe, env, state, path=real)
+        assert (code, err) == (0, ""), trace
+        assert out == "ok\n" * 12 + "rounds=12 failures=0\n"
+    records = parse_trace(trace.read_text())
+    assert sum(r.kind == "open" for r in records) == calls > 0
     assert sum(r.kind == "reload" for r in records) == 12
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PROXY_SPEC, ThreadsFlip, wait_for_getenv_record
+from conftest import PROXY_SPEC, ThreadsFlip, path_spec, wait_for_getenv_record
 from kontext import (
     ContextState,
     KontextError,
@@ -379,7 +379,8 @@ class TestPreloadEndToEnd:
 
 
 class _Probe:
-    """A running sync_getenv_ptr child: one getenv per lookup() call."""
+    """A running sync_getenv_ptr child: one getenv per lookup() call; or
+    another stdin-driven fixture, one request per ask() call."""
 
     def __init__(self, exe, spec, state, environ=None):
         base = dict(os.environ) if environ is None else environ
@@ -394,11 +395,15 @@ class _Probe:
             bufsize=1,
         )
 
+    def ask(self, line):
+        """The child's output line for one input line."""
+        self.proc.stdin.write(line + "\n")
+        self.proc.stdin.flush()
+        return self.proc.stdout.readline().rstrip("\n")
+
     def lookup(self, name):
         """(value or None, address) of the child's getenv(name)."""
-        self.proc.stdin.write(name + "\n")
-        self.proc.stdin.flush()
-        value, address = self.proc.stdout.readline().rstrip("\n").rsplit(" ", 1)
+        value, address = self.ask(name).rsplit(" ", 1)
         return (None if address == "(nil)" else value), address
 
     def getenv(self, name):
@@ -619,6 +624,19 @@ class TestLockFreeReads:
         assert (code, err) == (0, "")
         assert out.endswith("rounds=5 failures=0\n")
 
+    def test_threads_race_path_flips(self, demo_bins, preload_so, tmp_path):
+        # registered opens take no lock either: every read is one state's
+        # whole file, and the first open after a flip gets the new one
+        real = tmp_path / "app.conf"
+        real.write_text("real file\n")
+        spec = tmp_path / "spec.ks"
+        spec.write_text(path_spec(real))
+        state = tmp_path / "state.ks"
+        state_set_layer(state, "interface", "eth")
+        env = child_environment(spec=spec, state=state,
+                                base=dict(os.environ, TMPDIR=str(tmp_path)))
+        self._race(ThreadsFlip(demo_bins["t20_threads_open"], env, state, real))
+
 
 LONG_NAME = "L" * 600  # longer than any fixed key buffer
 
@@ -720,6 +738,18 @@ class TestPreloadHardening:
             pytest.fail("forked children hung on the shim's lock")
         assert proc.returncode == 0, out
         assert out.strip() == "forks=200 failed=0"
+
+    @pytest.mark.parametrize("configured", [True, False], ids=["spec", "no-spec"])
+    def test_tmpfile_open_keeps_its_mode(self, demo_bins, preload_so, proxy_spec, tmp_path,
+                                         configured):
+        # glibc passes open a mode with O_TMPFILE as it does with O_CREAT
+        argv = [str(demo_bins["t19_open_tmpfile"]), str(tmp_path)]
+        libc = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+        assert libc == "open 640\nopen64 640\n"
+        env = child_environment(spec=proxy_spec if configured else None,
+                                state=tmp_path / "state.ks", base=dict(os.environ))
+        shim = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        assert (shim.returncode, shim.stdout) == (0, libc)
 
     def test_secure_getenv_is_contextual(self, demo_bins, preload_so, proxy_spec, tmp_path):
         state = tmp_path / "state.ks"
@@ -832,3 +862,72 @@ class TestShadowFiles:
         assert _run([demo_bins["t05_open_read"], real], env) == "real file\n"
         assert _run([demo_bins["t18_open_exit"], real], env) == "real file\n"
         assert list(inside.iterdir()) == []
+
+
+class TestPathSlots:
+    """A registered path's shadow file is its slot's answer, as a value is a
+    registered name's: rendered again once a new state is adopted, and never
+    an answer to getenv."""
+
+    @pytest.fixture
+    def start(self, preload_so, tmp_path):
+        """Start a stdin-driven fixture over path_spec(real), TMPDIR in
+        tmp_path: (exe, environ=None) -> (real, child)."""
+        real = tmp_path / "app.conf"
+        real.write_text("real file\n")
+        spec = tmp_path / "spec.ks"
+        spec.write_text(path_spec(real))
+        children = []
+
+        def start(exe, environ=None):
+            base = dict(os.environ if environ is None else environ, TMPDIR=str(tmp_path))
+            children.append(_Probe(exe, spec, tmp_path / "state.ks", base))
+            return real, children[-1]
+
+        yield start
+        for child in children:
+            child.close()
+
+    @staticmethod
+    def _open(child, real):
+        """(file the child's open of real got, its bytes)."""
+        target, _, body = child.ask(str(real)).partition("\t")
+        return target, body.replace("\\n", "\n")
+
+    def test_open_after_layer_set_serves_new_content(self, demo_bins, start, cli, tmp_path):
+        state = tmp_path / "state.ks"
+        state_set_layer(state, "interface", "eth")
+        state_set_layer(state, "network", "home")
+        real, child = start(demo_bins["sync_open"])
+        assert self._open(child, real)[1] == "host=default.example.com\n"
+        for layer, value, host in [("network", "work", "proxy.example.com"),
+                                   ("interface", "wlan", "default.example.com"),
+                                   ("network", "home", "proxy.example.org")]:
+            assert cli("layer", "set", "--state", str(state), layer, value)[0] == 0
+            assert self._open(child, real)[1] == f"host={host}\n"
+
+    def test_flip_back_serves_first_file_again(self, demo_bins, start, tmp_path):
+        state = tmp_path / "state.ks"
+        state_set_layer(state, "interface", "eth")
+        state_set_layer(state, "network", "work")
+        real, child = start(demo_bins["sync_open"])
+        opened = [self._open(child, real)]
+        for network in ("home", "work"):
+            state_set_layer(state, "network", network)
+            opened.append(self._open(child, real))
+        assert [body for _, body in opened] == [
+            "host=proxy.example.com\n", "host=default.example.com\n", "host=proxy.example.com\n"]
+        store = tmp_path / f"kontext-shadow-{os.geteuid()}"
+        assert [Path(target).parent for target, _ in opened] == [store] * 3
+        assert opened[0][0] == opened[2][0] != opened[1][0]
+
+    def test_getenv_of_registered_path_falls_through(self, demo_bins, start, tmp_path):
+        state = tmp_path / "state.ks"
+        state_set_layer(state, "interface", "wlan")
+        state_set_layer(state, "network", "home")
+        environ = {k: v for k, v in os.environ.items() if k != "http_proxy"}
+        path = str(tmp_path / "app.conf")  # the path start() registers
+        _, child = start(demo_bins["sync_getenv_ptr"], dict(environ, **{path: "from-env"}))
+        assert child.getenv("http_proxy") == "proxy.example.org"
+        assert child.getenv(path) == "from-env"
+        assert child.getenv(path + "x") is None
