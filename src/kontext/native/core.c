@@ -24,10 +24,6 @@ static char *kx_strndup(const char *s, size_t n) {
     return out;
 }
 
-static char *kx_strdup(const char *s) {
-    return kx_strndup(s, strlen(s));
-}
-
 static void kx_set_error(kx_error *err, int line, int kind, const char *msg) {
     if (!err)
         return;
@@ -57,7 +53,7 @@ typedef struct {
 
 static int kx_buf_push(kx_buf *buf, const char *s, size_t n) {
     if (buf->len + n + 1 > buf->cap) {
-        size_t cap = buf->cap ? buf->cap : 32;
+        size_t cap = buf->cap ? buf->cap : 128;
         while (cap < buf->len + n + 1)
             cap *= 2;
         char *data = (char *)realloc(buf->data, cap);
@@ -999,204 +995,154 @@ int kx_parse_state(const char *data, size_t len, kx_state *out, kx_error *err) {
 /* templates                                                           */
 /* ------------------------------------------------------------------ */
 
-typedef struct {
-    int is_ref;
-    char *text; /* literal text or layer name */
-} kx_tpart;
+/* A template is read in place, one piece at a time: a run of literal text,
+ * the '%' of a "%%", or a %layer% reference, whose layer name is trimmed of
+ * spaces and tabs. */
+enum { KX_PIECE_END, KX_PIECE_TEXT, KX_PIECE_REF };
 
-typedef struct {
-    kx_tpart *parts;
-    size_t nparts;
-    size_t nrefs;
-} kx_template;
-
-static void kx_template_free(kx_template *t) {
-    for (size_t i = 0; i < t->nparts; i++)
-        free(t->parts[i].text);
-    free(t->parts);
-    t->parts = NULL;
-    t->nparts = t->nrefs = 0;
+/* the kind of the piece at *p and its bytes [*s, *s + *n), moving *p past
+ * it; KX_E_TEMPLATE for an unterminated placeholder or an empty layer name */
+static int kx_piece(const char **p, const char **s, size_t *n, kx_error *err) {
+    const char *at = *p;
+    if (*at == '\0')
+        return KX_PIECE_END;
+    if (*at != '%') {
+        *s = at;
+        *n = strcspn(at, "%");
+        *p = at + *n;
+        return KX_PIECE_TEXT;
+    }
+    if (at[1] == '%') {
+        *s = at;
+        *n = 1;
+        *p = at + 2;
+        return KX_PIECE_TEXT;
+    }
+    const char *close = strchr(at + 1, '%');
+    if (!close) {
+        kx_set_error(err, 0, KX_PK_NONE, "unterminated placeholder");
+        return KX_E_TEMPLATE;
+    }
+    const char *nb = at + 1, *ne = close;
+    kx_trim(&nb, &ne);
+    if (nb == ne) {
+        kx_set_error(err, 0, KX_PK_NONE, "empty layer name");
+        return KX_E_TEMPLATE;
+    }
+    *s = nb;
+    *n = (size_t)(ne - nb);
+    *p = close + 1;
+    return KX_PIECE_REF;
 }
 
-static int kx_template_push(kx_template *t, int is_ref, const char *s, size_t n) {
-    kx_tpart *parts = (kx_tpart *)realloc(t->parts, (t->nparts + 1) * sizeof(kx_tpart));
-    if (!parts)
-        return KX_E_NOMEM;
-    t->parts = parts;
-    char *copy = kx_strndup(s, n);
-    if (!copy)
-        return KX_E_NOMEM;
-    t->parts[t->nparts].is_ref = is_ref;
-    t->parts[t->nparts].text = copy;
-    t->nparts++;
-    if (is_ref)
-        t->nrefs++;
+/* a template's references under a state */
+typedef struct {
+    const char *value[KX_MAX_TEMPLATE_REFS]; /* leftmost first; NULL: layer unset */
+    size_t n;
+    unsigned active; /* a bit per set layer, leftmost reference highest */
+} kx_refs;
+
+/* check the whole template, and find which of its layers st sets */
+static int kx_refs_of(const char *text, const kx_state *st, kx_refs *refs, kx_error *err) {
+    const char *p = text, *s;
+    size_t n;
+    int kind, first = KX_PIECE_END;
+    refs->n = 0;
+    refs->active = 0;
+    while ((kind = kx_piece(&p, &s, &n, err)) > KX_PIECE_END) {
+        if (first == KX_PIECE_END)
+            first = kind;
+        if (kind == KX_PIECE_REF && refs->n++ < KX_MAX_TEMPLATE_REFS) {
+            long idx = kx_state_find(st, s, n);
+            refs->value[refs->n - 1] = idx >= 0 ? st->values[idx] : NULL;
+            refs->active = refs->active << 1 | (idx >= 0);
+        }
+    }
+    if (kind != KX_PIECE_END)
+        return kind;
+    if (first != KX_PIECE_TEXT) {
+        kx_set_error(err, 0, KX_PK_NONE, "template must start with a literal");
+        return KX_E_TEMPLATE;
+    }
+    if (refs->n > KX_MAX_TEMPLATE_REFS) {
+        kx_set_error(err, 0, KX_PK_NONE, "too many layer references");
+        return KX_E_TEMPLATE;
+    }
     return KX_OK;
 }
 
-static int kx_template_parse(const char *text, kx_template *out, kx_error *err) {
-    memset(out, 0, sizeof(*out));
-    kx_buf literal = {0};
-    size_t i = 0;
-    size_t n = strlen(text);
-    int rc = KX_OK;
-
-    while (i < n) {
-        char c = text[i];
-        if (c != '%') {
-            rc = kx_buf_push(&literal, &c, 1);
-            if (rc != KX_OK)
-                goto done;
-            i++;
-            continue;
+/* the candidate of mask into buf, for a template kx_refs_of accepted: a
+ * reference whose bit is set renders its layer's value, any other the
+ * wildcard */
+static int kx_render(const char *text, const kx_refs *refs, unsigned mask, kx_buf *buf,
+                     kx_error *err) {
+    const char *p = text, *s;
+    size_t n, ref = 0;
+    int kind, rc = KX_OK;
+    buf->len = 0;
+    while (rc == KX_OK && (kind = kx_piece(&p, &s, &n, NULL)) > KX_PIECE_END) {
+        if (kind == KX_PIECE_REF) {
+            s = mask >> (refs->n - 1 - ref) & 1u ? refs->value[ref] : KX_WILDCARD;
+            n = strlen(s);
+            ref++;
         }
-        if (i + 1 < n && text[i + 1] == '%') {
-            rc = kx_buf_push(&literal, "%", 1);
-            if (rc != KX_OK)
-                goto done;
-            i += 2;
-            continue;
-        }
-        const char *close = memchr(text + i + 1, '%', n - i - 1);
-        if (!close) {
-            kx_set_error(err, 0, KX_PK_NONE, "unterminated placeholder");
-            rc = KX_E_TEMPLATE;
-            goto done;
-        }
-        const char *nb = text + i + 1;
-        const char *ne = close;
-        kx_trim(&nb, &ne);
-        if (nb == ne) {
-            kx_set_error(err, 0, KX_PK_NONE, "empty layer name");
-            rc = KX_E_TEMPLATE;
-            goto done;
-        }
-        if (literal.len > 0) {
-            rc = kx_template_push(out, 0, literal.data, literal.len);
-            if (rc != KX_OK)
-                goto done;
-            literal.len = 0;
-        }
-        rc = kx_template_push(out, 1, nb, (size_t)(ne - nb));
-        if (rc != KX_OK)
-            goto done;
-        i = (size_t)(close - text) + 1;
+        rc = kx_buf_push(buf, s, n);
     }
-    if (literal.len > 0) {
-        rc = kx_template_push(out, 0, literal.data, literal.len);
-        if (rc != KX_OK)
-            goto done;
-    }
-    if (out->nparts == 0 || out->parts[0].is_ref) {
-        kx_set_error(err, 0, KX_PK_NONE, "template must start with a literal");
+    if (rc == KX_OK && !kx_name_valid_mem(buf->data, buf->len)) {
+        kx_set_error(err, 0, KX_PK_NONE, "rendered candidate is not a valid name");
         rc = KX_E_TEMPLATE;
-        goto done;
     }
-    if (out->nrefs > KX_MAX_TEMPLATE_REFS) {
-        kx_set_error(err, 0, KX_PK_NONE, "too many layer references");
-        rc = KX_E_TEMPLATE;
-        goto done;
-    }
-
-done:
-    kx_buf_free(&literal);
-    if (rc != KX_OK)
-        kx_template_free(out);
     return rc;
 }
 
-/* active-layer bitmask, leftmost reference = most significant bit */
-static unsigned kx_active_mask(const kx_template *t, const kx_state *st) {
-    unsigned mask = 0;
-    size_t ref_idx = 0;
-    for (size_t i = 0; i < t->nparts; i++) {
-        if (!t->parts[i].is_ref)
-            continue;
-        if (kx_state_get(st, t->parts[i].text) != NULL)
-            mask |= 1u << (t->nrefs - 1 - ref_idx);
-        ref_idx++;
+/* each candidate of a template under st, most specific first: rendered into
+ * buf and handed to visit until visit returns nonzero. Returns that, or the
+ * template's error. */
+static int kx_each_candidate(const char *text, const kx_state *st, kx_buf *buf,
+                             int (*visit)(void *arg, const kx_buf *name), void *arg,
+                             kx_error *err) {
+    kx_refs refs;
+    int rc = kx_refs_of(text, st, &refs, err);
+    for (unsigned mask = refs.active; rc == KX_OK; mask = (mask - 1) & refs.active) {
+        rc = kx_render(text, &refs, mask, buf, err);
+        if (rc == KX_OK)
+            rc = visit(arg, buf);
+        if (mask == 0)
+            break;
     }
-    return mask;
+    return rc;
 }
 
-static int kx_render_candidate(const kx_template *t, const kx_state *st,
-                               unsigned mask, char **out) {
-    kx_buf buf = {0};
-    size_t ref_idx = 0;
-    int rc = KX_OK;
-    *out = NULL;
-    for (size_t i = 0; i < t->nparts; i++) {
-        const kx_tpart *part = &t->parts[i];
-        if (!part->is_ref) {
-            rc = kx_buf_push(&buf, part->text, strlen(part->text));
-        } else {
-            unsigned bit = 1u << (t->nrefs - 1 - ref_idx);
-            if (mask & bit) {
-                const char *value = kx_state_get(st, part->text);
-                rc = kx_buf_push(&buf, value, strlen(value));
-            } else {
-                rc = kx_buf_push(&buf, KX_WILDCARD, 1);
-            }
-            ref_idx++;
-        }
-        if (rc != KX_OK) {
-            kx_buf_free(&buf);
-            return rc;
-        }
-    }
-    if (!kx_name_valid_mem(buf.data ? buf.data : "", buf.len)) {
-        kx_buf_free(&buf);
-        return KX_E_TEMPLATE;
-    }
-    *out = buf.data ? buf.data : kx_strdup("");
-    return *out ? KX_OK : KX_E_NOMEM;
+/* appends a candidate to the buffer arg, with its NUL */
+static int kx_collect(void *arg, const kx_buf *name) {
+    return kx_buf_push((kx_buf *)arg, name->data, name->len + 1);
 }
 
 int kx_candidates(const char *template_text, const kx_state *st,
                   char ***names_out, size_t *count_out, kx_error *err) {
-    kx_template tpl;
-    int rc = kx_template_parse(template_text, &tpl, err);
-    if (rc != KX_OK)
-        return rc;
-
-    unsigned active = kx_active_mask(&tpl, st);
-    size_t active_bits = 0;
-    for (unsigned m = active; m; m >>= 1)
-        active_bits += m & 1u;
-    size_t total = (size_t)1 << active_bits;
-
-    char **names = (char **)calloc(total, sizeof(char *));
-    if (!names) {
-        kx_template_free(&tpl);
-        return KX_E_NOMEM;
-    }
+    kx_buf buf = {0}, all = {0};
+    int rc = kx_each_candidate(template_text, st, &buf, kx_collect, &all, err);
+    kx_buf_free(&buf);
+    char **names = NULL;
     size_t count = 0;
-    unsigned mask = active;
-    for (;;) {
-        rc = kx_render_candidate(&tpl, st, mask, &names[count]);
-        if (rc != KX_OK) {
-            if (rc == KX_E_TEMPLATE)
-                kx_set_error(err, 0, KX_PK_NONE, "rendered candidate is not a valid name");
-            kx_names_free(names, count);
-            kx_template_free(&tpl);
-            return rc;
-        }
-        count++;
-        if (mask == 0)
-            break;
-        mask = (mask - 1) & active;
+    for (size_t i = 0; i < all.len; i++)
+        count += all.data[i] == '\0';
+    /* one block: the pointers, then the names they point at */
+    if (rc == KX_OK && !(names = (char **)malloc(count * sizeof *names + all.len)))
+        rc = KX_E_NOMEM;
+    if (rc == KX_OK) {
+        char *name = (char *)memcpy(names + count, all.data, all.len);
+        for (size_t i = 0; i < count; i++, name += strlen(name) + 1)
+            names[i] = name;
+        *names_out = names;
+        *count_out = count;
     }
-    kx_template_free(&tpl);
-    *names_out = names;
-    *count_out = count;
-    return KX_OK;
+    kx_buf_free(&all);
+    return rc;
 }
 
 void kx_names_free(char **names, size_t count) {
-    if (!names)
-        return;
-    for (size_t i = 0; i < count; i++)
-        free(names[i]);
+    (void)count; /* one block holds the array and every name */
     free(names);
 }
 
@@ -1207,8 +1153,6 @@ void kx_names_free(char **names, size_t count) {
 void kx_result_free(kx_result *res) {
     if (!res)
         return;
-    for (size_t i = 0; i < res->chain_len; i++)
-        free(res->chain[i]);
     free(res->chain);
     res->chain = NULL;
     res->chain_len = 0;
@@ -1216,55 +1160,46 @@ void kx_result_free(kx_result *res) {
     res->matched = NULL;
 }
 
-static int kx_chain_push(kx_result *res, const char *name) {
-    char **chain = (char **)realloc(res->chain, (res->chain_len + 1) * sizeof(char *));
-    if (!chain)
-        return KX_E_NOMEM;
-    res->chain = chain;
-    char *copy = kx_strdup(name);
-    if (!copy)
-        return KX_E_NOMEM;
-    res->chain[res->chain_len++] = copy;
-    return KX_OK;
+typedef struct {
+    const kx_keyset *ks;
+    const kx_key *key; /* the first candidate that names a key */
+} kx_probe;
+
+static int kx_probe_candidate(void *arg, const kx_buf *name) {
+    kx_probe *probe = (kx_probe *)arg;
+    probe->key = kx_keyset_get(probe->ks, name->data);
+    return probe->key != NULL;
 }
 
 int kx_lookup(const kx_keyset *ks, const char *name, const kx_state *st,
               kx_result *out, kx_error *err) {
     out->value = NULL;
     out->matched = NULL;
-    out->chain = NULL;
     out->chain_len = 0;
-
-    char *current = kx_strdup(name);
-    if (!current)
+    /* room for a full chain and a repeated name as its tail */
+    out->chain = (const char **)malloc((KX_MAX_CHAIN + 1) * sizeof *out->chain);
+    if (!out->chain)
         return KX_E_NOMEM;
-    int rc = KX_OK;
 
+    kx_buf buf = {0};
+    kx_probe probe = {ks, NULL};
+    const char *current = name;
+    int rc;
     for (;;) {
         int revisit = 0;
-        for (size_t i = 0; i < out->chain_len; i++) {
-            if (strcmp(out->chain[i], current) == 0) {
-                revisit = 1;
-                break;
-            }
-        }
-        if (revisit) {
-            /* keep the repeated name as the chain tail for diagnostics */
-            rc = kx_chain_push(out, current);
-            if (rc == KX_OK) {
-                kx_set_error(err, 0, KX_PK_NONE, "resolution cycle");
-                rc = KX_E_CYCLE;
-            }
-            break;
-        }
-        if (out->chain_len >= KX_MAX_CHAIN) {
+        for (size_t i = 0; i < out->chain_len && !revisit; i++)
+            revisit = strcmp(out->chain[i], current) == 0;
+        if (!revisit && out->chain_len >= KX_MAX_CHAIN) {
             kx_set_error(err, 0, KX_PK_NONE, "resolution chain too long");
             rc = KX_E_DEPTH;
             break;
         }
-        rc = kx_chain_push(out, current);
-        if (rc != KX_OK)
+        out->chain[out->chain_len++] = current; /* a repeated name too, for diagnostics */
+        if (revisit) {
+            kx_set_error(err, 0, KX_PK_NONE, "resolution cycle");
+            rc = KX_E_CYCLE;
             break;
+        }
 
         const kx_key *key = kx_keyset_get(ks, current);
         if (!key) {
@@ -1272,58 +1207,25 @@ int kx_lookup(const kx_keyset *ks, const char *name, const kx_state *st,
             break;
         }
         const char *template_text = kx_key_meta(key, KX_CONTEXT_PROPERTY);
-        if (!template_text) {
-            out->value = kx_key_value(key);
-            out->matched = kx_key_name(key);
-            rc = KX_OK;
-            break;
+        probe.key = NULL;
+        if (template_text) {
+            rc = kx_each_candidate(template_text, st, &buf, kx_probe_candidate, &probe, err);
+            if (rc < 0)
+                break;
         }
-
-        kx_template tpl;
-        rc = kx_template_parse(template_text, &tpl, err);
-        if (rc != KX_OK)
-            break;
-
-        unsigned active = kx_active_mask(&tpl, st);
-        unsigned mask = active;
-        char *chosen = NULL;
-        for (;;) {
-            char *candidate = NULL;
-            rc = kx_render_candidate(&tpl, st, mask, &candidate);
-            if (rc != KX_OK) {
-                if (rc == KX_E_TEMPLATE)
-                    kx_set_error(err, 0, KX_PK_NONE,
-                                 "rendered candidate is not a valid name");
-                break;
-            }
-            if (kx_keyset_get(ks, candidate) != NULL) {
-                chosen = candidate;
-                break;
-            }
-            free(candidate);
-            if (mask == 0)
-                break;
-            mask = (mask - 1) & active;
-        }
-        kx_template_free(&tpl);
-        if (rc != KX_OK)
-            break;
-
-        if (!chosen) {
-            if (kx_key_value(key)[0] != '\0') {
+        if (!probe.key) {
+            /* the key's own value, unless it indirects and that is empty */
+            rc = template_text && kx_key_value(key)[0] == '\0' ? KX_ABSENT : KX_OK;
+            if (rc == KX_OK) {
                 out->value = kx_key_value(key);
                 out->matched = kx_key_name(key);
-                rc = KX_OK;
-            } else {
-                rc = KX_ABSENT;
             }
             break;
         }
-        free(current);
-        current = chosen;
+        current = kx_key_name(probe.key);
     }
 
-    free(current);
+    kx_buf_free(&buf);
     if (rc != KX_OK && rc != KX_E_CYCLE && rc != KX_E_DEPTH && rc != KX_ABSENT) {
         /* hard errors do not hand a chain back */
         kx_result_free(out);

@@ -95,10 +95,14 @@ typedef struct {
     long long generation;
 } kx_state;
 
+/* A lookup's outcome. Nothing in it is a copy: the value and the matched
+ * name point into the key set, and so does every chain entry but the first,
+ * which is the name the caller looked up. The key set and that name must
+ * outlive the result; kx_result_free releases only the chain's array. */
 typedef struct {
-    const char *value;   /* borrowed from the keyset */
-    const char *matched; /* borrowed from the keyset */
-    char **chain;        /* owned names, kx_result_free releases */
+    const char *value;
+    const char *matched;
+    const char **chain;
     size_t chain_len;
 } kx_result;
 
@@ -148,7 +152,7 @@ KX_API int kx_state_set(kx_state *st, const char *name, const char *value);
 KX_API const char *kx_state_get(const kx_state *st, const char *name);
 KX_API int kx_parse_state(const char *data, size_t len, kx_state *out, kx_error *err);
 
-/* templates and lookup */
+/* templates and lookup; kx_candidates' array and names are one block */
 KX_API int kx_candidates(const char *template_text, const kx_state *st,
                          char ***names_out, size_t *count_out, kx_error *err);
 KX_API void kx_names_free(char **names, size_t count);

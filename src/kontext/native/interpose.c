@@ -75,10 +75,14 @@
  * template, owns a slot holding its answer for the state adopted last
  * (g_epoch grows with every adopted state): the name's value, or the path of
  * the path's shadow file. So a steady registered hit makes no lookup and
- * renders nothing. Answers are interned in the slot, so A->B->A flips return
- * the first pointer again. One hashed table (FNV-1a, open addressing) finds
- * the slot of a bare getenv name or of a canonical path; a name never starts
- * with '/' (a key has no empty segment) and a path always does.
+ * renders nothing. Every outcome is kept until the next adopted state: a
+ * lookup error, a failed render or a refused store leaves "no answer" in the
+ * slot, so the name or path falls through to environ or the real file, and a
+ * traced process writes one note saying why. Answers are interned in the
+ * slot, so A->B->A flips return the first pointer again. One hashed table
+ * (FNV-1a, open addressing) finds the slot of a bare getenv name or of a
+ * canonical path; a name never starts with '/' (a key has no empty segment)
+ * and a path always does.
  *
  * Config environment variables:
  *   KONTEXT_SPEC        spec file path; unset or unparseable -> passthrough
@@ -871,8 +875,10 @@ static int kx_shadow_path(const char *name, char *path, size_t cap) {
     mkdir(path, 0700); /* it usually exists already: the lstat decides */
     struct stat st;
     if (lstat(path, &st) != 0 || !S_ISDIR(st.st_mode) || st.st_uid != euid ||
-        (st.st_mode & (S_IRWXG | S_IRWXO)))
+        (st.st_mode & (S_IRWXG | S_IRWXO))) {
+        kx_trace("note", "shadow-store-refused", path, NULL);
         return -1;
+    }
     return snprintf(path + n, cap - (size_t)n, "/%s", name) < (int)(cap - (size_t)n) ? 0 : -1;
 }
 
@@ -953,15 +959,15 @@ static const char *kx_intern(kx_slot *slot, const char *value) {
 
 /* the answer of slot i, computed again only after a new state was adopted:
  * a getenv slot's value, or the path of a path slot's shadow file; NULL
- * falls through to environ or the real file. Errors are never cached. Lock
- * held. */
+ * falls through to environ or the real file. Every outcome is kept until
+ * the next adopted state, a failure too, so it costs one note and not one
+ * per call. Lock held. */
 static const char *kx_slot_fill(size_t i) {
     kx_refresh_if_stale();
     kx_slot *slot = &g_slots[i];
     if (slot->epoch == g_epoch)
         return slot->answer;
     const char *answer = NULL;
-    int cached; /* a failed allocation behaves like an error */
     if (i < g_getenv_len) {
         kx_result res;
         kx_error err = {0};
@@ -969,16 +975,13 @@ static const char *kx_slot_fill(size_t i) {
         if (rc == KX_OK)
             answer = kx_intern(slot, res.value);
         else if (rc != KX_ABSENT)
-            kx_trace("note", "lookup-error", err.message, NULL);
+            kx_trace("note", "lookup-error", slot->key, err.message);
         kx_result_free(&res);
-        cached = answer || rc == KX_ABSENT; /* KX_ABSENT caches "no answer" */
     } else {
         char path[PATH_MAX];
-        cached = kx_shadow_render(slot->key, path, sizeof path) == 0 &&
-                 (answer = kx_intern(slot, path)) != NULL;
+        if (kx_shadow_render(slot->key, path, sizeof path) == 0)
+            answer = kx_intern(slot, path);
     }
-    if (!cached)
-        return NULL;
     /* a lock-free reader that sees the epoch sees this answer */
     __atomic_store_n(&slot->answer, answer, __ATOMIC_RELEASE);
     __atomic_store_n(&slot->epoch, g_epoch, __ATOMIC_RELEASE);

@@ -16,7 +16,10 @@ Record kinds and their fields:
                  per stage: read=..;hash=..;load=..;write=..;state=..;slots=..;
                  total=..
     init-failed  reason
-    note         topic, detail
+    note         topic, then what failed open and why: lookup-error (key,
+                 error), shadow-render-error (key, error),
+                 shadow-store-refused (store), state-read-failed (path),
+                 state-corrupt (error)
     reload       generation of the state adopted (not written for the
                  state the first call loads)
 

@@ -184,8 +184,9 @@ class Engine:
             KeyName.parse(name)  # the pure engine's exception and message
             raise InvalidNameError(f"invalid key name: {name!r}")
         res, err = Result(), Error()
+        data = _as_bytes(name)  # the chain's first entry points into it
         with _state(ctx.layers) as st:
-            rc = _lib.kx_lookup(self._ks, _as_bytes(name), byref(st), byref(res), byref(err))
+            rc = _lib.kx_lookup(self._ks, data, byref(st), byref(res), byref(err))
         chain = tuple(link.decode() for link in res.chain[: res.chain_len])
         outcome = None
         if rc == KX_OK:

@@ -1,9 +1,10 @@
 """The C engine through its ctypes binding: symbol visibility, warning-clean
 builds of both libraries, a run of the shim under AddressSanitizer and UBSan
 and of its lock-free readers, untraced and traced, under ThreadSanitizer,
-the spec and state parsers checked against the Python ones by differential
-testing (McKeeman, "Differential Testing for Software", 1998), and the spec
-parser's independence from line order.
+the spec and state parsers and the template walk checked against the Python
+ones by differential testing (McKeeman, "Differential Testing for Software",
+1998), also against a sanitized core, and the spec parser's independence
+from line order.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from hypothesis import strategies as st
 
 from conftest import (DEMO_SRC, PROXY_SPEC, ThreadsFlip, path_spec, resign_image,
                       wait_for_getenv_record)
-from kontext import (CorruptStateError, SpecParseError, child_environment, parse_spec,
-                     parse_trace, state_read, state_set_layer)
+from kontext import (ContextState, CorruptStateError, SpecParseError, TemplateError,
+                     candidates, child_environment, contextual_lookup, parse_spec, parse_trace,
+                     state_read, state_set_layer, template_parse)
 from kontext.nativebuild import NATIVE, PRELOAD_FLAGS
 
 # bytes that exercise both grammars, plus what the engines once disagreed
@@ -126,13 +128,16 @@ def test_benchmark_core_probe_builds(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _sanitized_preload(out, *flags):
-    """_preload.so built with extra sanitizer flags; skips without a compiler."""
+def _sanitized_preload(out, *flags, core_only=False):
+    """_preload.so, or with core_only _kxcore.so, built with extra sanitizer
+    flags; skips without a compiler."""
     cc = os.environ.get("CC", "cc")
     if shutil.which(cc) is None:
         pytest.skip("no C compiler on PATH")
+    sources = (['-DKX_API=__attribute__((visibility("default")))', str(NATIVE / "core.c")]
+               if core_only else [str(NATIVE / "core.c"), str(NATIVE / "interpose.c"), "-ldl"])
     cmd = [cc, *PRELOAD_FLAGS, *flags, "-fno-omit-frame-pointer", "-I", str(NATIVE),
-           str(NATIVE / "core.c"), str(NATIVE / "interpose.c"), "-ldl", "-o", str(out)]
+           *sources, "-o", str(out)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return cc
@@ -386,3 +391,76 @@ def test_state_parsers_agree(kxcore, state_path, data):
 def test_corrupt_states_rejected(kxcore, state_path, data, line):
     assert state_outcome(lambda: kxcore.parse_state(data)) == ("error", line)
     assert state_outcome(lambda: python_state(state_path, data)) == ("error", line)
+
+
+# template text: literal runs, "%%", stray '%', spaced and tabbed references,
+# non-ASCII, and runs of references around KX_MAX_TEMPLATE_REFS, most of a
+# run naming a layer that is never set, so a run has few candidates
+TEMPLATE_TOKENS = ["%", "%%", " ", "\t", "/", "*", "a", "b", "é", "%l1%", "% l1 %", "%l2%"]
+_TEMPLATE_PIECES = st.lists(st.sampled_from(TEMPLATE_TOKENS), max_size=8).map("".join)
+_LAYERS = st.dictionaries(st.sampled_from(["l1", "l2"]), st.sampled_from(["v", "é", "a b", "%"]))
+
+
+@st.composite
+def _templates(draw):
+    text = draw(_TEMPLATE_PIECES)
+    if draw(st.booleans()):
+        refs = draw(st.lists(st.sampled_from(["%l1%", "% l2 %"]), max_size=3))
+        run = ["%unset%"] * (draw(st.integers(15, 18)) - len(refs)) + refs
+        text += "".join(draw(st.permutations(run))) + draw(_TEMPLATE_PIECES)
+    return text
+
+
+def template_outcome(run):
+    """("ok", result) or ("error",) for a TemplateError."""
+    try:
+        return ("ok", run())
+    except TemplateError:
+        return ("error",)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=_templates(), layers=_LAYERS, hits=st.lists(st.integers(0, 1 << 16), max_size=2),
+       own=st.sampled_from(["", "own"]))
+@example(text="a/%l1%%%", layers={"l1": "v"}, hits=[0], own="")
+@example(text="a/%l1%%", layers={}, hits=[], own="")
+@example(text="%% a/% l1 %", layers={"l1": "a b"}, hits=[1], own="own")
+@example(text="a" + "/%l1%" * 16, layers={}, hits=[0], own="")
+@example(text="a" + "/%l1%" * 17, layers={}, hits=[0], own="")
+def test_template_walks_agree(kxcore, text, layers, hits, own):
+    # candidates of the text itself, then a lookup through a key whose
+    # context it is (the spec trims the text) and a few of whose candidates
+    # are keys
+    assert template_outcome(lambda: kxcore.candidates(text, layers)) == template_outcome(
+        lambda: [n.display for n in candidates(template_parse(text), ContextState(layers))])
+    names = template_outcome(lambda: [n.display for n in candidates(
+        template_parse(text.strip(" \t")), ContextState(layers))])
+    keys = [names[1][i % len(names[1])] for i in hits] if names[0] == "ok" else []
+    spec = "".join(f"{name} = hit{i}\n" for i, name in enumerate(keys))
+    spec += f"[q]\ncontext = {text}\nvalue = {own}\n"
+    try:
+        keyset = parse_spec(spec).keyset
+    except SpecParseError:
+        return  # a candidate a spec line cannot carry
+    assert template_outcome(lambda: kxcore.Engine(spec).lookup("q", ContextState(layers))) == (
+        template_outcome(lambda: contextual_lookup(keyset, "q", ContextState(layers))))
+
+
+def test_core_runs_clean_under_sanitizers(tmp_path):
+    # the template walk's differential and criterion 3's oracle instances,
+    # in a child Python that loads the ASan runtime before the sanitized core
+    core = tmp_path / "_kxcore_asan.so"
+    cc = _sanitized_preload(core, "-fsanitize=address,undefined", core_only=True)
+    runtime = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+    tests = Path(__file__).resolve().parent
+    script = ("import sys; import kxcore; kxcore.load(sys.argv[1]); "
+              "import test_core_binding, test_acceptance; "
+              "test_core_binding.test_template_walks_agree(kxcore=kxcore); "
+              "test_acceptance.test_criterion_03_lookup_oracle_equivalence(kxcore)")
+    env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+               UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1",
+               PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src")]))
+    ran = subprocess.run([sys.executable, "-c", script, str(core)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=600)
+    assert (ran.returncode, ran.stderr) == (0, ""), ran.stderr[-4000:]

@@ -931,3 +931,53 @@ class TestPathSlots:
         assert child.getenv("http_proxy") == "proxy.example.org"
         assert child.getenv(path) == "from-env"
         assert child.getenv(path + "x") is None
+
+
+class TestFailOpenNotes:
+    """A failed lookup or render, and a refused shadow store, are a slot's
+    outcome like any answer: kept until the next adopted state, so the name
+    or path falls through until then, and a traced process writes one note
+    saying what failed."""
+
+    @staticmethod
+    def _notes(trace, topic):
+        return [r.fields[1:] for r in parse_trace(trace.read_text())
+                if r.kind == "note" and r.fields[0] == topic]
+
+    def test_lookup_error_noted_once_per_state(self, demo_bins, preload_so, tmp_path):
+        spec = tmp_path / "loop.ks"
+        spec.write_text("[getenv/http_proxy]\ncontext = getenv/http_proxy\n")
+        state, trace = tmp_path / "state.ks", tmp_path / "trace.log"
+        state_set_layer(state, "network", "home")
+        environ = dict(os.environ, http_proxy="from-env", KONTEXT_TRACE=str(trace))
+        child = _Probe(demo_bins["sync_getenv"], spec, state, environ)
+        try:
+            assert [child.ask("") for _ in range(5)] == ["from-env"] * 5
+            assert self._notes(trace, "lookup-error") == [
+                ("getenv/http_proxy", "resolution cycle")]
+            state_set_layer(state, "network", "work")
+            assert child.ask("") == "from-env"
+            assert len(self._notes(trace, "lookup-error")) == 2
+        finally:
+            child.close()
+
+    @pytest.mark.parametrize("failure", ["shadow-store-refused", "shadow-render-error"])
+    def test_failed_shadow_noted_once(self, demo_bins, preload_so, shadowed, tmp_path, failure):
+        real, env = shadowed
+        if failure == "shadow-store-refused":
+            _store(env).mkdir()
+            os.chmod(_store(env), 0o777)
+            why = [(str(_store(env)),)]
+        else:  # the one key below the template resolves in a cycle
+            Path(env["KONTEXT_SPEC"]).write_text(
+                f"[conf/app/host]\ncontext = conf/app/host\n[open{real}]\ntemplate = conf/app\n")
+            why = [("conf/app/host", "resolution cycle")]
+        trace = tmp_path / "trace.log"
+        out = subprocess.run([str(demo_bins["sync_open"])], input=f"{real}\n" * 20,
+                             env=dict(env, KONTEXT_TRACE=str(trace)), capture_output=True,
+                             text=True, timeout=30)
+        assert [line.partition("\t")[2] for line in out.stdout.splitlines()] == [
+            "real file\\n"] * 20
+        records = parse_trace(trace.read_text())
+        assert [r.fields[1] for r in records if r.kind == "open"] == ["fallthrough"] * 20
+        assert self._notes(trace, failure) == why
