@@ -149,7 +149,8 @@ def _publish_generation(lock_fd: int, generation: int) -> None:
 
     Only into a regular file of ours with one name: a file owned by another
     user, or a hard link to one of our other files, is left untouched and
-    the shim, which maps only such files too, falls back to stat().
+    the shim, which maps only such files too, sees the new state at its
+    once-a-second full check.
     """
     st = os.fstat(lock_fd)
     if not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid() or st.st_nlink != 1:

@@ -46,18 +46,22 @@
  *
  * Staleness: writers store the published state's generation as 8 bytes in
  * native byte order at offset 0 of <state>.lock, after the rename. The shim
- * maps that word read-only and reloads the state file only when the word
- * changed. Once per coarse-clock second it stats both files anyway, so hand
- * edits and a recreated lock file show within a second. A lock file that is
- * missing, shorter than 8 bytes, a symlink, not a regular file, hard-linked,
- * not owned by the effective uid or group/world-writable is never mapped
- * (another user must not be able to truncate it, SIGBUS); the shim then
- * stats the state file on every registered call and retries the mapping at
- * most once a second. The state file stays the source of truth. A mapping is
- * never unmapped, because a lock-free reader may still be loading it: when
- * the lock file is replaced (a new inode) the old mapping is retired, at a
- * cost of one page, and a lock file that turns unusable and usable again
- * gets its old mapping back.
+ * maps that word read-only and reads the state file only when the word
+ * changed, or at the full check once per coarse-clock second, which also
+ * looks at the lock file again; so hand edits and a recreated lock file show
+ * within a second. A lock file that is missing, shorter than 8 bytes, a
+ * symlink, not a regular file, hard-linked, not owned by the effective uid
+ * or group/world-writable is never mapped (another user must not be able to
+ * truncate it, SIGBUS); the shim then watches a constant zero word that never
+ * moves, so a state written meanwhile shows at the next full check like a
+ * hand edit. The state file stays the source of truth, and is read only when
+ * it passes the same rules, size aside: a missing one keeps the adopted
+ * state, and one that fails a rule is refused, so no other user picks the
+ * layers and a FIFO cannot block the read. A mapping is never unmapped,
+ * because a lock-free reader may still be loading it: when the lock file is
+ * replaced (a new inode) the old mapping is retired, at a cost of one page,
+ * and a lock file that turns unusable and usable again gets its old mapping
+ * back.
  *
  * Shadow files: a registered read-only open gets the keys below its
  * template rendered into a file named by its content, <len>-<hash>.conf
@@ -143,19 +147,10 @@ static kx_state g_state;
 static char g_state_path[PATH_MAX];
 static int g_trace_fd = -1;
 
-typedef struct {
-    int valid;
-    unsigned long long dev;
-    unsigned long long ino;
-    long long mtime_ns;
-    long long size;
-} kx_statmeta;
-
-static kx_statmeta g_state_stat;
-
 /* generation word: offset 0 of <state>.lock, mapped read-only */
 static char g_lock_path[PATH_MAX + 8];
-static const unsigned long long *g_word = NULL;     /* NULL: stat on every call */
+static const unsigned long long g_still_word = 0;   /* watched while no lock file is usable */
+static const unsigned long long *g_word = &g_still_word; /* never NULL */
 static const unsigned long long *g_word_map = NULL; /* last mapping made, never unmapped */
 static unsigned long long g_word_dev, g_word_ino;   /* the file g_word_map maps */
 static unsigned long long g_word_seen;              /* word the adopted state was loaded for */
@@ -351,15 +346,6 @@ static int kx_read_fd(int fd, char **data_out, size_t *len_out) {
     return 0;
 }
 
-static int kx_read_file(const char *path, char **data_out, size_t *len_out) {
-    int fd = kx_real_open(path, O_RDONLY | O_CLOEXEC, 0);
-    if (fd < 0)
-        return -1;
-    int rc = kx_read_fd(fd, data_out, len_out);
-    close(fd);
-    return rc;
-}
-
 /* data as the whole of path: a temp file in the same directory renamed
  * over it, so readers see the old file or the new one, never a part; 0 on
  * success */
@@ -386,44 +372,91 @@ static int kx_write_file(const char *path, const char *data, size_t len) {
     return -1;
 }
 
-static int kx_stat_meta(const char *path, kx_statmeta *meta) {
-    struct stat st;
-    if (stat(path, &st) != 0)
+static long long kx_coarse_s(void) {
+    struct timespec ts;
+    if (clock_gettime(CLOCK_MONOTONIC_COARSE, &ts) != 0)
+        return 0;
+    return (long long)ts.tv_sec;
+}
+
+/* the rule that keeps a file from being mapped or read, or NULL: only a
+ * file no other user can truncate under the mapping (SIGBUS) or rewrite,
+ * not a second name of some unrelated file of ours (a hard link), and
+ * holding at least min bytes. Callers open with O_NOFOLLOW or lstat, so
+ * symlinks are never followed. */
+static const char *kx_untrusted(const struct stat *st, off_t min) {
+    if (!S_ISREG(st->st_mode))
+        return "type";
+    if (st->st_uid != geteuid())
+        return "owner";
+    if (st->st_nlink != 1)
+        return "links";
+    if (st->st_mode & (S_IWGRP | S_IWOTH))
+        return "mode";
+    if (st->st_size < min)
+        return "size";
+    return NULL;
+}
+
+/* path opened for reading when the file passes kx_untrusted with at least
+ * min bytes, and *st its stat; else -1 and *why: "missing", "symlink",
+ * "unreadable" or the rule the file breaks. O_NONBLOCK: opening a FIFO must
+ * not wait for a writer, and kx_untrusted refuses it. */
+static int kx_open_trusted(const char *path, off_t min, struct stat *st, const char **why) {
+    int fd = kx_real_open(path, O_RDONLY | O_CLOEXEC | O_NOFOLLOW | O_NONBLOCK, 0);
+    if (fd < 0) {
+        *why = errno == ENOENT ? "missing" : errno == ELOOP ? "symlink" : "unreadable";
         return -1;
-    meta->valid = 1;
-    meta->dev = (unsigned long long)st.st_dev;
-    meta->ino = (unsigned long long)st.st_ino;
-    meta->mtime_ns = (long long)st.st_mtim.tv_sec * 1000000000LL + st.st_mtim.tv_nsec;
-    meta->size = (long long)st.st_size;
-    return 0;
+    }
+    *why = fstat(fd, st) != 0 ? "unreadable" : kx_untrusted(st, min);
+    if (*why) {
+        close(fd);
+        return -1;
+    }
+    return fd;
 }
 
-static int kx_stat_equal(const kx_statmeta *a, const kx_statmeta *b) {
-    return a->valid && b->valid && a->dev == b->dev && a->ino == b->ino &&
-           a->mtime_ns == b->mtime_ns && a->size == b->size;
+/* all of path mapped read-only when kx_open_trusted opens it; else NULL and
+ * *why as there */
+static const void *kx_map_trusted(const char *path, off_t min, struct stat *st,
+                                  const char **why) {
+    int fd = kx_open_trusted(path, min, st, why);
+    if (fd < 0)
+        return NULL;
+    void *map = mmap(NULL, (size_t)st->st_size, PROT_READ, MAP_SHARED, fd, 0);
+    close(fd);
+    if (map == MAP_FAILED) {
+        *why = "unreadable";
+        return NULL;
+    }
+    return map;
 }
 
-/* (re)load the state file; lock held. initial=1 adopts any generation. */
+/* read the state file and adopt it if its generation is larger, or any
+ * generation when initial; lock held. A missing file keeps what we have,
+ * silently; a refused, unreadable or corrupt one keeps it with a note. */
 static void kx_load_state(int initial) {
-    kx_statmeta meta = {0};
-    if (kx_stat_meta(g_state_path, &meta) != 0)
-        return; /* missing or unstattable: keep what we have */
-    if (!initial && kx_stat_equal(&meta, &g_state_stat))
-        return; /* metadata unchanged: no read */
-
+    struct stat st;
+    const char *why;
+    int fd = kx_open_trusted(g_state_path, 0, &st, &why);
+    if (fd < 0) {
+        if (strcmp(why, "missing") != 0)
+            kx_trace("note", "state-refused", why, NULL);
+        return;
+    }
     char *data = NULL;
     size_t len = 0;
-    if (kx_read_file(g_state_path, &data, &len) != 0) {
-        g_state_stat = meta; /* do not thrash on a persistently unreadable file */
+    int rc = kx_read_fd(fd, &data, &len);
+    close(fd);
+    if (rc != 0) {
         kx_trace("note", "state-read-failed", g_state_path, NULL);
         return;
     }
     kx_state fresh;
     kx_error err;
-    int rc = kx_parse_state(data, len, &fresh, &err);
+    rc = kx_parse_state(data, len, &fresh, &err);
     free(data);
     if (rc != KX_OK) {
-        g_state_stat = meta;
         kx_trace("note", "state-corrupt", err.message, NULL);
         return;
     }
@@ -439,54 +472,6 @@ static void kx_load_state(int initial) {
     } else {
         kx_state_free(&fresh);
     }
-    g_state_stat = meta;
-}
-
-static long long kx_coarse_s(void) {
-    struct timespec ts;
-    if (clock_gettime(CLOCK_MONOTONIC_COARSE, &ts) != 0)
-        return 0;
-    return (long long)ts.tv_sec;
-}
-
-/* the rule that keeps a file from being mapped, or NULL: only a file no
- * other user can truncate under the mapping (SIGBUS) or rewrite, not a
- * second name of some unrelated file of ours (a hard link), and holding at
- * least min bytes. Callers open with O_NOFOLLOW or lstat, so symlinks are
- * never followed. */
-static const char *kx_untrusted(const struct stat *st, off_t min) {
-    if (!S_ISREG(st->st_mode))
-        return "type";
-    if (st->st_uid != geteuid())
-        return "owner";
-    if (st->st_nlink != 1)
-        return "links";
-    if (st->st_mode & (S_IWGRP | S_IWOTH))
-        return "mode";
-    if (st->st_size < min)
-        return "size";
-    return NULL;
-}
-
-/* all of path mapped read-only when the file passes kx_untrusted with at
- * least min bytes, and *st its stat; else NULL and *why: "missing",
- * "symlink", "unreadable" or the rule the file breaks */
-static const void *kx_map_trusted(const char *path, off_t min, struct stat *st,
-                                  const char **why) {
-    int fd = kx_real_open(path, O_RDONLY | O_CLOEXEC | O_NOFOLLOW, 0);
-    if (fd < 0) {
-        *why = errno == ENOENT ? "missing" : errno == ELOOP ? "symlink" : "unreadable";
-        return NULL;
-    }
-    void *map = MAP_FAILED;
-    *why = fstat(fd, st) != 0 ? "unreadable" : kx_untrusted(st, min);
-    if (!*why) {
-        map = mmap(NULL, (size_t)st->st_size, PROT_READ, MAP_SHARED, fd, 0);
-        if (map == MAP_FAILED)
-            *why = "unreadable";
-    }
-    close(fd);
-    return map == MAP_FAILED ? NULL : map;
 }
 
 /* map the generation word if the lock file is usable; lock held */
@@ -503,8 +488,9 @@ static void kx_word_map(void) {
 }
 
 /* publish the last mapping while the lock file is the usable file it maps,
- * else map whatever usable file is there now, else publish NULL. Never
- * munmap: a lock-free reader may still be loading the old word. Lock held. */
+ * else map whatever usable file is there now, else publish the still word.
+ * Never munmap: a lock-free reader may still be loading the old word. Lock
+ * held. */
 static void kx_word_revalidate(void) {
     struct stat st;
     int usable = lstat(g_lock_path, &st) == 0 && !kx_untrusted(&st, sizeof *g_word);
@@ -513,12 +499,13 @@ static void kx_word_revalidate(void) {
         __atomic_store_n(&g_word, g_word_map, __ATOMIC_RELEASE);
         return;
     }
-    __atomic_store_n(&g_word, NULL, __ATOMIC_RELEASE);
+    __atomic_store_n(&g_word, &g_still_word, __ATOMIC_RELEASE);
     if (usable)
         kx_word_map();
 }
 
-/* reload the state when the word moved; once a second stat both files */
+/* reload the state when the word moved, and at the full check once a second,
+ * which looks at the lock file again first */
 static void kx_refresh_if_stale(void) {
     if (!g_active)
         return;
@@ -526,13 +513,10 @@ static void kx_refresh_if_stale(void) {
     int due = now != g_checked_s;
     if (due)
         kx_word_revalidate();
-    unsigned long long word = g_word_seen;
-    if (g_word) {
-        /* read before the reload, so a publish made during it moves it again */
-        word = __atomic_load_n(g_word, __ATOMIC_ACQUIRE);
-        if (word == g_word_seen && !due)
-            return;
-    }
+    /* read before the reload, so a publish made during it moves it again */
+    unsigned long long word = __atomic_load_n(g_word, __ATOMIC_ACQUIRE);
+    if (word == g_word_seen && !due)
+        return;
     kx_load_state(0);
     /* only after the reload: a lock-free reader that matches the word must
      * find the state it names adopted, and g_epoch moved with it */
@@ -823,8 +807,8 @@ static void kx_ensure_init(void) {
         snprintf(g_lock_path, sizeof g_lock_path, "%s.lock", g_state_path);
         g_checked_s = kx_coarse_s();
         kx_word_map();
-        if (g_word) /* read before the load, as in kx_refresh_if_stale */
-            g_word_seen = __atomic_load_n(g_word, __ATOMIC_ACQUIRE);
+        /* read before the load, as in kx_refresh_if_stale */
+        g_word_seen = __atomic_load_n(g_word, __ATOMIC_ACQUIRE);
         kx_load_state(1);
         kx_stage(KX_ST_STATE, &mark);
     }
@@ -997,8 +981,7 @@ static inline __attribute__((always_inline)) int kx_slot_current(size_t i, const
     if (kx_coarse_s() != __atomic_load_n(&g_checked_s, __ATOMIC_ACQUIRE))
         return 0;
     const unsigned long long *word = __atomic_load_n(&g_word, __ATOMIC_ACQUIRE);
-    if (!word ||
-        __atomic_load_n(word, __ATOMIC_ACQUIRE) != __atomic_load_n(&g_word_seen, __ATOMIC_ACQUIRE))
+    if (__atomic_load_n(word, __ATOMIC_ACQUIRE) != __atomic_load_n(&g_word_seen, __ATOMIC_ACQUIRE))
         return 0;
     kx_slot *slot = &g_slots[i];
     if (__atomic_load_n(&slot->epoch, __ATOMIC_ACQUIRE) != __atomic_load_n(&g_epoch, __ATOMIC_RELAXED))

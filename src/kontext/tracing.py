@@ -18,8 +18,11 @@ Record kinds and their fields:
     init-failed  reason
     note         topic, then what failed open and why: lookup-error (key,
                  error), shadow-render-error (key, error),
-                 shadow-store-refused (store), state-read-failed (path),
-                 state-corrupt (error)
+                 shadow-store-refused (store), state-refused (rule: symlink,
+                 unreadable, type, owner, links or mode), state-read-failed
+                 (path), state-corrupt (error). The state notes repeat at
+                 each read of the file that fails, at most one per word move
+                 and one per once-a-second full check.
     reload       generation of the state adopted (not written for the
                  state the first call loads)
 

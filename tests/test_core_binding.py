@@ -265,6 +265,23 @@ def test_threads_run_clean_under_thread_sanitizer(tmp_path):
     assert sum(r.kind == "getenv" for r in records) == calls > 0
     assert sum(r.kind == "reload" for r in records) == 12
 
+    # then a child started before any state or lock file: it watches the
+    # still word until the full check maps the first lock file, so the first
+    # answer that changes shows "soon" and the rest at the next read
+    state, trace = tmp_path / "state-none.ks", tmp_path / "trace-none.log"
+    env = child_environment(spec=spec, state=state, preload=tsan_so, trace=trace,
+                            base=dict(os.environ, KXT_PLAIN="plain-value"))
+    child = ThreadsFlip(exe, env, state)
+    wait_for_getenv_record(trace)  # initialized with no state
+    state_set_layer(state, "interface", "wlan")  # the answer stays the default
+    child.layers["interface"] = "wlan"
+    flips = [("network", "home"), ("network", "work"), ("interface", "eth")] * 4
+    for i, layer in enumerate(flips):
+        child.flip(*layer, mode="soon" if i == 0 else "next")
+    code, out, err = child.close()
+    assert (code, err) == (0, "")
+    assert out == "ok\n" * 12 + "rounds=12 failures=0\n"
+
 
 def test_path_threads_run_clean_under_thread_sanitizer(tmp_path):
     # registered opens read their path's slot without the lock, as getenv

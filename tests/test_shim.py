@@ -158,7 +158,7 @@ class TestStateRefresh:
     def test_preload_keeps_cached_answer(self, probe_child, tmp_path, change):
         # the cases above on the real shim: an older generation moves the
         # word backwards, a hand-written corrupt file moves no word and is
-        # read at the once-a-second check, a deleted file fails that stat
+        # read at the once-a-second check, a deleted file is missing there
         state = tmp_path / "s.ks"
         state_write(state, ContextState({"interface": "eth", "network": "work"}, 9))
         child = probe_child(state)
@@ -508,7 +508,10 @@ class TestGenerationWord:
             time.sleep(0.05)
 
     @pytest.mark.parametrize("damage", ["short", "world-writable", "symlink", "hardlink"])
-    def test_unusable_word_falls_back_to_stat(self, probe_child, tmp_path, damage):
+    def test_unusable_word_read_at_full_check(self, probe_child, tmp_path, damage):
+        # a lock file the shim may not map leaves it a word that never
+        # moves: a new state shows at the once-a-second check, as a hand
+        # edit does
         state = tmp_path / "state.ks"
         lock = tmp_path / "state.ks.lock"
         state_set_layer(state, "interface", "eth")
@@ -524,8 +527,50 @@ class TestGenerationWord:
             os.link(lock, tmp_path / "second.lock")
         child = probe_child(state)
         assert child.probe()[0] == self.WORK
+        for name in (lock, tmp_path / "real.lock", tmp_path / "second.lock"):
+            assert _word_mappings(child.proc.pid, name) == []
         _hand_write(state, generation + 1, "home")
-        assert child.probe()[0] == self.HOME
+        deadline = time.monotonic() + 3.0
+        while child.probe()[0] != self.HOME:
+            assert time.monotonic() < deadline, "new state not seen in 3 s"
+            time.sleep(0.05)
+
+    def test_first_state_maps_word_at_full_check(self, probe_child, tmp_path):
+        # a child started before any state or lock file watches the still
+        # word; the full check after the first write maps the real one
+        state = tmp_path / "state.ks"
+        lock = tmp_path / "state.ks.lock"
+        child = probe_child(state)
+        assert child.probe()[0] == "default.example.com"
+        state_set_layer(state, "interface", "eth")
+        state_set_layer(state, "network", "work")
+        deadline = time.monotonic() + 3.0
+        while child.probe()[0] != self.WORK:
+            assert time.monotonic() < deadline, "first state not seen in 3 s"
+            time.sleep(0.05)
+        assert _word_mappings(child.proc.pid, lock) == [str(lock)]
+
+    def test_missing_state_costs_as_little_as_a_state(self, demo_bins, preload_so, proxy_spec,
+                                                     tmp_path):
+        # with no state file yet, a registered read is served from its slot
+        # between full checks, as with a state: within 2x of that cost
+        base = {k: v for k, v in os.environ.items() if k != "http_proxy"}
+
+        def median_ns(state):
+            timed = subprocess.run(
+                [str(demo_bins["getenv_latency"]), "http_proxy", "100000"],
+                env=child_environment(spec=proxy_spec, state=state, base=base),
+                capture_output=True, text=True, timeout=60)
+            assert timed.returncode == 0, timed.stderr
+            ns, answer = timed.stdout.split()
+            assert answer == "default.example.com"  # eth alone, or no layers
+            return int(ns)
+
+        missing = median_ns(tmp_path / "missing" / "state.ks")
+        state = tmp_path / "state.ks"
+        state_set_layer(state, "interface", "eth")
+        present = median_ns(state)
+        assert missing <= 2 * present, (missing, present)
 
 
 @pytest.fixture
@@ -603,9 +648,9 @@ class TestLockFreeReads:
             time.sleep(1.1)  # the shim looks at the lock file once a second
 
         assert threads_flip.flip("network", "home") == "ok"
-        os.chmod(lock, 0o664)  # unusable: the shim stats the state on every call
+        os.chmod(lock, 0o664)  # unusable: the flip shows at the next full check
         full_check()
-        assert threads_flip.flip("network", "work") == "ok"
+        assert threads_flip.flip("network", "work", mode="soon") == "ok"
         os.chmod(lock, 0o644)  # usable again: the same mapping comes back
         full_check()
         assert threads_flip.flip("network", "home") == "ok"
@@ -981,3 +1026,31 @@ class TestFailOpenNotes:
         records = parse_trace(trace.read_text())
         assert [r.fields[1] for r in records if r.kind == "open"] == ["fallthrough"] * 20
         assert self._notes(trace, failure) == why
+
+
+class TestStateTrust:
+    """The shim reads the state file only when it passes the lock file's
+    rules: another user's file, a group- or world-writable one, a second
+    link or a FIFO is refused, and the state adopted before stays."""
+
+    @pytest.mark.parametrize("damage, rule", [("fifo", "type"), ("world-writable", "mode")])
+    def test_untrusted_state_refused(self, demo_bins, preload_so, proxy_spec, tmp_path,
+                                     damage, rule):
+        # a FIFO must not block the first call; a world-writable state must
+        # not be adopted (eth/work would answer proxy.example.com)
+        state, trace = tmp_path / "state.ks", tmp_path / "trace.log"
+        if damage == "fifo":
+            os.mkfifo(state)
+        else:
+            state_set_layer(state, "interface", "eth")
+            state_set_layer(state, "network", "work")
+            os.chmod(state, 0o666)
+        env = child_environment(spec=proxy_spec, state=state, trace=trace,
+                                base={k: v for k, v in os.environ.items() if k != "http_proxy"})
+        for name, want in [("http_proxy", "default.example.com"),
+                           ("HOME", os.environ.get("HOME", "(unset)"))]:
+            ran = subprocess.run([str(demo_bins["getenv_latency"]), name, "3"], env=env,
+                                 capture_output=True, text=True, timeout=10)
+            assert (ran.returncode, ran.stdout.split(None, 1)[1].strip()) == (0, want), name
+        assert {r.fields[1:] for r in parse_trace(trace.read_text())
+                if r.kind == "note" and r.fields[0] == "state-refused"} == {(rule,)}
