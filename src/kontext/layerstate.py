@@ -22,6 +22,10 @@ word written late can cause a spurious reload but never hide a newer state.
 Generations only grow. A missing file is the empty state at generation 0;
 any grammar deviation in an existing file raises CorruptStateError with the
 offending line number (0 for a NUL byte or invalid UTF-8, as in the shim).
+A file the shim refuses to read (a symlink, a FIFO or other non-regular
+file, another user's, a second link, group- or world-writable) raises
+CorruptStateError at line 0 too, so the CLI and the shim agree on it and a
+writer builds nothing on it.
 """
 
 from __future__ import annotations
@@ -110,13 +114,36 @@ def state_parse(text: str) -> ContextState:
 
 
 def state_read(path: PathLike) -> ContextState:
-    """Read the state file; a missing file is the empty state at gen 0."""
+    """Read the state file; a missing file is the empty state at gen 0.
+
+    A file the shim refuses raises CorruptStateError(0, "state file
+    refused: <rule>"), its rules checked in the shim's order. O_NONBLOCK:
+    opening a FIFO must not wait for a writer.
+    """
     try:
-        # newline="": a lone \r is not a line break, for the shim neither
-        with open(path, "r", encoding="utf-8", errors="strict", newline="") as handle:
-            text = handle.read()
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC)
     except FileNotFoundError:
         return ContextState({}, 0)
+    except OSError as exc:
+        if exc.errno == errno.ELOOP:
+            raise CorruptStateError(0, "state file refused: symlink") from None
+        raise
+    try:
+        st = os.fstat(fd)
+        refused = ("type" if not stat.S_ISREG(st.st_mode)
+                   else "owner" if st.st_uid != os.geteuid()
+                   else "links" if st.st_nlink > 1  # 0: renamed over since the open
+                   else "mode" if st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+                   else None)
+        if refused:
+            raise CorruptStateError(0, f"state file refused: {refused}")
+    except BaseException:
+        os.close(fd)
+        raise
+    try:
+        # newline="": a lone \r is not a line break, for the shim neither
+        with open(fd, "r", encoding="utf-8", errors="strict", newline="") as handle:
+            text = handle.read()
     except UnicodeDecodeError:
         raise CorruptStateError(0, "state file is not valid UTF-8") from None
     return state_parse(text)

@@ -15,15 +15,6 @@
 /* small helpers                                                       */
 /* ------------------------------------------------------------------ */
 
-static char *kx_strndup(const char *s, size_t n) {
-    char *out = (char *)malloc(n + 1);
-    if (!out)
-        return NULL;
-    memcpy(out, s, n);
-    out[n] = '\0';
-    return out;
-}
-
 static void kx_set_error(kx_error *err, int line, int kind, const char *msg) {
     if (!err)
         return;
@@ -787,12 +778,7 @@ void kx_state_init(kx_state *st) {
 void kx_state_free(kx_state *st) {
     if (!st)
         return;
-    for (size_t i = 0; i < st->len; i++) {
-        free(st->names[i]);
-        free(st->values[i]);
-    }
-    free(st->names);
-    free(st->values);
+    free(st->names); /* the block: name slots, value slots, text */
     kx_state_init(st);
 }
 
@@ -814,58 +800,6 @@ static long kx_state_find(const kx_state *st, const char *name, size_t nlen) {
             hi = mid;
     }
     return -((long)lo + 1);
-}
-
-static int kx_state_set_mem(kx_state *st, const char *name, size_t nlen,
-                            const char *value, size_t vlen) {
-    long idx = kx_state_find(st, name, nlen);
-    char *vcopy = kx_strndup(value, vlen);
-    if (!vcopy)
-        return KX_E_NOMEM;
-    if (idx >= 0) {
-        free(st->values[idx]);
-        st->values[idx] = vcopy;
-        return KX_OK;
-    }
-    char *ncopy = kx_strndup(name, nlen);
-    if (!ncopy) {
-        free(vcopy);
-        return KX_E_NOMEM;
-    }
-    size_t pos = (size_t)(-idx - 1);
-    if (st->len + 1 > st->cap) {
-        size_t cap = st->cap ? st->cap * 2 : 8;
-        char **names = (char **)realloc(st->names, cap * sizeof(char *));
-        if (!names) {
-            free(vcopy);
-            free(ncopy);
-            return KX_E_NOMEM;
-        }
-        st->names = names;
-        char **values = (char **)realloc(st->values, cap * sizeof(char *));
-        if (!values) {
-            free(vcopy);
-            free(ncopy);
-            return KX_E_NOMEM;
-        }
-        st->values = values;
-        st->cap = cap;
-    }
-    memmove(&st->names[pos + 1], &st->names[pos], (st->len - pos) * sizeof(char *));
-    memmove(&st->values[pos + 1], &st->values[pos], (st->len - pos) * sizeof(char *));
-    st->names[pos] = ncopy;
-    st->values[pos] = vcopy;
-    st->len++;
-    return KX_OK;
-}
-
-int kx_state_set(kx_state *st, const char *name, const char *value) {
-    return kx_state_set_mem(st, name, strlen(name), value, strlen(value));
-}
-
-const char *kx_state_get(const kx_state *st, const char *name) {
-    long idx = kx_state_find(st, name, strlen(name));
-    return idx >= 0 ? st->values[idx] : NULL;
 }
 
 static int kx_layer_name_ok(const char *s, size_t n) {
@@ -898,33 +832,52 @@ int kx_parse_state(const char *data, size_t len, kx_state *out, kx_error *err) {
         kx_set_error(err, 0, KX_PK_ENCODING, "NUL byte or invalid UTF-8");
         return KX_E_STATE;
     }
+
+    /* a line names at most one layer */
+    size_t lines = 1;
+    for (const char *nl = data; (nl = memchr(nl, '\n', len - (size_t)(nl - data))) != NULL; nl++)
+        lines++;
+    if (len == SIZE_MAX || lines > (SIZE_MAX - len - 1) / (2 * sizeof(char *)))
+        return KX_E_NOMEM;
+    /* the block: lines name slots, lines value slots, then one copy of the
+     * text; every name and value is cut from that copy in place */
+    char **slots = (char **)malloc(2 * lines * sizeof(char *) + len + 1);
+    if (!slots)
+        return KX_E_NOMEM;
+    out->names = slots;
+    out->values = slots + lines;
+    out->cap = lines;
+    char *text = (char *)(slots + 2 * lines);
+    memcpy(text, data, len);
+    text[len] = '\0';
+
     int have_generation = 0;
     int rc = KX_OK;
     int line_no = 0;
-    const char *p = data;
-    const char *data_end = data + len;
+    char *p = text;
+    char *text_end = text + len;
 
-    while (p <= data_end) {
-        const char *nl = memchr(p, '\n', (size_t)(data_end - p));
-        const char *line_end = nl ? nl : data_end;
+    while (p <= text_end) {
+        char *nl = memchr(p, '\n', (size_t)(text_end - p));
+        char *line_end = nl ? nl : text_end;
         line_no++;
-        const char *ls = p;
-        const char *le = line_end;
-        p = nl ? nl + 1 : data_end + 1;
+        char *ls = p;
+        char *le = line_end;
+        p = nl ? nl + 1 : text_end + 1;
 
         while (le > ls && le[-1] == '\r')
             le--;
         if (ls == le)
             continue;
 
-        const char *eq = memchr(ls, '=', (size_t)(le - ls));
+        char *eq = memchr(ls, '=', (size_t)(le - ls));
         if (!eq) {
             kx_set_error(err, line_no, KX_PK_BAD_ASSIGNMENT, "expected NAME=VALUE");
             rc = KX_E_STATE;
             break;
         }
         size_t nlen = (size_t)(eq - ls);
-        const char *vb = eq + 1;
+        char *vb = eq + 1;
         size_t vlen = (size_t)(le - vb);
 
         if (nlen == 10 && memcmp(ls, "generation", 10) == 0) {
@@ -963,21 +916,28 @@ int kx_parse_state(const char *data, size_t len, kx_state *out, kx_error *err) {
             rc = KX_E_STATE;
             break;
         }
-        const char *lname = ls + 6;
+        char *lname = ls + 6;
         size_t lname_len = nlen - 6;
         if (!kx_layer_name_ok(lname, lname_len) || !kx_layer_value_ok(vb, vlen)) {
             kx_set_error(err, line_no, KX_PK_INVALID_NAME, "bad layer entry");
             rc = KX_E_STATE;
             break;
         }
-        if (kx_state_find(out, lname, lname_len) >= 0) {
+        long idx = kx_state_find(out, lname, lname_len);
+        if (idx >= 0) {
             kx_set_error(err, line_no, KX_PK_BAD_ASSIGNMENT, "layer listed twice");
             rc = KX_E_STATE;
             break;
         }
-        rc = kx_state_set_mem(out, lname, lname_len, vb, vlen);
-        if (rc != KX_OK)
-            break;
+        /* in name order; a writer's sorted lines each go at the end */
+        size_t pos = (size_t)(-idx - 1);
+        memmove(&out->names[pos + 1], &out->names[pos], (out->len - pos) * sizeof(char *));
+        memmove(&out->values[pos + 1], &out->values[pos], (out->len - pos) * sizeof(char *));
+        *eq = '\0';
+        *le = '\0';
+        out->names[pos] = lname;
+        out->values[pos] = vb;
+        out->len++;
     }
 
     if (rc == KX_OK && !have_generation) {

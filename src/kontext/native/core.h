@@ -87,6 +87,8 @@ typedef struct {
     size_t npend;
 } kx_hasher;
 
+/* a parsed state is one block, like a key set: cap name slots, cap value
+ * slots, then the text with each name and value cut in place (one malloc) */
 typedef struct {
     char **names; /* sorted by strcmp */
     char **values;
@@ -148,8 +150,6 @@ KX_API int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error 
 /* layer state */
 KX_API void kx_state_init(kx_state *st);
 KX_API void kx_state_free(kx_state *st);
-KX_API int kx_state_set(kx_state *st, const char *name, const char *value);
-KX_API const char *kx_state_get(const kx_state *st, const char *name);
 KX_API int kx_parse_state(const char *data, size_t len, kx_state *out, kx_error *err);
 
 /* templates and lookup; kx_candidates' array and names are one block */

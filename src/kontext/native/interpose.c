@@ -382,14 +382,15 @@ static long long kx_coarse_s(void) {
 /* the rule that keeps a file from being mapped or read, or NULL: only a
  * file no other user can truncate under the mapping (SIGBUS) or rewrite,
  * not a second name of some unrelated file of ours (a hard link), and
- * holding at least min bytes. Callers open with O_NOFOLLOW or lstat, so
+ * holding at least min bytes. A file renamed over after the open has no
+ * name left, and is still whole. Callers open with O_NOFOLLOW or lstat, so
  * symlinks are never followed. */
 static const char *kx_untrusted(const struct stat *st, off_t min) {
     if (!S_ISREG(st->st_mode))
         return "type";
     if (st->st_uid != geteuid())
         return "owner";
-    if (st->st_nlink != 1)
+    if (st->st_nlink > 1)
         return "links";
     if (st->st_mode & (S_IWGRP | S_IWOTH))
         return "mode";

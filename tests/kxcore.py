@@ -26,6 +26,7 @@ from kontext.errors import (
     TemplateError,
 )
 from kontext.keydb import KeyName
+from kontext.layerstate import state_serialize
 from kontext.specfile import ParseErrorKind
 
 KX_OK, KX_ABSENT, KX_E_NOMEM = 0, 1, -1
@@ -73,9 +74,7 @@ SIGNATURES = {
     "kx_hash64": (c_uint64, [c_char_p, c_size_t]),
     "kx_name_valid": (c_int, [c_char_p]),
     "kx_parse_spec": (c_int, [c_char_p, c_size_t, c_void_p, POINTER(Error)]),
-    "kx_state_init": (None, [POINTER(State)]),
     "kx_state_free": (None, [POINTER(State)]),
-    "kx_state_set": (c_int, [POINTER(State), c_char_p, c_char_p]),
     "kx_parse_state": (c_int, [c_char_p, c_size_t, POINTER(State), POINTER(Error)]),
     "kx_candidates": (c_int, [c_char_p, POINTER(State), POINTER(POINTER(c_char_p)),
                               POINTER(c_size_t), POINTER(Error)]),
@@ -108,16 +107,23 @@ def _message(err: Error) -> str:
 
 
 @contextmanager
-def _state(layers: Mapping[str, str]):
-    st = State()
-    _lib.kx_state_init(byref(st))
+def _parsed(data: bytes):
+    """kx_parse_state's state of data, freed on exit; CorruptStateError like state_read."""
+    st, err = State(), Error()
+    rc = _lib.kx_parse_state(data, len(data), byref(st), byref(err))
+    if rc == KX_E_NOMEM:
+        raise MemoryError()
+    if rc != KX_OK:
+        raise CorruptStateError(err.line, _message(err))
     try:
-        for name, value in layers.items():
-            if _lib.kx_state_set(byref(st), _as_bytes(name), _as_bytes(value)) != KX_OK:
-                raise MemoryError()
         yield st
     finally:
         _lib.kx_state_free(byref(st))
+
+
+def _state(layers: Mapping[str, str]):
+    """The layers as the shim holds them: kx_parse_state of their state file."""
+    return _parsed(_as_bytes(state_serialize(ContextState(layers))))
 
 
 class ImageRefused(Exception):
@@ -232,14 +238,6 @@ def name_valid(name: str) -> bool:
 
 def parse_state(data: bytes) -> Tuple[int, Dict[str, str]]:
     """(generation, layers) from kx_parse_state; CorruptStateError like state_read."""
-    st, err = State(), Error()
-    rc = _lib.kx_parse_state(data, len(data), byref(st), byref(err))
-    if rc == KX_E_NOMEM:
-        raise MemoryError()
-    if rc != KX_OK:
-        raise CorruptStateError(err.line, _message(err))
-    try:
-        layers = {st.names[i].decode(): st.values[i].decode() for i in range(st.len)}
-        return st.generation, layers
-    finally:
-        _lib.kx_state_free(byref(st))
+    with _parsed(data) as st:
+        return st.generation, {st.names[i].decode(): st.values[i].decode()
+                               for i in range(st.len)}

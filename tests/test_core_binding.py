@@ -13,6 +13,7 @@ import ctypes
 import importlib.util
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -87,6 +88,19 @@ def test_engine_symbols_exported_only_from_kxcore(kxcore, kxcore_so, preload_so)
     ran = subprocess.run([sys.executable, "-c", probe, str(preload_so)],
                          capture_output=True, text=True, check=True)
     assert ran.stdout.split() == ["False", "False"]
+
+
+def test_every_core_export_has_a_caller(kxcore):
+    # a core.h function that neither the shim, nor this binding, nor the
+    # benchmark's C programs call is dead code
+    exports = re.findall(r"^KX_API\b[^(;]*?\b(kx_\w+)\s*\(", (NATIVE / "core.h").read_text(),
+                         re.M)
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "native"
+    callers = "".join(path.read_text() for path in [NATIVE / "interpose.c",
+                                                    *sorted(bench.glob("*.c"))])
+    assert len(exports) > 20
+    assert [name for name in exports if name not in kxcore.SIGNATURES
+            and not re.search(rf"\b{name}\s*\(", callers)] == []
 
 
 def test_preload_builds_warning_clean(tmp_path):
@@ -392,6 +406,11 @@ def test_spec_parse_time_does_not_depend_on_line_order(kxcore):
 @example(data=b"generation=1\nlayer/a=b\x00c\n")
 @example(data=b"generation=1\nlayer/a=\xff\n")
 @example(data=b"generation=1\rlayer/a=b\n")
+@example(data=b"generation=1\nlayer/b=x\nlayer/a=y\n")
+@example(data=b"generation=1\r\nlayer/b=x\r\nlayer/a=y\r\n")
+@example(data=b"generation=1\nlayer/b=x\nlayer/a=y")
+@example(data=b"generation=1\nlayer/a=\n")
+@example(data=b"generation=1\nlayer/b=x\nlayer/a=y\nlayer/b=z\n")
 def test_state_parsers_agree(kxcore, state_path, data):
     assert state_outcome(lambda: kxcore.parse_state(data)) == state_outcome(
         lambda: python_state(state_path, data)
@@ -464,15 +483,18 @@ def test_template_walks_agree(kxcore, text, layers, hits, own):
 
 
 def test_core_runs_clean_under_sanitizers(tmp_path):
-    # the template walk's differential and criterion 3's oracle instances,
-    # in a child Python that loads the ASan runtime before the sanitized core
+    # the state parser's and the template walk's differentials and criterion
+    # 3's oracle instances, in a child Python that loads the ASan runtime
+    # before the sanitized core
     core = tmp_path / "_kxcore_asan.so"
     cc = _sanitized_preload(core, "-fsanitize=address,undefined", core_only=True)
     runtime = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
                              text=True, check=True).stdout.strip()
     tests = Path(__file__).resolve().parent
-    script = ("import sys; import kxcore; kxcore.load(sys.argv[1]); "
+    script = ("import sys; from pathlib import Path; import kxcore; kxcore.load(sys.argv[1]); "
               "import test_core_binding, test_acceptance; "
+              "test_core_binding.test_state_parsers_agree(kxcore=kxcore, "
+              "state_path=Path('state.ks')); "
               "test_core_binding.test_template_walks_agree(kxcore=kxcore); "
               "test_acceptance.test_criterion_03_lookup_oracle_equivalence(kxcore)")
     env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PROXY_SPEC, ThreadsFlip, path_spec, wait_for_getenv_record
+from conftest import KONTEXT_CMD, PROXY_SPEC, ThreadsFlip, path_spec, wait_for_getenv_record
 from kontext import (
     ContextState,
     KontextError,
@@ -1030,23 +1030,33 @@ class TestFailOpenNotes:
 
 class TestStateTrust:
     """The shim reads the state file only when it passes the lock file's
-    rules: another user's file, a group- or world-writable one, a second
-    link or a FIFO is refused, and the state adopted before stays."""
+    rules: a symlink, another user's file, a group- or world-writable one, a
+    second link or a FIFO is refused, and the state adopted before stays.
+    The CLI refuses the same files (exit 3), and a writer builds nothing on
+    one."""
 
-    @pytest.mark.parametrize("damage, rule", [("fifo", "type"), ("world-writable", "mode")])
+    @pytest.mark.parametrize("damage, rule", [("fifo", "type"), ("world-writable", "mode"),
+                                              ("symlink", "symlink"), ("hard-link", "links")])
     def test_untrusted_state_refused(self, demo_bins, preload_so, proxy_spec, tmp_path,
                                      damage, rule):
-        # a FIFO must not block the first call; a world-writable state must
-        # not be adopted (eth/work would answer proxy.example.com)
+        # a FIFO must not block the first call; no other damaged state may
+        # be adopted (eth/work would answer proxy.example.com)
         state, trace = tmp_path / "state.ks", tmp_path / "trace.log"
         if damage == "fifo":
             os.mkfifo(state)
         else:
-            state_set_layer(state, "interface", "eth")
-            state_set_layer(state, "network", "work")
-            os.chmod(state, 0o666)
+            real = tmp_path / ("real.ks" if damage == "symlink" else "state.ks")
+            state_set_layer(real, "interface", "eth")
+            state_set_layer(real, "network", "work")
+            if damage == "world-writable":
+                os.chmod(state, 0o666)
+            elif damage == "symlink":
+                state.symlink_to(real)
+            else:
+                os.link(state, tmp_path / "second.ks")
         env = child_environment(spec=proxy_spec, state=state, trace=trace,
                                 base={k: v for k, v in os.environ.items() if k != "http_proxy"})
+        env["KONTEXT_STATE"] = str(state)  # child_environment resolves a symlink
         for name, want in [("http_proxy", "default.example.com"),
                            ("HOME", os.environ.get("HOME", "(unset)"))]:
             ran = subprocess.run([str(demo_bins["getenv_latency"]), name, "3"], env=env,
@@ -1054,3 +1064,15 @@ class TestStateTrust:
             assert (ran.returncode, ran.stdout.split(None, 1)[1].strip()) == (0, want), name
         assert {r.fields[1:] for r in parse_trace(trace.read_text())
                 if r.kind == "note" and r.fields[0] == "state-refused"} == {(rule,)}
+
+        def untouched():  # a FIFO's bytes cannot be read without a writer
+            return os.lstat(state).st_mode, damage == "fifo" or state.read_bytes()
+
+        before = untouched()
+        for args in (["get", "--spec", proxy_spec, "--state", state, "getenv/http_proxy"],
+                     ["layer", "set", "--state", state, "network", "home"]):
+            ran = subprocess.run(KONTEXT_CMD + [str(a) for a in args], capture_output=True,
+                                 text=True, timeout=10)
+            assert (ran.returncode, ran.stdout) == (3, ""), (args, ran.stderr)
+            assert f"state file refused: {rule}" in ran.stderr, args
+        assert untouched() == before
