@@ -80,6 +80,33 @@ class TestSpecCheck:
         assert "%color%" not in err
         assert "1 warnings" in out
 
+    # the base is the leading literal with its "%%" read as "%"; a leading
+    # literal with no '/' gives no base, so nothing is analysed; a repeated
+    # reference counts every segment it lands in and warns once
+    @pytest.mark.parametrize("spec, summary, warned", [
+        ("p%q/red/*=a\np%q/*/*=b\n\n[getenv/p]\ncontext=p%%q/%color%/%shade%\nvalue=d\n",
+         (3, 1, 2), [(4, "shade", "getenv/p")]),
+        ("flatred=a\nflat*=b\n\n[getenv/f]\ncontext=flat%color%/x\nvalue=d\n",
+         (3, 1, 0), []),
+        ("rep/*/red=a\nrep2/*/*=b\n\n[getenv/r]\ncontext=rep/%color%/%color%\nvalue=d\n\n"
+         "[getenv/s]\ncontext=rep2/%shade%/%shade%\nvalue=e\n",
+         (4, 2, 2), [(8, "shade", "getenv/s")]),
+        ("pool/red/*=a\npool/*/*=b\n\n[getenv/n]\ncontext=pool/%color%/%shade%\nvalue=d\n",
+         (3, 1, 2), [(4, "shade", "getenv/n")]),
+    ], ids=["percent-in-base", "base-without-separator", "repeated-ref", "never-concretized"])
+    def test_template_analysis_output(self, cli, tmp_path, spec, summary, warned):
+        path = tmp_path / "analysed.ks"
+        path.write_text(spec)
+        keys, contextual, patterns = summary
+        err = "".join(f"{path}:{line}: warning: layer ref %{ref}% of {name} is never "
+                      "concretized by any entry\n" for line, ref, name in warned)
+        assert cli("spec-check", str(path)) == (
+            0, f"OK: {keys} keys, {contextual} contextual, {patterns} pattern entries, "
+               f"{len(warned)} warnings\n", err)
+        assert cli("spec-check", "--porcelain", str(path)) == (
+            0, f"keys={keys}\tcontextual={contextual}\tpatterns={patterns}"
+               f"\twarnings={len(warned)}\n", err)
+
     def test_bad_template_is_error(self, cli, tmp_path):
         path = tmp_path / "badtmpl.ks"
         path.write_text("[getenv/x]\ncontext=a/%broken\nvalue=v\n")
