@@ -12,13 +12,9 @@ from .context import (
     CONTEXT_PROPERTY,
     WILDCARD,
     ContextState,
-    LayerRef,
-    Literal,
     LookupOutcome,
-    Template,
     candidates,
     contextual_lookup,
-    template_parse,
 )
 from .engine import PureBackend, make_backend
 from .errors import (
@@ -89,8 +85,6 @@ __all__ = [
     "KeyName",
     "KeySet",
     "KontextError",
-    "LayerRef",
-    "Literal",
     "LockTimeoutError",
     "LookupOutcome",
     "NotifyResult",
@@ -98,7 +92,6 @@ __all__ = [
     "ParseIssue",
     "SpecDocument",
     "SpecParseError",
-    "Template",
     "TemplateError",
     "UnanchoredTemplateError",
     "UnparseableTraceError",
@@ -126,6 +119,5 @@ __all__ = [
     "state_serialize",
     "state_set_layer",
     "state_write",
-    "template_parse",
     "__version__",
 ]

@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
-from .context import LayerRef, Literal, Template, template_parse
+from .context import template_pieces
 from .engine import make_backend
 from .errors import (
     ExecFailedError,
@@ -106,30 +106,32 @@ def _print_table(rows: Sequence[Sequence[str]], header: Optional[Sequence[str]] 
 # ---------------------------------------------------------------- spec-check
 
 
-def _template_segment_map(template: Template):
+def _template_segment_map(template_text: str):
     """(base name or None, rendered segment count, {layer: {segment idx}}).
 
     Maps each layer reference to the name segments its value lands in,
-    using sentinel renders. The base is the literal leading part up to
-    its last separator; when the leading literal has no separator there
-    is no usable base and the caller skips entry analysis.
+    using sentinel renders. The base is the literal text before the first
+    reference, up to its last separator; when that text has no separator
+    there is no usable base and the caller skips entry analysis. Raises
+    TemplateError for a template that does not parse.
     """
+    pieces = template_pieces(template_text)
     markers: Dict[str, str] = {}
-    for part in template.parts:
-        if isinstance(part, LayerRef) and part.layer not in markers:
-            markers[part.layer] = f"\x02{len(markers)}\x02"
-    pieces = [
-        part.text if isinstance(part, Literal) else markers[part.layer]
-        for part in template.parts
-    ]
-    segments = "".join(pieces).split(SEPARATOR)
+    for is_ref, s in pieces:
+        if is_ref and s not in markers:
+            markers[s] = f"\x02{len(markers)}\x02"
+    segments = "".join(markers[s] if is_ref else s for is_ref, s in pieces).split(SEPARATOR)
     ref_segments: Dict[str, Set[int]] = {name: set() for name in markers}
     for idx, segment in enumerate(segments):
         for name, marker in markers.items():
             if marker in segment:
                 ref_segments[name].add(idx)
 
-    leading = template.parts[0].text if isinstance(template.parts[0], Literal) else ""
+    leading = ""
+    for is_ref, s in pieces:
+        if is_ref:
+            break
+        leading += s
     slash = leading.rfind(SEPARATOR)
     base: Optional[KeyName] = None
     if slash > 0:
@@ -162,11 +164,10 @@ def cmd_spec_check(args) -> int:
         contextual += 1
         line = doc.line_index.get(key.name.display, 0)
         try:
-            template = template_parse(context_text)
+            base, nsegments, ref_segments = _template_segment_map(context_text)
         except TemplateError as exc:
             errors.append(f"{path}:{line}: error: context template: {exc}")
             continue
-        base, nsegments, ref_segments = _template_segment_map(template)
         if base is None:
             continue
         entries = [k for k in doc.keyset.below(base) if len(k.name.segments) == nsegments]

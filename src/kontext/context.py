@@ -2,8 +2,9 @@
 
 A context is a set of layers, each a name bound to a single string value,
 plus a generation counter bumped on every change. Templates are key names
-with %layer% placeholders; rendering one against a context yields the list
-of candidate names to probe, most specific first. A key whose metadata
+with %layer% placeholders, read as text one piece at a time like core.c's
+kx_piece; rendering one against a context yields the list of candidate
+names to probe, most specific first. A key whose metadata
 carries the `context` property resolves indirectly: the first candidate
 present in the key set is followed, recursively, until a key without the
 property supplies the value.
@@ -17,7 +18,7 @@ placeholder first. Placeholders naming unset layers are pinned to *.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple
 
 from .errors import (
     CycleDetectedError,
@@ -29,7 +30,7 @@ from .errors import (
     UnanchoredTemplateError,
     UnterminatedPlaceholderError,
 )
-from .keydb import Key, KeyName, KeySet, NameLike
+from .keydb import KeyName, KeySet, NameLike
 
 WILDCARD = "*"
 CONTEXT_PROPERTY = "context"
@@ -89,120 +90,81 @@ class ContextState:
         return self.layers.get(name)
 
 
-@dataclass(frozen=True)
-class Literal:
-    text: str
+def template_pieces(text: str) -> List[Tuple[bool, str]]:
+    """The pieces of a template, left to right, as (is_ref, text) pairs.
 
-
-@dataclass(frozen=True)
-class LayerRef:
-    layer: str
-
-
-TemplatePart = Union[Literal, LayerRef]
-
-
-@dataclass(frozen=True)
-class Template:
-    """Parsed template; display form round-trips to the source text."""
-
-    text: str
-    parts: Tuple[TemplatePart, ...]
-
-    @property
-    def refs(self) -> Tuple[str, ...]:
-        return tuple(p.layer for p in self.parts if isinstance(p, LayerRef))
-
-    def __str__(self) -> str:
-        return self.text
-
-
-def template_parse(text: str) -> Template:
-    """Parse %layer% placeholders; %% is a literal percent sign."""
-    parts: List[TemplatePart] = []
-    literal: List[str] = []
-    i = 0
-    n = len(text)
+    A piece is a run of literal text, the '%' of a "%%", or a %layer%
+    reference, whose layer name is trimmed of spaces and tabs. Raises a
+    TemplateError for an unterminated placeholder, an empty layer name, a
+    template that does not start with literal text, or more than
+    MAX_TEMPLATE_REFS references.
+    """
+    pieces: List[Tuple[bool, str]] = []
+    i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch != "%":
-            literal.append(ch)
-            i += 1
-            continue
-        if i + 1 < n and text[i + 1] == "%":
-            literal.append("%")
+        if text[i] != "%":
+            end = text.find("%", i)
+            end = n if end < 0 else end
+            pieces.append((False, text[i:end]))
+            i = end
+        elif text.startswith("%%", i):
+            pieces.append((False, "%"))
             i += 2
-            continue
-        end = text.find("%", i + 1)
-        if end < 0:
-            raise UnterminatedPlaceholderError(f"unterminated placeholder in {text!r}")
-        name = text[i + 1 : end].strip(" \t")
-        if not name:
-            raise EmptyLayerNameError(f"empty layer name in {text!r}")
-        if literal:
-            parts.append(Literal("".join(literal)))
-            literal = []
-        parts.append(LayerRef(name))
-        i = end + 1
-    if literal:
-        parts.append(Literal("".join(literal)))
-    if not parts:
+        else:
+            end = text.find("%", i + 1)
+            if end < 0:
+                raise UnterminatedPlaceholderError(f"unterminated placeholder in {text!r}")
+            layer = text[i + 1 : end].strip(" \t")
+            if not layer:
+                raise EmptyLayerNameError(f"empty layer name in {text!r}")
+            pieces.append((True, layer))
+            i = end + 1
+    if not pieces:
         raise UnanchoredTemplateError("empty template")
-    if not isinstance(parts[0], Literal):
+    if pieces[0][0]:
         raise UnanchoredTemplateError(f"template {text!r} must start with a literal")
-    if sum(1 for p in parts if isinstance(p, LayerRef)) > MAX_TEMPLATE_REFS:
+    if sum(is_ref for is_ref, _ in pieces) > MAX_TEMPLATE_REFS:
         raise UnanchoredTemplateError(
             f"template {text!r} has more than {MAX_TEMPLATE_REFS} layer references"
         )
-    return Template(text=text, parts=tuple(parts))
+    return pieces
 
 
-def candidates(template: Template, ctx: ContextState) -> List[KeyName]:
+def candidates(template_text: str, ctx: ContextState) -> List[str]:
     """Candidate key names, most specific first.
 
     Exactly 2^a names for a active references; references to unset layers
     always render as '*'. Order is descending over the concrete/wildcard
     bitmask read leftmost-reference-first.
     """
-    ref_parts = [p for p in template.parts if isinstance(p, LayerRef)]
-    k = len(ref_parts)
-    active_mask = 0
-    values: List[Optional[str]] = []
-    for idx, part in enumerate(ref_parts):
-        value = ctx.get(part.layer)
-        values.append(value)
-        if value is not None:
-            active_mask |= 1 << (k - 1 - idx)
+    pieces = template_pieces(template_text)
+    values = [ctx.get(s) for is_ref, s in pieces if is_ref]
+    k = len(values)
+    active = 0
+    for value in values:
+        active = active << 1 | (value is not None)
 
-    names: List[KeyName] = []
-
-    def render(mask: int) -> KeyName:
+    names: List[str] = []
+    mask = active
+    while True:
         out: List[str] = []
-        ref_idx = 0
-        for part in template.parts:
-            if isinstance(part, Literal):
-                out.append(part.text)
-            else:
-                bit = 1 << (k - 1 - ref_idx)
-                if mask & bit:
-                    out.append(values[ref_idx])  # active, guaranteed not None
-                else:
-                    out.append(WILDCARD)
-                ref_idx += 1
+        ref = 0
+        for is_ref, s in pieces:
+            if is_ref:
+                s = values[ref] if mask >> (k - 1 - ref) & 1 else WILDCARD
+                ref += 1
+            out.append(s)
         rendered = "".join(out)
         try:
-            return KeyName.parse(rendered)
+            KeyName.parse(rendered)
         except InvalidNameError:
             raise TemplateError(
-                f"template {template.text!r} renders invalid name {rendered!r}"
+                f"template {template_text!r} renders invalid name {rendered!r}"
             ) from None
-
-    mask = active_mask
-    while True:
-        names.append(render(mask))
+        names.append(rendered)
         if mask == 0:
             break
-        mask = (mask - 1) & active_mask
+        mask = (mask - 1) & active
     return names
 
 
@@ -216,10 +178,7 @@ class LookupOutcome:
 
 
 def contextual_lookup(
-    keys: KeySet,
-    name: NameLike,
-    ctx: ContextState,
-    template_cache: Optional[Dict[str, Template]] = None,
+    keys: KeySet, name: NameLike, ctx: ContextState
 ) -> Optional[LookupOutcome]:
     """Resolve a key through its `context` metadata, recursively.
 
@@ -228,40 +187,26 @@ def contextual_lookup(
     CycleDetectedError on a revisited name and DepthExceededError when the
     chain would exceed MAX_CHAIN_LENGTH keys. Template errors propagate.
     """
-    current = KeyName.parse(name) if not isinstance(name, KeyName) else name
+    current = KeyName.parse(name).display
     chain: List[str] = []
-    seen: set = set()
 
     while True:
-        display = current.display
-        if display in seen:
-            raise CycleDetectedError(chain + [display])
+        if current in chain:
+            raise CycleDetectedError(chain + [current])
         if len(chain) >= MAX_CHAIN_LENGTH:
             raise DepthExceededError(chain, MAX_CHAIN_LENGTH)
-        chain.append(display)
-        seen.add(display)
+        chain.append(current)
 
         key = keys.get(current)
         if key is None:
             return None
         template_text = key.meta.get(CONTEXT_PROPERTY)
         if template_text is None:
-            return LookupOutcome(key.value, display, tuple(chain))
+            return LookupOutcome(key.value, current, tuple(chain))
 
-        if template_cache is not None and template_text in template_cache:
-            template = template_cache[template_text]
-        else:
-            template = template_parse(template_text)
-            if template_cache is not None:
-                template_cache[template_text] = template
-
-        chosen: Optional[KeyName] = None
-        for candidate in candidates(template, ctx):
-            if keys.get(candidate) is not None:
-                chosen = candidate
-                break
+        chosen = next((c for c in candidates(template_text, ctx) if c in keys), None)
         if chosen is None:
             if key.value:
-                return LookupOutcome(key.value, display, tuple(chain))
+                return LookupOutcome(key.value, current, tuple(chain))
             return None
         current = chosen

@@ -7,9 +7,9 @@ is one backend: contextual_lookup over a parsed KeySet.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
-from .context import ContextState, LookupOutcome, Template, contextual_lookup
+from .context import ContextState, LookupOutcome, contextual_lookup
 from .keydb import KeySet
 from .specfile import SpecDocument, parse_spec
 
@@ -25,19 +25,18 @@ def _as_document(spec: SpecLike) -> SpecDocument:
 
 
 class PureBackend:
-    """contextual_lookup over a parsed KeySet, with a template cache."""
+    """contextual_lookup over a parsed KeySet."""
 
     name = "pure"
 
     def __init__(self, keyset: KeySet):
         self._keyset = keyset
-        self._templates: Dict[str, Template] = {}
 
     def has_key(self, name: str) -> bool:
         return self._keyset.get(name) is not None
 
     def lookup(self, name: str, ctx: ContextState) -> Optional[LookupOutcome]:
-        return contextual_lookup(self._keyset, name, ctx, self._templates)
+        return contextual_lookup(self._keyset, name, ctx)
 
 
 def make_backend(spec: SpecLike, backend: str = "auto") -> PureBackend:

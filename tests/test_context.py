@@ -7,13 +7,11 @@ import pytest
 from kontext.context import (
     MAX_CHAIN_LENGTH,
     ContextState,
-    LayerRef,
-    Literal,
     candidates,
     check_layer_name,
     check_layer_value,
     contextual_lookup,
-    template_parse,
+    template_pieces,
 )
 from kontext.errors import (
     CycleDetectedError,
@@ -30,8 +28,7 @@ from lookup_oracle import make_instance, oracle_candidates, oracle_lookup
 
 
 def cand_names(template_text, layers):
-    template = template_parse(template_text)
-    return [n.display for n in candidates(template, ContextState(layers))]
+    return candidates(template_text, ContextState(layers))
 
 
 class TestLayerValidation:
@@ -81,49 +78,46 @@ class TestContextState:
 
 class TestTemplateParse:
     def test_parts_and_refs(self):
-        t = template_parse("base/%interface%/%network%")
-        assert t.parts == (
-            Literal("base/"),
-            LayerRef("interface"),
-            Literal("/"),
-            LayerRef("network"),
-        )
-        assert t.refs == ("interface", "network")
+        assert template_pieces("base/%interface%/%network%") == [
+            (False, "base/"),
+            (True, "interface"),
+            (False, "/"),
+            (True, "network"),
+        ]
 
     def test_escape(self):
-        t = template_parse("lit%%eral")
-        assert t.parts == (Literal("lit%eral"),)
+        assert template_pieces("lit%%eral") == [(False, "lit"), (False, "%"), (False, "eral")]
 
     def test_ref_names_trimmed(self):
-        assert template_parse("a/% net %").refs == ("net",)
+        assert template_pieces("a/% net %") == [(False, "a/"), (True, "net")]
 
     def test_unterminated(self):
         with pytest.raises(UnterminatedPlaceholderError):
-            template_parse("a/%x")
+            template_pieces("a/%x")
 
     def test_escape_then_bare_percent(self):
         # %% escape consumes the first two; the trailing % never closes
         with pytest.raises(UnterminatedPlaceholderError):
-            template_parse("a/%%%")
+            template_pieces("a/%%%")
 
     def test_empty_ref_tab_only(self):
         with pytest.raises(EmptyLayerNameError):
-            template_parse("a/%\t%")
+            template_pieces("a/%\t%")
 
     def test_empty_placeholder(self):
         with pytest.raises(EmptyLayerNameError):
-            template_parse("a/% %")
+            template_pieces("a/% %")
 
     def test_unanchored(self):
         with pytest.raises(UnanchoredTemplateError):
-            template_parse("%x%/a")
+            template_pieces("%x%/a")
         with pytest.raises(UnanchoredTemplateError):
-            template_parse("")
+            template_pieces("")
 
     def test_too_many_refs(self):
         text = "b" + "".join(f"/%l{i}%" for i in range(17))
         with pytest.raises(TemplateError):
-            template_parse(text)
+            template_pieces(text)
 
 
 class TestCandidates:
@@ -261,14 +255,6 @@ class TestContextualLookup:
         with pytest.raises(DepthExceededError) as info:
             contextual_lookup(ks, "k00", ContextState())
         assert len(info.value.chain) == MAX_CHAIN_LENGTH
-
-    def test_template_cache_used(self):
-        cache = {}
-        ks = self.proxy_keys()
-        contextual_lookup(ks, "getenv/http_proxy", ContextState(), cache)
-        assert "http_proxy/%interface%/%network%" in cache
-        out = contextual_lookup(ks, "getenv/http_proxy", ContextState(), cache)
-        assert out.value == "default.example.com"
 
     @pytest.mark.parametrize("seed", range(200))
     def test_matches_naive_oracle(self, seed):

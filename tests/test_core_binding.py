@@ -28,7 +28,7 @@ from conftest import (DEMO_SRC, PROXY_SPEC, ThreadsFlip, path_spec, resign_image
                       wait_for_getenv_record)
 from kontext import (ContextState, CorruptStateError, SpecParseError, TemplateError,
                      candidates, child_environment, contextual_lookup, parse_spec, parse_trace,
-                     state_read, state_set_layer, template_parse)
+                     state_read, state_set_layer)
 from kontext.nativebuild import NATIVE, PRELOAD_FLAGS
 
 # bytes that exercise both grammars, plus what the engines once disagreed
@@ -468,9 +468,8 @@ def test_template_walks_agree(kxcore, text, layers, hits, own):
     # context it is (the spec trims the text) and a few of whose candidates
     # are keys
     assert template_outcome(lambda: kxcore.candidates(text, layers)) == template_outcome(
-        lambda: [n.display for n in candidates(template_parse(text), ContextState(layers))])
-    names = template_outcome(lambda: [n.display for n in candidates(
-        template_parse(text.strip(" \t")), ContextState(layers))])
+        lambda: candidates(text, ContextState(layers)))
+    names = template_outcome(lambda: candidates(text.strip(" \t"), ContextState(layers)))
     keys = [names[1][i % len(names[1])] for i in hits] if names[0] == "ok" else []
     spec = "".join(f"{name} = hit{i}\n" for i, name in enumerate(keys))
     spec += f"[q]\ncontext = {text}\nvalue = {own}\n"

@@ -33,6 +33,13 @@ value = fallback.example.com
 """
 
 
+def test_package_exports_resolve_once():
+    import kontext
+
+    assert [n for n in kontext.__all__ if not hasattr(kontext, n)] == []
+    assert len(set(kontext.__all__)) == len(kontext.__all__)
+
+
 def entries_keyset(entries):
     ks = KeySet()
     for name, (value, template) in entries.items():
