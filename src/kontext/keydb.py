@@ -80,9 +80,6 @@ class KeyName:
             and other.segments[: len(self.segments)] == self.segments
         )
 
-    def child(self, *segments: str) -> "KeyName":
-        return KeyName(self.segments + tuple(_check_segment(s) for s in segments))
-
 
 NameLike = Union[str, KeyName]
 
@@ -109,14 +106,6 @@ class Key:
             _check_value(val, f"property {prop!r} value")
             frozen[prop] = val
         object.__setattr__(self, "meta", frozen)
-
-    def with_value(self, value: str) -> "Key":
-        return Key(self.name, value, dict(self.meta))
-
-    def with_meta(self, prop: str, value: str) -> "Key":
-        meta = dict(self.meta)
-        meta[prop] = value
-        return Key(self.name, self.value, meta)
 
 
 class KeySet:
@@ -160,12 +149,6 @@ class KeySet:
 
     def names(self) -> List[str]:
         return list(self._sorted_names())
-
-    def copy(self) -> "KeySet":
-        dup = KeySet()
-        dup._by_name = dict(self._by_name)
-        dup._order = None
-        return dup
 
     def _sorted_names(self) -> List[str]:
         if self._order is None:

@@ -38,9 +38,6 @@ class TestKeyName:
         assert not base.is_prefix_of(KeyName.parse("a/bc"))
         assert not base.is_prefix_of(KeyName.parse("a"))
 
-    def test_child(self):
-        assert KeyName.parse("a").child("b", "c").display == "a/b/c"
-
     def test_names_are_hashable_and_equal_by_value(self):
         assert KeyName.parse("a/b") == KeyName.parse("a/b")
         assert len({KeyName.parse("a/b"), KeyName.parse("a/b")}) == 1
@@ -74,12 +71,6 @@ class TestKey:
         with pytest.raises(InvalidNameError):
             Key("a", "", {"": "v"})
 
-    def test_with_value_and_with_meta(self):
-        key = Key("a", "v1", {"p": "1"})
-        assert key.with_value("v2").value == "v2"
-        assert key.with_meta("q", "2").meta == {"p": "1", "q": "2"}
-        assert key.meta == {"p": "1"}
-
 
 class TestKeySet:
     def test_insert_get_remove(self):
@@ -112,13 +103,6 @@ class TestKeySet:
         ks = KeySet([Key("a/b")])
         assert "a/b" in ks
         assert "a" not in ks
-
-    def test_copy_is_independent(self):
-        ks = KeySet([Key("a", "1")])
-        clone = ks.copy()
-        clone.insert(Key("a", "2"))
-        assert ks.get("a").value == "1"
-        assert clone.get("a").value == "2"
 
     def test_equality(self):
         assert KeySet([Key("a", "1")]) == KeySet([Key("a", "1")])
