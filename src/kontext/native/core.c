@@ -771,7 +771,6 @@ void kx_state_init(kx_state *st) {
     st->names = NULL;
     st->values = NULL;
     st->len = 0;
-    st->cap = 0;
     st->generation = 0;
 }
 
@@ -846,7 +845,6 @@ int kx_parse_state(const char *data, size_t len, kx_state *out, kx_error *err) {
         return KX_E_NOMEM;
     out->names = slots;
     out->values = slots + lines;
-    out->cap = lines;
     char *text = (char *)(slots + 2 * lines);
     memcpy(text, data, len);
     text[len] = '\0';

@@ -3,9 +3,12 @@
  * Pure computation, no globals, no IO: key sets, the line-oriented spec
  * grammar, layer state parsing, name templates, candidate enumeration,
  * and recursive contextual lookup. Semantics mirror the Python engine
- * one to one; the equivalence tests drive both over the same inputs
- * through a ctypes binding of core.c built alone as _kxcore.so, which
- * defines KX_API to export these symbols. _preload.so keeps them hidden.
+ * (context.py) one to one, and both read a template as its text:
+ * kx_piece is template_pieces, kx_candidates is candidates, and kx_lookup
+ * is contextual_lookup. The equivalence tests drive both over the same
+ * inputs through a ctypes binding of core.c built alone as _kxcore.so,
+ * which defines KX_API to export these symbols. _preload.so keeps them
+ * hidden.
  */
 
 #ifndef KX_CORE_H
@@ -87,13 +90,13 @@ typedef struct {
     size_t npend;
 } kx_hasher;
 
-/* a parsed state is one block, like a key set: cap name slots, cap value
- * slots, then the text with each name and value cut in place (one malloc) */
+/* a parsed state is one block, like a key set: a name slot and a value slot
+ * per line of the text, then the text with each name and value cut in
+ * place (one malloc) */
 typedef struct {
     char **names; /* sorted by strcmp */
     char **values;
     size_t len;
-    size_t cap;
     long long generation;
 } kx_state;
 

@@ -309,12 +309,11 @@ static void kx_trace(const char *kind, const char *f3, const char *f4, const cha
 /* state loading                                                       */
 /* ------------------------------------------------------------------ */
 
-/* the rest of fd; a regular file is read with one read() into a buffer of
- * its size */
-static int kx_read_fd(int fd, char **data_out, size_t *len_out) {
-    struct stat st;
-    int regular = fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
-    size_t cap = regular ? (size_t)st.st_size + 1 : 8192, len = 0;
+/* the rest of fd, whose fstat the caller has in st; a regular file is read
+ * with one read() into a buffer of its size */
+static int kx_read_fd(int fd, const struct stat *st, char **data_out, size_t *len_out) {
+    int regular = S_ISREG(st->st_mode);
+    size_t cap = regular ? (size_t)st->st_size + 1 : 8192, len = 0;
     char *data = (char *)malloc(cap);
     if (!data)
         return -1;
@@ -447,7 +446,7 @@ static void kx_load_state(int initial) {
     }
     char *data = NULL;
     size_t len = 0;
-    int rc = kx_read_fd(fd, &data, &len);
+    int rc = kx_read_fd(fd, &st, &data, &len);
     close(fd);
     if (rc != 0) {
         kx_trace("note", "state-read-failed", g_state_path, NULL);
@@ -665,7 +664,7 @@ static int kx_spec_load(const char *spec_path, char *failure, size_t cap) {
 
     char *data = NULL;
     size_t len = 0;
-    int rc = kx_read_fd(fd, &data, &len);
+    int rc = kx_read_fd(fd, &st, &data, &len);
     close(fd);
     kx_stage(KX_ST_READ, &mark);
     if (rc != 0) {

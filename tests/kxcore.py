@@ -48,7 +48,7 @@ class Error(Structure):
 
 class State(Structure):
     _fields_ = [("names", POINTER(c_char_p)), ("values", POINTER(c_char_p)),
-                ("len", c_size_t), ("cap", c_size_t), ("generation", c_longlong)]
+                ("len", c_size_t), ("generation", c_longlong)]
 
 
 class Result(Structure):
