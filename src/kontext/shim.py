@@ -60,12 +60,11 @@ def child_environment(
     env = dict(os.environ if base is None else base)
     existing = env.get("LD_PRELOAD")
     env["LD_PRELOAD"] = f"{library}:{existing}" if existing else str(library)
-    if spec is not None:
-        env[ENV_SPEC] = str(Path(spec).resolve())
-    if state is not None:
-        env[ENV_STATE] = str(Path(state).resolve())
-    if trace is not None:
-        env[ENV_TRACE] = str(Path(trace).resolve())
+    # absolute but not resolved: a symlinked state must reach the shim as
+    # named, or its symlink rule never applies
+    for var, path in ((ENV_SPEC, spec), (ENV_STATE, state), (ENV_TRACE, trace)):
+        if path is not None:
+            env[var] = os.path.abspath(path)
     return env
 
 

@@ -240,6 +240,13 @@ class TestChildEnvironment:
         assert env["KONTEXT_STATE"] == str(tmp_path / "state.ks")
         assert env["KONTEXT_TRACE"] == str(tmp_path / "out.trace")
 
+    def test_symlinked_state_passed_as_named(self, tmp_path):
+        lib = tmp_path / "fake_preload.so"
+        lib.write_bytes(b"\x7fELF")
+        (tmp_path / "link.ks").symlink_to(tmp_path / "real.ks")
+        env = child_environment(state=tmp_path / "link.ks", base={}, preload=lib)
+        assert env["KONTEXT_STATE"] == str(tmp_path / "link.ks")
+
     def test_prepends_to_existing_preload(self, tmp_path):
         lib = tmp_path / "fake_preload.so"
         lib.write_bytes(b"\x7fELF")
@@ -1056,7 +1063,6 @@ class TestStateTrust:
                 os.link(state, tmp_path / "second.ks")
         env = child_environment(spec=proxy_spec, state=state, trace=trace,
                                 base={k: v for k, v in os.environ.items() if k != "http_proxy"})
-        env["KONTEXT_STATE"] = str(state)  # child_environment resolves a symlink
         for name, want in [("http_proxy", "default.example.com"),
                            ("HOME", os.environ.get("HOME", "(unset)"))]:
             ran = subprocess.run([str(demo_bins["getenv_latency"]), name, "3"], env=env,
