@@ -4,10 +4,10 @@ A context is a set of layers, each a name bound to a single string value,
 plus a generation counter bumped on every change. Templates are key names
 with %layer% placeholders, read as text one piece at a time like core.c's
 kx_piece; rendering one against a context yields the list of candidate
-names to probe, most specific first. A key whose metadata
-carries the `context` property resolves indirectly: the first candidate
-present in the key set is followed, recursively, until a key without the
-property supplies the value.
+names to probe, most specific first. A key whose metadata carries the
+`context` property resolves indirectly: the first candidate present in the
+key set is followed, recursively, until a key without the property
+supplies the value.
 
 Candidate order is fixed: with k placeholders referencing active layers,
 all 2^k combinations of {concrete, *} are emitted in descending order of
@@ -18,7 +18,7 @@ placeholder first. Placeholders naming unset layers are pinned to *.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 from .errors import (
     CycleDetectedError,
@@ -137,6 +137,12 @@ def candidates(template_text: str, ctx: ContextState) -> List[str]:
     always render as '*'. Order is descending over the concrete/wildcard
     bitmask read leftmost-reference-first.
     """
+    return list(_each_candidate(template_text, ctx))
+
+
+def _each_candidate(template_text: str, ctx: ContextState) -> Iterator[str]:
+    """candidates one at a time, each rendered and checked only when asked
+    for, so a lookup stops rendering at its first hit as kx_lookup does."""
     pieces = template_pieces(template_text)
     values = [ctx.get(s) for is_ref, s in pieces if is_ref]
     k = len(values)
@@ -144,7 +150,6 @@ def candidates(template_text: str, ctx: ContextState) -> List[str]:
     for value in values:
         active = active << 1 | (value is not None)
 
-    names: List[str] = []
     mask = active
     while True:
         out: List[str] = []
@@ -161,11 +166,10 @@ def candidates(template_text: str, ctx: ContextState) -> List[str]:
             raise TemplateError(
                 f"template {template_text!r} renders invalid name {rendered!r}"
             ) from None
-        names.append(rendered)
+        yield rendered
         if mask == 0:
-            break
+            return
         mask = (mask - 1) & active
-    return names
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,7 @@ def contextual_lookup(
         if template_text is None:
             return LookupOutcome(key.value, current, tuple(chain))
 
-        chosen = next((c for c in candidates(template_text, ctx) if c in keys), None)
+        chosen = next((c for c in _each_candidate(template_text, ctx) if c in keys), None)
         if chosen is None:
             if key.value:
                 return LookupOutcome(key.value, current, tuple(chain))
