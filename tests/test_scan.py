@@ -61,6 +61,16 @@ class TestCallDetection:
         (occ,) = report.occurrences
         assert (occ.line, occ.column, occ.kind) == (2, 4, CALL)
 
+    def test_block_comment_across_lines_between_name_and_paren(self):
+        assert kinds("p = getenv /* why\n not */ (1);") == [CALL]
+
+    def test_string_between_name_and_paren_is_identifier(self):
+        assert kinds('getenv "x" (1);') == [IDENT]
+
+    def test_column_on_line_after_multiline_comment(self):
+        report = scan_text("<mem>", "/* a\n b */ y = getenv(1);", C_LIKE)
+        assert [(o.line, o.column, o.kind) for o in report.occurrences] == [(2, 10, CALL)]
+
 
 class TestRegions:
     def test_line_comment(self):
@@ -87,6 +97,30 @@ class TestRegions:
     def test_unterminated_quote_runs_to_eol_only(self):
         text = 'broken = "abc\ngetenv("H");'
         assert kinds(text) == [CALL]
+
+    def test_backslash_before_line_end_in_string(self):
+        # the escape never carries the string onto the next line
+        assert kinds('s = "abc\\\ngetenv(1);') == [CALL]
+
+    def test_unterminated_block_comment_runs_to_end_of_text(self):
+        text = "/* open\ngetenv(1);\n"
+        assert kinds(text) == [CS]
+        assert scan_text("<mem>", text, C_LIKE).loc == 0
+
+    def test_unterminated_triple_quote_runs_to_end_of_text(self):
+        text = '"""open\ngetenv(1)\n'
+        assert kinds(text, PYTHON) == [CS]
+        assert scan_text("<mem>", text, PYTHON).loc == 2
+
+    def test_comment_opener_inside_string(self):
+        assert kinds('s = "/*"; getenv(1);') == [CALL]
+
+    def test_quote_inside_line_comment(self):
+        assert kinds('// "\ngetenv(1)') == [CALL]
+
+    def test_python_empty_string_then_code(self):
+        assert kinds("x = ''\ngetenv(1)", PYTHON) == [CALL]
+        assert kinds("x = ''; getenv(1)", PYTHON) == [CALL]
 
     def test_python_hash_comment(self):
         assert kinds('# getenv("X")', PYTHON) == [CS]
