@@ -19,6 +19,7 @@ derives lines-per-call, a coarse call-density figure.
 from __future__ import annotations
 
 import enum
+import functools
 import os
 import re
 from dataclasses import dataclass, field
@@ -89,104 +90,51 @@ LANGUAGES: Dict[str, LanguageSyntax] = {
 _CODE = "c"
 _COMMENT = "m"
 _STRING = "s"
+_COMMENT_RUN = re.compile(_COMMENT + "+")
+
+@functools.lru_cache(maxsize=None)
+def _regions(syntax: LanguageSyntax) -> Tuple[re.Pattern, Dict[str, Tuple[str, re.Pattern]]]:
+    """The opener alternation, and for each opener its region class and
+    the pattern of the rest of its region. A rest pattern that does not
+    match leaves the region open to the end of the text."""
+    rest: Dict[str, Tuple[str, re.Pattern]] = {}
+    for marker in syntax.line_comments:
+        rest.setdefault(marker, (_COMMENT, re.compile(r"[^\n]*")))
+    for begin, end in syntax.block_comments:
+        rest.setdefault(begin, (_COMMENT, re.compile(r"(?s:.*?)" + re.escape(end))))
+    for quote in syntax.triple_quotes:
+        rest.setdefault(quote, (_STRING, re.compile(r"(?s:.*?)" + re.escape(quote))))
+    for quote in syntax.quotes:
+        # a plain string ends at its close or at the line end; an escape
+        # skips one character, never the newline
+        q = re.escape(quote)
+        plain = rf"[^{q}\\\n]*"
+        body = rf"{plain}(?:\\[^\n]?{plain})*" if syntax.escape_in_quotes else rf"[^{q}\n]*"
+        rest.setdefault(quote, (_STRING, re.compile(body + q + "?")))
+    # dict order is priority order; the alternation tries it left to right
+    opener = re.compile("|".join(re.escape(marker) for marker in rest))
+    return opener, rest
 
 
-def _mask_lines(lines: Sequence[str], syntax: LanguageSyntax) -> List[str]:
-    """One mask string per line: code, comment, or string per character."""
-    masks: List[str] = []
-    block_end: Optional[str] = None  # open block comment terminator
-    triple_end: Optional[str] = None  # open triple-quoted string terminator
-
-    for line in lines:
-        mask = [_CODE] * len(line)
-        i = 0
-        n = len(line)
-        while i < n:
-            if block_end is not None:
-                end = line.find(block_end, i)
-                if end < 0:
-                    for j in range(i, n):
-                        mask[j] = _COMMENT
-                    i = n
-                else:
-                    for j in range(i, end + len(block_end)):
-                        mask[j] = _COMMENT
-                    i = end + len(block_end)
-                    block_end = None
-                continue
-            if triple_end is not None:
-                end = line.find(triple_end, i)
-                if end < 0:
-                    for j in range(i, n):
-                        mask[j] = _STRING
-                    i = n
-                else:
-                    for j in range(i, end + len(triple_end)):
-                        mask[j] = _STRING
-                    i = end + len(triple_end)
-                    triple_end = None
-                continue
-
-            ch = line[i]
-            matched = False
-            for marker in syntax.line_comments:
-                if line.startswith(marker, i):
-                    for j in range(i, n):
-                        mask[j] = _COMMENT
-                    i = n
-                    matched = True
-                    break
-            if matched:
-                continue
-            for begin, end_marker in syntax.block_comments:
-                if line.startswith(begin, i):
-                    close = line.find(end_marker, i + len(begin))
-                    if close < 0:
-                        for j in range(i, n):
-                            mask[j] = _COMMENT
-                        i = n
-                        block_end = end_marker
-                    else:
-                        for j in range(i, close + len(end_marker)):
-                            mask[j] = _COMMENT
-                        i = close + len(end_marker)
-                    matched = True
-                    break
-            if matched:
-                continue
-            for quote in syntax.triple_quotes:
-                if line.startswith(quote, i):
-                    close = line.find(quote, i + len(quote))
-                    if close < 0:
-                        for j in range(i, n):
-                            mask[j] = _STRING
-                        i = n
-                        triple_end = quote
-                    else:
-                        for j in range(i, close + len(quote)):
-                            mask[j] = _STRING
-                        i = close + len(quote)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch in syntax.quotes:
-                j = i + 1
-                while j < n:
-                    if syntax.escape_in_quotes and line[j] == "\\":
-                        j += 2
-                        continue
-                    if line[j] == ch:
-                        break
-                    j += 1
-                stop = min(j + 1, n)  # unterminated: string to end of line
-                for k in range(i, stop):
-                    mask[k] = _STRING
-                i = stop
-                continue
-            i += 1
-        masks.append("".join(mask))
-    return masks
+def _mask(text: str, syntax: LanguageSyntax) -> str:
+    """One region class per character of text: code, comment or string."""
+    opener, rest = _regions(syntax)
+    if not rest:
+        return _CODE * len(text)
+    parts: List[str] = []
+    pos = 0
+    while True:
+        found = opener.search(text, pos)
+        if found is None:
+            break
+        cls, body = rest[found.group()]
+        closed = body.match(text, found.end())
+        end = closed.end() if closed else len(text)
+        parts.append(_CODE * (found.start() - pos))
+        parts.append(cls * (end - found.start()))
+        pos = end
+    parts.append(_CODE * (len(text) - pos))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -222,17 +170,6 @@ class ScanTotals:
             return None
         return round(self.loc / self.calls)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "files": self.files,
-            "loc": self.loc,
-            "calls": self.calls,
-            "comment_or_string": self.comment_or_string,
-            "identifiers": self.identifiers,
-            "lines_per_call": self.lines_per_call,
-            "errors": self.errors,
-        }
-
 
 @dataclass
 class ScanReport:
@@ -240,49 +177,39 @@ class ScanReport:
     totals: ScanTotals
 
 
-def _next_code_char(
-    lines: Sequence[str], masks: Sequence[str], line_idx: int, col: int
-) -> Optional[str]:
-    """First non-whitespace code character at or after (line_idx, col),
-    skipping comment regions entirely."""
-    for li in range(line_idx, len(lines)):
-        start = col if li == line_idx else 0
-        line = lines[li]
-        mask = masks[li]
-        for ci in range(start, len(line)):
-            if mask[ci] == _COMMENT:
-                continue
-            if line[ci].isspace():
-                continue
-            return line[ci]
-    return None
-
-
 def scan_text(path: str, text: str, syntax: LanguageSyntax) -> FileReport:
-    lines = text.split("\n")
-    masks = _mask_lines(lines, syntax)
+    mask = _mask(text, syntax)
     report = FileReport(path=path)
 
-    for li, (line, mask) in enumerate(zip(lines, masks)):
-        has_content = any(mask[ci] != _COMMENT and not line[ci].isspace() for ci in range(len(line)))
-        if has_content:
-            report.loc += 1
-        for match in WORD_RE.finditer(line):
-            start = match.start()
-            region = mask[start]
-            if region in (_COMMENT, _STRING):
-                kind = OccurrenceKind.COMMENT_OR_STRING
-            else:
-                following = _next_code_char(lines, masks, li, match.end())
-                kind = OccurrenceKind.CALL if following == "(" else OccurrenceKind.IDENTIFIER
-            report.occurrences.append(Occurrence(line=li + 1, column=start, kind=kind))
+    # a line counts when something other than comment and whitespace is left
+    kept: List[str] = []
+    pos = 0
+    for run in _COMMENT_RUN.finditer(mask):
+        kept.append(text[pos:run.start()])
+        kept.append("\n" * text.count("\n", run.start(), run.end()))
+        pos = run.end()
+    kept.append(text[pos:])
+    report.loc = sum(1 for line in "".join(kept).split("\n") if line.strip())
+
+    line, line_start = 1, 0
+    for match in WORD_RE.finditer(text):
+        start = match.start()
+        line += text.count("\n", line_start, start)
+        line_start = text.rfind("\n", 0, start) + 1
+        if mask[start] != _CODE:
+            kind = OccurrenceKind.COMMENT_OR_STRING
+        else:
+            i = match.end()
+            while i < len(text) and (mask[i] == _COMMENT or text[i].isspace()):
+                i += 1
+            kind = OccurrenceKind.CALL if text.startswith("(", i) else OccurrenceKind.IDENTIFIER
+        report.occurrences.append(Occurrence(line=line, column=start - line_start, kind=kind))
     return report
 
 
-def scan_file(path, syntax: Optional[LanguageSyntax] = None) -> FileReport:
+def scan_file(path) -> FileReport:
     path = Path(path)
-    if syntax is None:
-        syntax = LANGUAGES.get(path.suffix.lstrip(".").lower())
+    syntax = LANGUAGES.get(path.suffix.lstrip(".").lower())
     if syntax is None:
         return FileReport(path=str(path), error="unknown extension")
     try:

@@ -160,13 +160,6 @@ class TestScanFile:
         assert report.error == "unknown extension"
         assert report.occurrences == []
 
-    def test_explicit_syntax_overrides_extension(self, tmp_path):
-        path = tmp_path / "notes.txt"
-        path.write_text("getenv(1)")
-        report = scan_file(path, syntax=C_LIKE)
-        assert report.error is None
-        assert [o.kind for o in report.occurrences] == [CALL]
-
     def test_missing_file_reports_error(self, tmp_path):
         report = scan_file(tmp_path / "gone.c")
         assert report.error is not None
@@ -253,16 +246,3 @@ class TestScanTree:
 class TestTotalsShape:
     def test_lines_per_call_none_without_calls(self):
         assert ScanTotals().lines_per_call is None
-
-    def test_as_dict(self):
-        data = ScanTotals(files=1, loc=10, calls=2).as_dict()
-        assert data["lines_per_call"] == 5
-        assert set(data) == {
-            "files",
-            "loc",
-            "calls",
-            "comment_or_string",
-            "identifiers",
-            "lines_per_call",
-            "errors",
-        }
