@@ -27,13 +27,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from .context import template_pieces
 from .engine import make_backend
-from .errors import (
-    ExecFailedError,
-    KontextError,
-    SpecParseError,
-    TemplateError,
-    UnparseableTraceError,
-)
+from .errors import ExecFailedError, KontextError, SpecParseError, TemplateError
 from .keydb import SEPARATOR, Key, KeyName, KeySet
 from .layerstate import (
     default_state_path,
@@ -43,7 +37,7 @@ from .layerstate import (
     state_serialize,
     state_set_layer,
 )
-from .scan import DEFAULT_EXTENSIONS, ScanReport, scan_tree
+from .scan import DEFAULT_EXTENSIONS, OccurrenceKind, ScanReport, scan_tree
 from .shim import ENV_SPEC, ENV_STATE, child_environment
 from .specfile import SpecDocument, load_spec, save_spec
 from .tracing import aggregate, load_trace
@@ -62,16 +56,12 @@ class _CliError(Exception):
         super().__init__(message)
 
 
-def _fail(code: int, message: str) -> "_CliError":
-    return _CliError(code, message)
-
-
 def _spec_path(args, required: bool = True) -> Optional[Path]:
     raw = args.spec or os.environ.get(ENV_SPEC)
     if raw:
         return Path(raw)
     if required:
-        raise _fail(EXIT_USAGE, "no spec file: pass --spec or set KONTEXT_SPEC")
+        raise _CliError(EXIT_USAGE, "no spec file: pass --spec or set KONTEXT_SPEC")
     return None
 
 
@@ -88,7 +78,7 @@ def _load_spec_doc(path: Path) -> SpecDocument:
     try:
         return load_spec(path)
     except FileNotFoundError:
-        raise _fail(EXIT_DATA, f"{path}: no such spec file") from None
+        raise _CliError(EXIT_DATA, f"{path}: no such spec file") from None
 
 
 def _print_table(rows: Sequence[Sequence[str]], header: Optional[Sequence[str]] = None) -> None:
@@ -145,9 +135,7 @@ def _template_segment_map(template_text: str):
 def cmd_spec_check(args) -> int:
     path = Path(args.path) if args.path else _spec_path(args)
     try:
-        doc = load_spec(path)
-    except FileNotFoundError:
-        raise _fail(EXIT_DATA, f"{path}: no such spec file") from None
+        doc = _load_spec_doc(path)
     except SpecParseError as exc:
         print(f"{path}:{exc.line}: error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -239,18 +227,18 @@ def cmd_set(args) -> int:
     name = KeyName.parse(args.name)
     if args.remove:
         if keyset.get(name) is None:
-            raise _fail(EXIT_NOT_FOUND, f"{args.name}: no such key")
+            raise _CliError(EXIT_NOT_FOUND, f"{args.name}: no such key")
         keyset.remove(name)
     else:
         props: Dict[str, str] = {}
         for raw in args.prop or []:
             prop, sep, value = raw.partition("=")
             if not sep or not prop:
-                raise _fail(EXIT_USAGE, f"--prop needs NAME=VALUE, got {raw!r}")
+                raise _CliError(EXIT_USAGE, f"--prop needs NAME=VALUE, got {raw!r}")
             props[prop] = value
         existing = keyset.get(name)
         if args.value is None and not props:
-            raise _fail(EXIT_USAGE, "nothing to set: give VALUE and/or --prop")
+            raise _CliError(EXIT_USAGE, "nothing to set: give VALUE and/or --prop")
         meta = dict(existing.meta) if existing else {}
         meta.update(props)
         value = args.value if args.value is not None else (existing.value if existing else "")
@@ -274,7 +262,7 @@ def _parse_pids(raw: str) -> List[int]:
         try:
             pids.append(int(piece))
         except ValueError:
-            raise _fail(EXIT_USAGE, f"--notify takes pid[,pid...], got {piece!r}") from None
+            raise _CliError(EXIT_USAGE, f"--notify takes pid[,pid...], got {piece!r}") from None
     return pids
 
 
@@ -285,7 +273,7 @@ def _notify_plan(args) -> Optional[List[int]]:
     try:
         signal_number(args.signal)
     except ValueError as exc:
-        raise _fail(EXIT_USAGE, str(exc)) from None
+        raise _CliError(EXIT_USAGE, str(exc)) from None
     return _parse_pids(args.notify)
 
 
@@ -392,8 +380,6 @@ def cmd_trace(args) -> int:
 
 
 def _scan_rows(report: ScanReport) -> List[List[str]]:
-    from .scan import OccurrenceKind
-
     rows = []
     for rep in report.files:
         if rep.error is not None:
@@ -416,7 +402,7 @@ def cmd_scan(args) -> int:
     )
     root = Path(args.root)
     if not root.exists():
-        raise _fail(EXIT_DATA, f"{root}: no such file or directory")
+        raise _CliError(EXIT_DATA, f"{root}: no such file or directory")
     report = scan_tree(root, extensions)
     totals = report.totals
     lpc = "-" if totals.lines_per_call is None else str(totals.lines_per_call)
@@ -474,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--remove", action="store_true", help="delete the key instead")
     p.set_defaults(handler=cmd_set)
 
-    p = sub.add_parser("layer", parents=[common], help="manage the shared layer state")
+    p = sub.add_parser("layer", help="manage the shared layer state")
     layer_sub = p.add_subparsers(dest="layer_cmd", required=True, metavar="ACTION")
     for action in ("set", "unset"):
         lp = layer_sub.add_parser(action, parents=[common])
@@ -521,9 +507,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_EXEC
     except SpecParseError as exc:
         print(f"kontext: spec {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except UnparseableTraceError as exc:
-        print(f"kontext: {exc}", file=sys.stderr)
         return EXIT_DATA
     except KontextError as exc:
         print(f"kontext: {exc}", file=sys.stderr)

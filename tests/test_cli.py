@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 
 import pytest
 
 from conftest import KONTEXT_CMD, PROXY_SPEC
+from kontext import cli as cli_module
 from kontext import state_read, state_serialize, state_set_layer
 
 
@@ -24,6 +26,32 @@ class TestUsage:
         code, _, err = cli("get", "getenv/http_proxy")
         assert code == 2
         assert "spec" in err
+
+
+def _subparsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield from action.choices.items()
+
+
+def _options(parser):
+    return {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
+
+
+class TestParser:
+    def test_no_group_shares_an_option_with_its_actions(self):
+        # argparse lets an action parser's defaults overwrite the values its
+        # group parser read, so a flag given to both is silently dropped
+        clashes = []
+        pending = [("kontext", cli_module._build_parser())]
+        while pending:
+            name, parser = pending.pop()
+            for sub_name, sub in _subparsers(parser):
+                pending.append((f"{name} {sub_name}", sub))
+                for action_name, action in _subparsers(sub):
+                    for opt in sorted(_options(sub) & _options(action)):
+                        clashes.append(f"{name} {sub_name} / {action_name}: {opt}")
+        assert clashes == []
 
 
 class TestSpecCheck:
@@ -306,6 +334,20 @@ class TestLayer:
         assert code == 0
         assert out == "generation 0\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("layer", "--state", "{state}", "set", "network", "home"),
+        ("layer", "--porcelain", "list"),
+        ("layer", "-v", "unset", "network"),
+    ])
+    def test_flag_before_action_is_usage_error(self, cli, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("XDG_RUNTIME_DIR", str(tmp_path))
+        monkeypatch.delenv("KONTEXT_STATE", raising=False)
+        state = tmp_path / "chosen.ks"
+        code, out, _ = cli(*(arg.format(state=state) for arg in argv))
+        assert (code, out) == (2, "")
+        assert not state.exists()
+        assert not (tmp_path / "kontext").exists()
+
     def test_invalid_layer_name_is_data_error(self, cli, state_file):
         code, _, err = cli("layer", "set", "--state", str(state_file), "a/b", "v")
         assert code == 3
@@ -411,6 +453,16 @@ class TestTrace:
         code, out, _ = cli("trace", str(demo_bins["t01_env_present"]))
         assert code == 0
         assert "t01_env_present" in out
+
+    def test_value_that_is_not_utf8(self, cli, demo_bins, preload_so, proxy_spec, monkeypatch):
+        monkeypatch.setenv("KXBYTES", os.fsdecode(b"\xff"))
+        code, out, err = cli(
+            "trace", "-v", "--startup-ms", "0", "--spec", str(proxy_spec),
+            str(demo_bins["getenv_latency"]), "KXBYTES", "3",
+        )
+        assert code == 0
+        assert out.splitlines()[2].split()[1:] == ["3", "1", "1", "0"]
+        assert "later: KXBYTES\n" in err
 
     def test_exec_failure_exit_four(self, cli, preload_so):
         code, _, err = cli("trace", "/no/such/binary-xyz")
