@@ -120,7 +120,8 @@ def parse_trace(text: str) -> List[TraceRecord]:
 
 def load_trace(path) -> List[TraceRecord]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # names and values are the traced program's bytes, not always UTF-8
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return parse_trace(handle.read())
     except FileNotFoundError:
         return []  # the child never initialized the shim: an empty trace

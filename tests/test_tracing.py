@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -120,6 +121,14 @@ class TestParseTrace:
         path.write_text("1\tstart\tactive\t500\t1000\n2\tgetenv\tA\tnull\t\n")
         records = load_trace(path)
         assert [r.kind for r in records] == ["start", "getenv"]
+
+    def test_load_file_with_bytes_that_are_not_utf8(self, tmp_path):
+        # the shim writes names and values as the program's raw bytes
+        path = tmp_path / "shim.trace"
+        path.write_bytes(b"2\tgetenv\tK\xff\tfallthrough\tv\xff\n")
+        (record,) = load_trace(path)
+        assert record.fields == ("K\udcff", "fallthrough", "v\udcff")
+        assert os.fsencode(record.fields[2]) == b"v\xff"
 
 
 SPEC_KEYS = parse_spec(
