@@ -92,34 +92,35 @@ _COMMENT = "m"
 _STRING = "s"
 _COMMENT_RUN = re.compile(_COMMENT + "+")
 
+
 @functools.lru_cache(maxsize=None)
 def _regions(syntax: LanguageSyntax) -> Tuple[re.Pattern, Dict[str, Tuple[str, re.Pattern]]]:
     """The opener alternation, and for each opener its region class and
-    the pattern of the rest of its region. A rest pattern that does not
+    the pattern of the region after the opener. A pattern that does not
     match leaves the region open to the end of the text."""
-    rest: Dict[str, Tuple[str, re.Pattern]] = {}
+    regions: Dict[str, Tuple[str, re.Pattern]] = {}
     for marker in syntax.line_comments:
-        rest.setdefault(marker, (_COMMENT, re.compile(r"[^\n]*")))
+        regions.setdefault(marker, (_COMMENT, re.compile(r"[^\n]*")))
     for begin, end in syntax.block_comments:
-        rest.setdefault(begin, (_COMMENT, re.compile(r"(?s:.*?)" + re.escape(end))))
+        regions.setdefault(begin, (_COMMENT, re.compile(r"(?s:.*?)" + re.escape(end))))
     for quote in syntax.triple_quotes:
-        rest.setdefault(quote, (_STRING, re.compile(r"(?s:.*?)" + re.escape(quote))))
+        regions.setdefault(quote, (_STRING, re.compile(r"(?s:.*?)" + re.escape(quote))))
     for quote in syntax.quotes:
         # a plain string ends at its close or at the line end; an escape
         # skips one character, never the newline
         q = re.escape(quote)
         plain = rf"[^{q}\\\n]*"
         body = rf"{plain}(?:\\[^\n]?{plain})*" if syntax.escape_in_quotes else rf"[^{q}\n]*"
-        rest.setdefault(quote, (_STRING, re.compile(body + q + "?")))
+        regions.setdefault(quote, (_STRING, re.compile(body + q + "?")))
     # dict order is priority order; the alternation tries it left to right
-    opener = re.compile("|".join(re.escape(marker) for marker in rest))
-    return opener, rest
+    opener = re.compile("|".join(re.escape(marker) for marker in regions))
+    return opener, regions
 
 
 def _mask(text: str, syntax: LanguageSyntax) -> str:
     """One region class per character of text: code, comment or string."""
-    opener, rest = _regions(syntax)
-    if not rest:
+    opener, regions = _regions(syntax)
+    if not regions:
         return _CODE * len(text)
     parts: List[str] = []
     pos = 0
@@ -127,7 +128,7 @@ def _mask(text: str, syntax: LanguageSyntax) -> str:
         found = opener.search(text, pos)
         if found is None:
             break
-        cls, body = rest[found.group()]
+        cls, body = regions[found.group()]
         closed = body.match(text, found.end())
         end = closed.end() if closed else len(text)
         parts.append(_CODE * (found.start() - pos))
