@@ -435,25 +435,34 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------- main
 
 
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one shared flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", metavar="PATH", help="spec file (default: $KONTEXT_SPEC)")
-    common.add_argument("--state", metavar="PATH", help="layer state file (default: $KONTEXT_STATE)")
-    common.add_argument("--verbose", "-v", action="store_true", help="extra diagnostics")
-    common.add_argument("--porcelain", action="store_true", help="machine-readable output")
+    # each subcommand takes only the shared flags its handler reads, so a
+    # flag it would ignore is a usage error
+    spec = _flag("--spec", metavar="PATH", help="spec file (default: $KONTEXT_SPEC)")
+    state = _flag("--state", metavar="PATH", help="layer state file (default: $KONTEXT_STATE)")
+    verbose = _flag("--verbose", "-v", action="store_true", help="extra diagnostics")
+    porcelain = _flag("--porcelain", action="store_true", help="machine-readable output")
 
     parser = argparse.ArgumentParser(prog="kontext", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("spec-check", parents=[common], help="validate a spec file")
+    p = sub.add_parser("spec-check", parents=[spec, porcelain], help="validate a spec file")
     p.add_argument("path", nargs="?", help="spec file (overrides --spec)")
     p.set_defaults(handler=cmd_spec_check)
 
-    p = sub.add_parser("get", parents=[common], help="resolve one key contextually")
+    p = sub.add_parser("get", parents=[spec, state, verbose, porcelain],
+                       help="resolve one key contextually")
     p.add_argument("name", help="full key name, e.g. getenv/http_proxy")
     p.set_defaults(handler=cmd_get)
 
-    p = sub.add_parser("set", parents=[common], help="add or update a spec entry")
+    p = sub.add_parser("set", parents=[spec, verbose], help="add or update a spec entry")
     p.add_argument("name", help="full key name")
     p.add_argument("value", nargs="?", default=None, help="key value")
     p.add_argument("--prop", action="append", metavar="NAME=VALUE", help="metadata property")
@@ -463,29 +472,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("layer", help="manage the shared layer state")
     layer_sub = p.add_subparsers(dest="layer_cmd", required=True, metavar="ACTION")
     for action in ("set", "unset"):
-        lp = layer_sub.add_parser(action, parents=[common])
+        # --spec goes unread, but perfbench/run.py passes it
+        lp = layer_sub.add_parser(action, parents=[spec, state, verbose])
         lp.add_argument("name", help="layer name")
         if action == "set":
             lp.add_argument("value", help="layer value")
         lp.add_argument("--notify", metavar="PID[,PID...]", help="signal these processes")
         lp.add_argument("--signal", default="HUP", help="signal name (HUP, USR1, USR2)")
         lp.set_defaults(handler=cmd_layer, layer_cmd=action)
-    lp = layer_sub.add_parser("list", parents=[common])
+    lp = layer_sub.add_parser("list", parents=[state, porcelain])
     lp.set_defaults(handler=cmd_layer, layer_cmd="list")
 
-    p = sub.add_parser("run", parents=[common], help="exec a program under the shim")
+    p = sub.add_parser("run", parents=[spec, state], help="exec a program under the shim")
     p.add_argument("program")
     p.add_argument("args", nargs=argparse.REMAINDER)
     p.set_defaults(handler=cmd_run)
 
-    p = sub.add_parser("trace", parents=[common], help="trace a program's getenv traffic")
+    p = sub.add_parser("trace", parents=[spec, state, verbose, porcelain],
+                       help="trace a program's getenv traffic")
     p.add_argument("--startup-ms", type=int, default=1000, metavar="N",
                    help="startup window for the 'later' classification (default 1000)")
     p.add_argument("program")
     p.add_argument("args", nargs=argparse.REMAINDER)
     p.set_defaults(handler=cmd_trace)
 
-    p = sub.add_parser("scan", parents=[common], help="count getenv occurrences in sources")
+    p = sub.add_parser("scan", parents=[porcelain], help="count getenv occurrences in sources")
     p.add_argument("root", help="file or directory to scan")
     p.add_argument("--ext", action="append", metavar="EXT[,EXT...]",
                    help="extensions to scan (default: %s)" % ",".join(DEFAULT_EXTENSIONS))

@@ -33,12 +33,13 @@
  *
  * Locking: g_lock serializes every writer of shim state (reload, slot fill,
  * which renders a shadow file for a path). Readers go without it, traced or
- * not: an unregistered name or path is probed in the immutable name table
- * and served from environ or the real file, and a registered name or path
- * whose slot is current (same coarse second as the last full check, mapped
- * word equal to the word the adopted state was loaded for, slot epoch equal
- * to g_epoch) gets the slot's answer. Only a registered name or path whose
- * slot is not current takes the lock.
+ * not: an unregistered name is probed in the immutable name table and served
+ * from environ, an unregistered path is turned away on its last segment
+ * (kx_shadow_for), or else probed in the table too, and gets the real file,
+ * and a registered name or path whose slot is current (same coarse second as
+ * the last full check, mapped word equal to the word the adopted state was
+ * loaded for, slot epoch equal to g_epoch) gets the slot's answer. Only a
+ * registered name or path whose slot is not current takes the lock.
  *
  * Tracing: a traced process writes one record per getenv and per registered
  * open, and one per reload, each with a single write() to the O_APPEND trace
@@ -124,12 +125,12 @@ extern char **environ;
 /* ------------------------------------------------------------------ */
 
 /* All written only under g_lock. Read without it, after an acquire load of
- * g_ready: g_active, g_trace_fd, g_spec, g_names, g_slots_len, g_getenv_len
- * and each slot's key and name, which never change once ready, and, with
- * atomic loads, g_checked_s, g_word, *g_word, g_word_seen, g_epoch and each
- * slot's epoch and answer. Writers publish in this order: a reload adopts
- * the state and bumps g_epoch, then stores g_word_seen (release); a slot
- * fill stores answer, then epoch (both release); a full check stores
+ * g_ready: g_active, g_trace_fd, g_spec, g_names, g_tails, g_slots_len,
+ * g_getenv_len and each slot's key and name, which never change once ready,
+ * and, with atomic loads, g_checked_s, g_word, *g_word, g_word_seen, g_epoch
+ * and each slot's epoch and answer. Writers publish in this order: a reload
+ * adopts the state and bumps g_epoch, then stores g_word_seen (release); a
+ * slot fill stores answer, then epoch (both release); a full check stores
  * g_checked_s (release) after its reload. Everything else is read only under
  * g_lock. */
 
@@ -180,6 +181,13 @@ static unsigned long long g_epoch = 1; /* grows with every adopted state */
  * power of two at least twice g_slots_len, so probes end */
 static size_t *g_names = NULL;
 static size_t g_names_mask = 0;
+
+/* the last segments of the path slots' names, one bit per kx_name_hash: a
+ * path whose bit is clear is no registered path, and a set bit only means
+ * that it may be (a Bloom filter with one hash; Bloom, CACM 1970). At least
+ * 8 bits per path and a power of two. */
+static unsigned char *g_tails = NULL;
+static size_t g_tails_mask = 0;
 
 /* ------------------------------------------------------------------ */
 /* tiny helpers                                                        */
@@ -536,20 +544,35 @@ static size_t kx_name_hash(const char *name) {
     return (size_t)h;
 }
 
-/* the name table over every slot, keyed by the slot's name */
+/* the last segment of a path: what follows its last slash */
+static const char *kx_tail(const char *path) {
+    const char *slash = strrchr(path, '/');
+    return slash ? slash + 1 : path;
+}
+
+/* the name table over every slot, keyed by the slot's name, and g_tails over
+ * the path slots */
 static int kx_names_build(void) {
-    size_t size = 1;
+    size_t size = 1, bits = 64;
     while (size < 2 * g_slots_len)
         size *= 2;
+    while (bits < 8 * (g_slots_len - g_getenv_len))
+        bits *= 2;
     g_names = (size_t *)calloc(size, sizeof *g_names);
-    if (!g_names)
+    g_tails = (unsigned char *)calloc(bits / 8, 1);
+    if (!g_names || !g_tails)
         return -1;
     g_names_mask = size - 1;
+    g_tails_mask = bits - 1;
     for (size_t i = 0; i < g_slots_len; i++) {
         size_t b = kx_name_hash(g_slots[i].name) & g_names_mask;
         while (g_names[b])
             b = (b + 1) & g_names_mask;
         g_names[b] = i + 1;
+        if (i >= g_getenv_len) {
+            size_t bit = kx_name_hash(kx_tail(g_slots[i].name)) & g_tails_mask;
+            g_tails[bit / 8] |= (unsigned char)(1u << bit % 8);
+        }
     }
     return 0;
 }
@@ -1066,11 +1089,12 @@ static int kx_mode_readonly(const char *mode) {
 /* textual canonicalization into canon (2 * PATH_MAX bytes): cwd join plus
  * . / .. / duplicate-slash collapse, in place, since a write never passes
  * the read position; symlinks are not resolved (registered paths must match
- * the spelling programs use after normalization). 0 on success. */
+ * the spelling programs use after normalization). The caller passes a path
+ * whose last segment is ordinary (not empty, . or ..): it is the canonical
+ * path's last segment as well, which is what lets kx_shadow_for turn a path
+ * away before calling this, and canon is never empty. 0 on success. */
 static int kx_canonical_path(const char *path, char *canon) {
     size_t w = 0, len = strlen(path);
-    if (len == 0)
-        return -1;
     if (path[0] != '/') {
         if (!getcwd(canon, PATH_MAX))
             return -1;
@@ -1105,21 +1129,18 @@ static int kx_canonical_path(const char *path, char *canon) {
         memmove(canon + w, seg, seg_len);
         w += seg_len;
     }
-    if (w == 0)
-        canon[w++] = '/';
     canon[w] = '\0';
     return 0;
 }
 
-/* shared open/fopen front half: the shadow file that substitutes for the
- * path, or NULL for "use the real file". Like getenv, the lock is taken
- * only for a registered path whose slot is not current. */
-static const char *kx_shadow_for(const char *path) {
-    kx_init_once();
+/* kx_shadow_for past the last-segment filter: the slot of the canonical
+ * path and its answer. A frame of its own for canon, so that the turned-away
+ * path keeps a small one. */
+static __attribute__((noinline)) const char *kx_shadow_lookup(const char *path) {
     char canon[2 * PATH_MAX];
     size_t i;
     const char *shadow = NULL;
-    if (!g_active || kx_canonical_path(path, canon) != 0 || !kx_name_slot(canon, &i))
+    if (kx_canonical_path(path, canon) != 0 || !kx_name_slot(canon, &i))
         return NULL;
     if (!kx_slot_current(i, &shadow)) {
         pthread_mutex_lock(&g_lock);
@@ -1128,6 +1149,26 @@ static const char *kx_shadow_for(const char *path) {
     }
     kx_trace("open", canon, shadow ? "hit" : "fallthrough", shadow);
     return shadow;
+}
+
+/* shared open/fopen front half: the shadow file that substitutes for the
+ * path, or NULL for "use the real file". A path is turned away on its last
+ * segment, before any copy or getcwd: one whose bit in g_tails is clear is
+ * no registered path, and an empty, . or .. last segment names a directory,
+ * never a registered file. Only a set bit pays for canonicalization and the
+ * name table. Like getenv, the lock is taken only for a registered path
+ * whose slot is not current. */
+static const char *kx_shadow_for(const char *path) {
+    kx_init_once();
+    if (!g_active)
+        return NULL;
+    const char *tail = kx_tail(path);
+    if (!tail[0] || (tail[0] == '.' && (!tail[1] || (tail[1] == '.' && !tail[2]))))
+        return NULL;
+    size_t bit = kx_name_hash(tail) & g_tails_mask;
+    if (!(g_tails[bit / 8] >> bit % 8 & 1))
+        return NULL;
+    return kx_shadow_lookup(path);
 }
 
 /* the real open, with errno as the caller left it */

@@ -39,6 +39,26 @@ def path_spec(real: Path) -> str:
             f"\n[open{real}]\ntemplate = conf/app\n")
 
 
+def path_spellings(real: Path):
+    """Ways to open the registered file `real` from its own directory, each
+    as (argument, whether the shim serves the shadow). Matching is textual,
+    after the cwd join and the collapse of ., .. and //, so every spelling of
+    the path does, missing/../ included; a file of the same name elsewhere
+    does not. Makes the directories and the other file these go through."""
+    base, name = real.parent, real.name
+    (base / "sub").mkdir(exist_ok=True)
+    (base / "other").mkdir(exist_ok=True)
+    (base / "other" / name).write_text("other file\n")
+    return [(str(real), True), (name, True), (f"./{name}", True), (f"sub/../{name}", True),
+            (f"missing/../{name}", True), (f".//{name}", True), (f"{base}//{name}", True),
+            (f"other/{name}", False)]
+
+
+# after a registered path, these name a directory: the shim leaves the open
+# to libc, which fails it with ENOTDIR
+DIRECTORY_SUFFIXES = ("/", "/.", "/..")
+
+
 KONTEXT_CMD = [sys.executable, "-m", "kontext"]
 
 # a spec image's checksum and header size (kx_image_header, native/core.c)

@@ -1,3 +1,4 @@
+#include <errno.h>
 #include <fcntl.h>
 #include <stdio.h>
 #include <unistd.h>
@@ -7,7 +8,7 @@ int main(int argc, char **argv) {
         return 2;
     int fd = open(argv[1], O_RDONLY);
     if (fd < 0) {
-        printf("open failed\n");
+        printf("open failed: errno %d\n", errno);
         return 1;
     }
     char buf[256];

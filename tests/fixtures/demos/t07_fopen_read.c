@@ -1,3 +1,4 @@
+#include <errno.h>
 #include <stdio.h>
 
 int main(int argc, char **argv) {
@@ -5,7 +6,7 @@ int main(int argc, char **argv) {
         return 2;
     FILE *fp = fopen(argv[1], "r");
     if (!fp) {
-        printf("fopen failed\n");
+        printf("fopen failed: errno %d\n", errno);
         return 1;
     }
     char line[256];

@@ -53,6 +53,30 @@ class TestParser:
                         clashes.append(f"{name} {sub_name} / {action_name}: {opt}")
         assert clashes == []
 
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--spec", "{spec}", "{root}"),
+        ("scan", "--state", "{state}", "{root}"),
+        ("scan", "-v", "{root}"),
+        ("set", "--spec", "{spec}", "--state", "{state}", "a/b", "v"),
+        ("set", "--spec", "{spec}", "--porcelain", "a/b", "v"),
+        ("run", "--porcelain", "{missing}"),
+        ("run", "-v", "{missing}"),
+        ("layer", "set", "--state", "{state}", "--porcelain", "network", "home"),
+        ("layer", "unset", "--state", "{state}", "--porcelain", "network"),
+        ("spec-check", "--state", "{state}", "{spec}"),
+        ("spec-check", "-v", "{spec}"),
+        ("layer", "list", "--spec", "{spec}", "--state", "{state}"),
+        ("layer", "list", "-v", "--state", "{state}"),
+    ])
+    def test_flag_the_handler_never_reads_is_usage_error(self, cli, tmp_path, proxy_spec,
+                                                          argv):
+        state, text = tmp_path / "chosen.ks", proxy_spec.read_text()
+        code, out, _ = cli(*(arg.format(spec=proxy_spec, state=state, root=tmp_path,
+                                        missing=tmp_path / "missing") for arg in argv))
+        assert (code, out) == (2, "")
+        assert not state.exists()
+        assert proxy_spec.read_text() == text
+
 
 class TestSpecCheck:
     def test_ok_summary(self, cli, proxy_spec):

@@ -24,8 +24,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (DEMO_SRC, PROXY_SPEC, ThreadsFlip, path_spec, resign_image,
-                      wait_for_getenv_record)
+from conftest import (DEMO_SRC, DIRECTORY_SUFFIXES, PROXY_SPEC, ThreadsFlip, path_spec,
+                      path_spellings, resign_image, wait_for_getenv_record)
 from kontext import (ContextState, CorruptStateError, SpecParseError, TemplateError,
                      candidates, child_environment, contextual_lookup, parse_spec, parse_trace,
                      state_read, state_set_layer)
@@ -202,7 +202,7 @@ def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_
         out, err = child.communicate(timeout=60)
         return child.returncode, "\n".join(lines) + out, err
 
-    def run(stem, preload):
+    def run(stem, preload, *args):
         state = tmp_path / f"{stem}-{preload.name}.ks"
         state_set_layer(state, "interface", "eth")
         env = child_environment(spec=spec, state=state, preload=preload,
@@ -214,17 +214,22 @@ def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_
             return flips(env, state)
         if stem == "t15_threads_flip":
             return _threads_flip(demo_bins[stem], env, state)[0]
-        argv = [str(demo_bins[stem])] + ([str(real)] if stem == "t07_fopen_read" else [])
-        ran = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        ran = subprocess.run([str(demo_bins[stem]), *args], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
         return ran.returncode, ran.stdout, ran.stderr
 
-    for stem in ("t10_mixed", "t07_fopen_read", "t11_fork_threads", "sync_getenv_ptr",
-                 "t15_threads_flip"):
+    for stem in ("t10_mixed", "t11_fork_threads", "sync_getenv_ptr", "t15_threads_flip"):
         plain = run(stem, preload_so)
         assert plain[0] == 0, (stem, plain)
         assert run(stem, asan_so) == (0, plain[1], ""), stem
-        if stem == "t07_fopen_read":  # fopen of the registered path got the shadow
-            assert plain[1] == "host=shadow.example\n"
+    # open and fopen of the registered path, spelled every way, and of
+    # directories named by a trailing /, /. or /..
+    for stem in ("t05_open_read", "t07_fopen_read"):
+        for arg, shadow in [*path_spellings(real),
+                            *((f"{real}{suffix}", False) for suffix in DIRECTORY_SUFFIXES)]:
+            plain = run(stem, preload_so, arg)
+            assert (plain[1] == "host=shadow.example\n") == shadow, (stem, arg, plain)
+            assert run(stem, asan_so, arg) == (plain[0], plain[1], ""), (stem, arg)
 
     # every run above but the first mapped the spec's image; now damaged
     # ones: refused, so the answers stay the text's, or, re-signed, read in

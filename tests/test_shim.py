@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import signal
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import KONTEXT_CMD, PROXY_SPEC, ThreadsFlip, path_spec, wait_for_getenv_record
+from conftest import (DIRECTORY_SUFFIXES, KONTEXT_CMD, PROXY_SPEC, ThreadsFlip, path_spec,
+                      path_spellings, wait_for_getenv_record)
 from kontext import (
     ContextState,
     KontextError,
@@ -914,6 +916,62 @@ class TestShadowFiles:
         assert _run([demo_bins["t05_open_read"], real], env) == "real file\n"
         assert _run([demo_bins["t18_open_exit"], real], env) == "real file\n"
         assert list(inside.iterdir()) == []
+
+
+class TestPathSpellings:
+    """The shim finds a registered path by its canonical spelling, after the
+    last path segment admitted it: any spelling gets the shadow, and
+    anything else gets what libc gives."""
+
+    @staticmethod
+    def _opens(exe, arg, real, env, shim=True):
+        """(exit code, stdout, stderr) of exe opening arg from the directory
+        of real, under the shim or without it."""
+        if not shim:
+            env = {k: v for k, v in env.items() if k != "LD_PRELOAD"}
+        ran = subprocess.run([str(exe), arg], env=env, cwd=real.parent, capture_output=True,
+                             text=True, timeout=30)
+        return ran.returncode, ran.stdout, ran.stderr
+
+    @pytest.mark.parametrize("stem", ["t05_open_read", "t07_fopen_read"])
+    def test_each_spelling_of_the_path_gets_the_shadow(self, demo_bins, preload_so, shadowed,
+                                                       stem):
+        real, env = shadowed
+        for arg, shadow in path_spellings(real):
+            want = ((0, SHADOW, "") if shadow else
+                    self._opens(demo_bins[stem], arg, real, env, shim=False))
+            assert self._opens(demo_bins[stem], arg, real, env) == want, arg
+
+    @pytest.mark.parametrize("stem", ["t05_open_read", "t07_fopen_read"])
+    @pytest.mark.parametrize("suffix", DIRECTORY_SUFFIXES)
+    def test_trailing_separator_fails_as_without_the_shim(self, demo_bins, preload_so, shadowed,
+                                                          stem, suffix):
+        # the last segment is empty, . or ..: a directory, never the file
+        real, env = shadowed
+        arg = f"{real}{suffix}"
+        want = self._opens(demo_bins[stem], arg, real, env, shim=False)
+        assert want[0] == 1 and want[1].endswith(f" failed: errno {errno.ENOTDIR}\n")
+        assert self._opens(demo_bins[stem], arg, real, env) == want
+
+    def test_many_registered_paths_each_get_their_shadow(self, demo_bins, preload_so, tmp_path):
+        # 300 distinct last segments: none is turned away, and a file next
+        # to them that the spec does not register gets the real file
+        etc = tmp_path / "etc"
+        etc.mkdir()
+        paths = [etc / f"app{i}.conf" for i in range(300)] + [etc / "unregistered.conf"]
+        for path in paths:
+            path.write_text("real file\n")
+        spec = tmp_path / "many.ks"
+        spec.write_text("conf/app/host = shadow.example\n" +
+                        "".join(f"[open{path}]\ntemplate = conf/app\n" for path in paths[:-1]))
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        env = child_environment(spec=spec, state=tmp_path / "state.ks",
+                                base=dict(os.environ, TMPDIR=str(tmpdir)))
+        ran = subprocess.run([str(demo_bins["sync_open"])], env=env, capture_output=True,
+                             text=True, timeout=60, input="".join(f"{p}\n" for p in paths))
+        bodies = [line.partition("\t")[2] for line in ran.stdout.splitlines()]
+        assert bodies == [SHADOW.replace("\n", "\\n")] * 300 + ["real file\\n"]
 
 
 class TestPathSlots:
