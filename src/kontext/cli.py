@@ -18,18 +18,16 @@ from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
-from .context import template_pieces
-from .engine import make_backend
+from .context import contextual_lookup, template_pieces
 from .errors import ExecFailedError, KontextError, SpecParseError, TemplateError
 from .keydb import SEPARATOR, Key, KeyName, KeySet
 from .layerstate import (
+    ENV_STATE,
     default_state_path,
     notify,
     signal_number,
@@ -37,10 +35,12 @@ from .layerstate import (
     state_serialize,
     state_set_layer,
 )
-from .scan import DEFAULT_EXTENSIONS, OccurrenceKind, ScanReport, scan_tree
-from .shim import ENV_SPEC, ENV_STATE, child_environment
-from .specfile import SpecDocument, load_spec, save_spec
-from .tracing import aggregate, load_trace
+
+# each handler imports the rest of what it runs, so `layer set`, which a
+# context sensor runs on every flip, starts without the spec parser, the
+# scanner, the trace reader or the shim plumbing
+if TYPE_CHECKING:
+    from .specfile import SpecDocument
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -57,6 +57,8 @@ class _CliError(Exception):
 
 
 def _spec_path(args, required: bool = True) -> Optional[Path]:
+    from .specfile import ENV_SPEC
+
     raw = args.spec or os.environ.get(ENV_SPEC)
     if raw:
         return Path(raw)
@@ -75,6 +77,8 @@ def _state_path(args, explicit_only: bool = False) -> Optional[Path]:
 
 
 def _load_spec_doc(path: Path) -> SpecDocument:
+    from .specfile import load_spec
+
     try:
         return load_spec(path)
     except FileNotFoundError:
@@ -146,11 +150,19 @@ def cmd_spec_check(args) -> int:
     pattern_names: Set[str] = set()
 
     for key in doc.keyset:
+        line = doc.line_index.get(key.name.display, 0)
+        head, *rest = key.name.segments
+        if head == "open" and key.meta.get("template") and {".", ".."} & set(rest):
+            # the shim compares an opened path's canonical form with the
+            # registered path as written, so this one never matches
+            warnings.append(
+                f"{path}:{line}: warning: {key.name.display}: path has a '.' or '..' "
+                "segment, so the shim never serves it"
+            )
         context_text = key.meta.get("context")
         if context_text is None:
             continue
         contextual += 1
-        line = doc.line_index.get(key.name.display, 0)
         try:
             base, nsegments, ref_segments = _template_segment_map(context_text)
         except TemplateError as exc:
@@ -199,8 +211,7 @@ def cmd_spec_check(args) -> int:
 def cmd_get(args) -> int:
     doc = _load_spec_doc(_spec_path(args))
     ctx = state_read(_state_path(args))
-    backend = make_backend(doc)
-    outcome = backend.lookup(args.name, ctx)
+    outcome = contextual_lookup(doc.keyset, args.name, ctx)
     if outcome is None:
         return EXIT_NOT_FOUND
     if args.porcelain:
@@ -217,6 +228,8 @@ def cmd_get(args) -> int:
 
 
 def cmd_set(args) -> int:
+    from .specfile import load_spec, save_spec
+
     path = _spec_path(args)
     if path.exists():
         doc = load_spec(path)
@@ -306,6 +319,8 @@ def cmd_layer(args) -> int:
 
 
 def _child_env(args, trace: Optional[Path] = None):
+    from .shim import child_environment
+
     spec = _spec_path(args, required=False)
     state = _state_path(args, explicit_only=True)
     return child_environment(spec=spec, state=state, trace=trace)
@@ -325,6 +340,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    import subprocess
+    import tempfile
+
+    from .tracing import aggregate, load_trace
+
     fd, trace_path = tempfile.mkstemp(prefix="kontext-trace-", suffix=".tsv")
     os.close(fd)
     spec = _spec_path(args, required=False)
@@ -379,22 +399,9 @@ def cmd_trace(args) -> int:
 # ---------------------------------------------------------------------- scan
 
 
-def _scan_rows(report: ScanReport) -> List[List[str]]:
-    rows = []
-    for rep in report.files:
-        if rep.error is not None:
-            continue
-        rows.append([
-            rep.path,
-            str(rep.loc),
-            str(rep.count(OccurrenceKind.CALL)),
-            str(rep.count(OccurrenceKind.COMMENT_OR_STRING)),
-            str(rep.count(OccurrenceKind.IDENTIFIER)),
-        ])
-    return rows
-
-
 def cmd_scan(args) -> int:
+    from .scan import DEFAULT_EXTENSIONS, OccurrenceKind, scan_tree
+
     extensions = (
         [e for chunk in args.ext for e in chunk.split(",") if e]
         if args.ext
@@ -407,27 +414,23 @@ def cmd_scan(args) -> int:
     totals = report.totals
     lpc = "-" if totals.lines_per_call is None else str(totals.lines_per_call)
 
+    kinds = (OccurrenceKind.CALL, OccurrenceKind.COMMENT_OR_STRING, OccurrenceKind.IDENTIFIER)
+    rows = []
     for rep in report.files:
         if rep.error is not None:
             print(f"skipped {rep.path}: {rep.error}", file=sys.stderr)
+        else:
+            rows.append([rep.path, str(rep.loc), *(str(rep.count(kind)) for kind in kinds)])
+    total = [str(n) for n in (totals.loc, totals.calls, totals.comment_or_string,
+                               totals.identifiers)]
 
     if args.porcelain:
-        for row in _scan_rows(report):
+        for row in rows:
             print("file\t" + "\t".join(row))
-        print(
-            f"total\t{totals.loc}\t{totals.calls}"
-            f"\t{totals.comment_or_string}\t{totals.identifiers}\t{lpc}"
-        )
+        print("\t".join(["total", *total, lpc]))
     else:
-        rows = _scan_rows(report)
-        rows.append([
-            "TOTAL",
-            str(totals.loc),
-            str(totals.calls),
-            str(totals.comment_or_string),
-            str(totals.identifiers),
-        ])
-        _print_table(rows, header=["file", "loc", "calls", "comment/string", "identifier"])
+        _print_table(rows + [["TOTAL", *total]],
+                     header=["file", "loc", "calls", "comment/string", "identifier"])
         print(f"lines per call: {lpc}")
     return EXIT_OK
 
@@ -499,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[porcelain], help="count getenv occurrences in sources")
     p.add_argument("root", help="file or directory to scan")
     p.add_argument("--ext", action="append", metavar="EXT[,EXT...]",
-                   help="extensions to scan (default: %s)" % ",".join(DEFAULT_EXTENSIONS))
+                   help="extensions to scan (default: c,h,cc,cpp,hpp,py,sh,js)")
     p.set_defaults(handler=cmd_scan)
 
     return parser

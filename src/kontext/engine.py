@@ -1,8 +1,11 @@
-"""The Python lookup engine behind `kontext get` and the tests' reference.
+"""A lookup backend over the Python engine, for perfbench and the tests.
 
-The preload shim runs the C engine (native/core.c); the test suite checks
-the two against each other through a ctypes binding of core.c. Here there
-is one backend: contextual_lookup over a parsed KeySet.
+The Python engine is contextual_lookup (context.py) over a parsed KeySet;
+`kontext get` calls it directly. The preload shim runs the C engine
+(native/core.c), and the test suite checks the two against each other
+through a ctypes binding of core.c. make_backend wraps the Python engine
+for spec text, a SpecDocument or a KeySet alike, and ShimSession (shim.py)
+looks up through it. No command imports this module.
 """
 
 from __future__ import annotations

@@ -58,6 +58,8 @@ SIGNAL_WHITELIST = {
     "USR2": signal.SIGUSR2,
 }
 
+ENV_STATE = "KONTEXT_STATE"  # the state file a shimmed process reads; the CLI's --state fallback
+
 
 def default_state_path() -> Path:
     """${XDG_RUNTIME_DIR:-/tmp}/kontext/state.ks"""

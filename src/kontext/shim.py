@@ -3,7 +3,10 @@
 Two distinct layers live here:
 
   * helpers to locate the preload library and build a child environment for
-    launching unmodified programs under it (used by `kontext run/trace`)
+    launching unmodified programs under it (used by `kontext run/trace`,
+    the only commands that import this module). The spec and state
+    variables come from specfile.ENV_SPEC and layerstate.ENV_STATE, so the
+    other commands read them without loading this module
   * ShimSession, an in-process model of the preload shim's getenv path
     (registration check, stat-based state refresh, contextual lookup,
     environment fallthrough, counters) over the Python engine. It serves
@@ -21,10 +24,9 @@ from .context import ContextState
 from .engine import SpecLike, make_backend
 from .errors import CorruptStateError, InvalidNameError, KontextError
 from .keydb import KeyName
-from .layerstate import default_state_path, state_read
+from .layerstate import ENV_STATE, default_state_path, state_read
+from .specfile import ENV_SPEC
 
-ENV_SPEC = "KONTEXT_SPEC"
-ENV_STATE = "KONTEXT_STATE"
 ENV_TRACE = "KONTEXT_TRACE"
 ENV_PRELOAD_OVERRIDE = "KONTEXT_PRELOAD"
 

@@ -30,6 +30,7 @@ from .errors import InvalidNameError, InvalidValueError, SpecParseError, Unseria
 from .fsutil import PathLike, atomic_write_text
 from .keydb import Key, KeyName, KeySet
 
+ENV_SPEC = "KONTEXT_SPEC"  # the spec file a shimmed process reads; the CLI's --spec fallback
 VALUE_PROPERTY = "value"
 
 

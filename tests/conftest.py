@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import os
 import shutil
 import struct
 import subprocess
@@ -13,6 +14,12 @@ from typing import Optional
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# child interpreters the tests start (python -m kontext) import the tree
+# under test too, also when only pytest's own sys.path holds it
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 DEMO_SRC = FIXTURES / "demos"
 SCAN_CORPUS = FIXTURES / "scancorpus"
 
@@ -87,7 +94,8 @@ class ThreadsFlip:
     """
 
     def __init__(self, exe, env, state, path=None):
-        from kontext import parse_spec, state_read
+        from kontext.layerstate import state_read
+        from kontext.specfile import parse_spec
 
         self.keyset = parse_spec(PROXY_SPEC).keyset
         self.state = state
@@ -103,7 +111,8 @@ class ThreadsFlip:
 
     def flip(self, name, value, mode="next"):
         """One round: the child's "ok" or "fail", or "" if it died."""
-        from kontext import ContextState, contextual_lookup, state_set_layer
+        from kontext.context import ContextState, contextual_lookup
+        from kontext.layerstate import state_set_layer
 
         self.layers[name] = value
         expected = self.form.format(contextual_lookup(

@@ -16,22 +16,15 @@ from pathlib import Path
 import pytest
 
 from conftest import KONTEXT_CMD, PROXY_SPEC
-from kontext import (
-    ContextState,
-    CycleDetectedError,
-    DepthExceededError,
-    Key,
-    KeySet,
-    child_environment,
-    contextual_lookup,
-    make_backend,
-    parse_spec,
-    parse_trace,
-    serialize_spec,
-    state_read,
-    state_set_layer,
-)
+from kontext.context import ContextState, contextual_lookup
 from kontext.context import candidates as pure_candidates
+from kontext.engine import make_backend
+from kontext.errors import CycleDetectedError, DepthExceededError
+from kontext.keydb import Key, KeySet
+from kontext.layerstate import state_read, state_set_layer
+from kontext.shim import child_environment
+from kontext.specfile import parse_spec, serialize_spec
+from kontext.tracing import parse_trace
 from lookup_oracle import make_instance, oracle_candidates, oracle_lookup
 
 STEADY_BUDGET_NS = 50_000  # 50 us per cached shimmed call
@@ -291,7 +284,7 @@ def test_criterion_06_transparency_suite(demo_bins, preload_so, tmp_path):
 
 _WRITER = """
 import sys
-from kontext import state_set_layer
+from kontext.layerstate import state_set_layer
 path, name = sys.argv[1], sys.argv[2]
 for i in range(100):
     state_set_layer(path, name, "v%d" % i, timeout=30.0)

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import KONTEXT_CMD, PROXY_SPEC
 from kontext import cli as cli_module
-from kontext import state_read, state_serialize, state_set_layer
+from kontext.layerstate import state_read, state_serialize, state_set_layer
 
 
 class TestUsage:
@@ -38,6 +41,43 @@ def _options(parser):
     return {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
 
 
+def _leaf_parsers(name, parser):
+    """(command words, parser) for every parser that takes no action."""
+    subs = list(_subparsers(parser))
+    if not subs:
+        yield name, parser
+    for sub_name, sub in subs:
+        yield from _leaf_parsers(f"{name} {sub_name}".strip(), sub)
+
+
+def _args_read():
+    """{function name: the `args.X` attributes it reads} for each function
+    of cli.py, counting those read by the cli.py functions it hands `args`
+    to (_spec_path, _state_path, _child_env, _notify_plan, ...)."""
+    tree = ast.parse(Path(cli_module.__file__).read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def is_args(node):
+        return isinstance(node, ast.Name) and node.id == "args"
+
+    direct, callees = {}, {}
+    for name, func in funcs.items():
+        nodes = list(ast.walk(func))
+        direct[name] = {n.attr for n in nodes if isinstance(n, ast.Attribute) and is_args(n.value)}
+        callees[name] = {n.func.id for n in nodes
+                         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                         and n.func.id in funcs and any(map(is_args, n.args))}
+
+    def reads(name, seen):
+        seen.add(name)
+        out = set(direct[name])
+        for callee in callees[name] - seen:
+            out |= reads(callee, seen)
+        return out
+
+    return {name: reads(name, set()) for name in funcs}
+
+
 class TestParser:
     def test_no_group_shares_an_option_with_its_actions(self):
         # argparse lets an action parser's defaults overwrite the values its
@@ -52,6 +92,23 @@ class TestParser:
                     for opt in sorted(_options(sub) & _options(action)):
                         clashes.append(f"{name} {sub_name} / {action_name}: {opt}")
         assert clashes == []
+
+    def test_every_declared_option_is_read_by_its_handler(self):
+        # the one flag kept unread: perfbench/run.py passes --spec to layer set
+        reads = _args_read()
+        unread = []
+        for name, parser in _leaf_parsers("", cli_module._build_parser()):
+            handler = parser.get_default("handler").__name__
+            for action in parser._actions:
+                if action.dest != "help" and action.dest not in reads[handler]:
+                    unread.append(f"{name}: {action.dest}")
+        assert sorted(unread) == ["layer set: spec", "layer unset: spec"]
+
+    def test_scan_ext_help_names_the_scanners_default(self):
+        from kontext.scan import DEFAULT_EXTENSIONS
+
+        scan = dict(_subparsers(cli_module._build_parser()))["scan"]
+        assert f"(default: {','.join(DEFAULT_EXTENSIONS)})" in scan.format_help()
 
     @pytest.mark.parametrize("argv", [
         ("scan", "--spec", "{spec}", "{root}"),
@@ -76,6 +133,41 @@ class TestParser:
         assert (code, out) == (2, "")
         assert not state.exists()
         assert proxy_spec.read_text() == text
+
+
+# a child that runs the CLI, then prints the kontext modules it loaded as
+# the last line of its stderr
+_SHOW_MODULES = """
+import sys
+from kontext.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print(*sorted(m for m in sys.modules if m.startswith("kontext.")), file=sys.stderr)
+"""
+_NOT_FOR_LAYER = ("scan", "tracing", "shim", "specfile", "engine")
+
+
+class TestImports:
+    # a context sensor runs `layer set` on every flip, so it must not pay for
+    # the spec parser, the scanner, the trace reader or the shim plumbing
+    @pytest.mark.parametrize("argv, unwanted", [
+        (("layer", "set", "--state", "{state}", "network", "home"), _NOT_FOR_LAYER),
+        (("layer", "unset", "--state", "{state}", "network"), _NOT_FOR_LAYER),
+        (("layer", "list", "--state", "{state}"), _NOT_FOR_LAYER),
+        (("get", "--spec", "{spec}", "--state", "{state}", "getenv/http_proxy"),
+         ("scan", "tracing", "shim", "engine")),
+        (("scan", "{root}"), ("specfile", "shim", "engine", "tracing")),
+    ], ids=["layer-set", "layer-unset", "layer-list", "get", "scan"])
+    def test_subcommand_loads_only_what_it_runs(self, tmp_path, proxy_spec, argv, unwanted):
+        argv = [arg.format(spec=proxy_spec, state=tmp_path / "state.ks", root=tmp_path)
+                for arg in argv]
+        proc = subprocess.run([sys.executable, "-c", _SHOW_MODULES, *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.splitlines()[-1].split())
+        assert "kontext.cli" in loaded
+        assert sorted(loaded & {f"kontext.{name}" for name in unwanted}) == []
 
 
 class TestSpecCheck:
@@ -158,6 +250,22 @@ class TestSpecCheck:
         assert cli("spec-check", "--porcelain", str(path)) == (
             0, f"keys={keys}\tcontextual={contextual}\tpatterns={patterns}"
                f"\twarnings={len(warned)}\n", err)
+
+    # the shim matches an opened path's canonical form against the registered
+    # path as written, so a registered path with a . or .. segment is never
+    # served; without a template the path is not registered at all
+    @pytest.mark.parametrize("segment", [".", ".."])
+    def test_open_path_with_dot_segment_warned(self, cli, tmp_path, segment):
+        path = tmp_path / "dotted.ks"
+        path.write_text(f"[open/tmp/y/{segment}/b.conf]\ntemplate = conf/app\n\n"
+                        f"[open/tmp/y/{segment}/c.conf]\nnote = not registered\n\n"
+                        "[open/tmp/y/d.conf]\ntemplate = conf/app\n")
+        err = (f"{path}:1: warning: open/tmp/y/{segment}/b.conf: path has a '.' or '..' "
+               "segment, so the shim never serves it\n")
+        assert cli("spec-check", str(path)) == (
+            0, "OK: 3 keys, 0 contextual, 0 pattern entries, 1 warnings\n", err)
+        assert cli("spec-check", "--porcelain", str(path)) == (
+            0, "keys=3\tcontextual=0\tpatterns=0\twarnings=1\n", err)
 
     def test_bad_template_is_error(self, cli, tmp_path):
         path = tmp_path / "badtmpl.ks"

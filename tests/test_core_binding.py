@@ -26,10 +26,13 @@ from hypothesis import strategies as st
 
 from conftest import (DEMO_SRC, DIRECTORY_SUFFIXES, PROXY_SPEC, ThreadsFlip, path_spec,
                       path_spellings, resign_image, wait_for_getenv_record)
-from kontext import (ContextState, CorruptStateError, SpecParseError, TemplateError,
-                     candidates, child_environment, contextual_lookup, parse_spec, parse_trace,
-                     state_read, state_set_layer)
+from kontext.context import ContextState, candidates, contextual_lookup
+from kontext.errors import CorruptStateError, SpecParseError, TemplateError
+from kontext.layerstate import state_read, state_set_layer
 from kontext.nativebuild import NATIVE, PRELOAD_FLAGS
+from kontext.shim import child_environment
+from kontext.specfile import parse_spec
+from kontext.tracing import parse_trace
 
 # bytes that exercise both grammars, plus what the engines once disagreed
 # on: NUL, stray \r, non-ASCII digits and invalid UTF-8

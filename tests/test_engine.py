@@ -6,21 +6,11 @@ import random
 
 import pytest
 
-from kontext import (
-    ContextState,
-    CycleDetectedError,
-    DepthExceededError,
-    InvalidNameError,
-    Key,
-    KeyName,
-    KeySet,
-    PureBackend,
-    SpecParseError,
-    make_backend,
-    parse_spec,
-    serialize_spec,
-)
-from kontext.specfile import ParseErrorKind
+from kontext.context import ContextState
+from kontext.engine import PureBackend, make_backend
+from kontext.errors import CycleDetectedError, DepthExceededError, InvalidNameError, SpecParseError
+from kontext.keydb import Key, KeyName, KeySet
+from kontext.specfile import ParseErrorKind, parse_spec, serialize_spec
 from lookup_oracle import make_instance, oracle_lookup
 
 SPEC = """\
@@ -31,13 +21,6 @@ http_proxy/eth/work = proxy.example.com
 context = http_proxy/%interface%/%network%
 value = fallback.example.com
 """
-
-
-def test_package_exports_resolve_once():
-    import kontext
-
-    assert [n for n in kontext.__all__ if not hasattr(kontext, n)] == []
-    assert len(set(kontext.__all__)) == len(kontext.__all__)
 
 
 def entries_keyset(entries):

@@ -20,8 +20,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import IMAGE_HEADER, PROXY_SPEC, resign_image
-from kontext import (ContextState, CycleDetectedError, DepthExceededError, TemplateError,
-                     child_environment, load_trace, make_backend, parse_spec, state_set_layer)
+from kontext.context import ContextState
+from kontext.engine import make_backend
+from kontext.errors import CycleDetectedError, DepthExceededError, TemplateError
+from kontext.layerstate import state_set_layer
+from kontext.shim import child_environment
+from kontext.specfile import parse_spec
+from kontext.tracing import load_trace
 
 # kx_image_header (native/core.c): offsets of the fields the tests damage
 # or read; the text follows the header, the key table follows the text

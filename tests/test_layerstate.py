@@ -12,20 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from kontext import (
-    ContextState,
-    CorruptStateError,
-    InvalidLayerError,
-    LockTimeoutError,
-    notify,
-    state_parse,
-    state_read,
-    state_serialize,
-    state_set_layer,
-    state_write,
-)
+from kontext.context import ContextState
+from kontext.errors import CorruptStateError, InvalidLayerError, LockTimeoutError
 from kontext import fsutil
-from kontext.layerstate import GENERATION_MAX, default_state_path
+from kontext.layerstate import (GENERATION_MAX, default_state_path, notify, state_parse, state_read,
+                                state_serialize, state_set_layer, state_write)
 
 
 class TestSerialize:

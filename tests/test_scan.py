@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from kontext import FileReport, OccurrenceKind, scan_file, scan_tree
-from kontext.scan import C_LIKE, JS, PYTHON, SHELL, ScanTotals, scan_text
+from kontext.scan import (C_LIKE, JS, PYTHON, SHELL, FileReport, OccurrenceKind, ScanTotals,
+                          scan_file, scan_text, scan_tree)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "scancorpus"
 

@@ -16,18 +16,11 @@ import pytest
 
 from conftest import (DIRECTORY_SUFFIXES, KONTEXT_CMD, PROXY_SPEC, ThreadsFlip, path_spec,
                       path_spellings, wait_for_getenv_record)
-from kontext import (
-    ContextState,
-    KontextError,
-    ShimSession,
-    child_environment,
-    parse_trace,
-    preload_library_path,
-    UnsafeLockError,
-    state_read,
-    state_set_layer,
-    state_write,
-)
+from kontext.context import ContextState
+from kontext.errors import KontextError, UnsafeLockError
+from kontext.layerstate import state_read, state_set_layer, state_write
+from kontext.shim import ShimSession, child_environment, preload_library_path
+from kontext.tracing import parse_trace
 
 
 def session(state_path, environ=None, spec=PROXY_SPEC):

@@ -7,15 +7,10 @@ import random
 
 import pytest
 
-from kontext import (
-    TraceRecord,
-    UnparseableTraceError,
-    aggregate,
-    load_trace,
-    parse_trace,
-    parse_spec,
-)
-from kontext.tracing import escape_field, unescape_field
+from kontext.errors import UnparseableTraceError
+from kontext.specfile import parse_spec
+from kontext.tracing import (TraceRecord, aggregate, escape_field, load_trace, parse_trace,
+                             unescape_field)
 
 MS = 1_000_000  # ns per ms
 
