@@ -170,12 +170,14 @@ def cmd_spec_check(args) -> int:
             continue
         if base is None:
             continue
-        entries = [k for k in doc.keyset.below(base) if len(k.name.segments) == nsegments]
-        pattern_names.update(k.name.display for k in doc.keyset.below(base))
+        below = doc.keyset.below(base)
+        pattern_names.update(k.name.display for k in below)
+        entries = [segments for segments in (k.name.segments for k in below)
+                   if len(segments) == nsegments]
         for ref_name, positions in ref_segments.items():
             concretized = any(
-                entry.name.segments[pos] != "*"
-                for entry in entries
+                segments[pos] != "*"
+                for segments in entries
                 for pos in positions
             )
             if not concretized:

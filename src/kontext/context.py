@@ -17,7 +17,6 @@ placeholder first. Placeholders naming unset layers are pinned to *.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, List, Mapping, Optional, Tuple
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     UnanchoredTemplateError,
     UnterminatedPlaceholderError,
 )
-from .keydb import KeyName, KeySet, NameLike
+from .keydb import FrozenRecord, KeyName, KeySet, NameLike
 
 WILDCARD = "*"
 CONTEXT_PROPERTY = "context"
@@ -61,18 +60,16 @@ def check_layer_value(value: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class ContextState:
+class ContextState(FrozenRecord):
     """Immutable snapshot of active layers plus a generation counter."""
 
-    layers: Mapping[str, str] = field(default_factory=dict)
-    generation: int = 0
+    __slots__ = ("layers", "generation")
 
-    def __post_init__(self):
+    def __init__(self, layers: Optional[Mapping[str, str]] = None, generation: int = 0):
         frozen = {}
-        for name, value in self.layers.items():
+        for name, value in (layers or {}).items():
             frozen[check_layer_name(name)] = check_layer_value(value)
-        object.__setattr__(self, "layers", frozen)
+        self._init(frozen, generation)
 
     def with_layer(self, name: str, value: str) -> "ContextState":
         """New state with the layer set; generation always advances."""
@@ -172,13 +169,13 @@ def _each_candidate(template_text: str, ctx: ContextState) -> Iterator[str]:
         mask = (mask - 1) & active
 
 
-@dataclass(frozen=True)
-class LookupOutcome:
+class LookupOutcome(FrozenRecord):
     """Successful contextual resolution. Names are in display form."""
 
-    value: str
-    matched_name: str
-    chain: Tuple[str, ...]
+    __slots__ = ("value", "matched_name", "chain")
+
+    def __init__(self, value: str, matched_name: str, chain: Tuple[str, ...]):
+        self._init(value, matched_name, chain)
 
 
 def contextual_lookup(

@@ -14,7 +14,7 @@ line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidNameError, InvalidValueError
@@ -41,21 +41,74 @@ def _check_value(value: str, what: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class KeyName:
-    """Hierarchical key name as a tuple of segments."""
+class Record:
+    """Base of the package's small value types: one slot per field, and
+    equality, hash and repr over the fields in slot order, as a dataclass
+    would give. It stands in for dataclasses, whose import also loads
+    inspect, ast and dis, in every CLI call."""
 
-    segments: Tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.segments:
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, in __init__, through _init."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class KeyName(FrozenRecord):
+    """Hierarchical key name, identified by its display text: the segments
+    joined by '/'."""
+
+    __slots__ = ("display",)
+
+    def __init__(self, segments: Tuple[str, ...]):
+        segments = tuple(segments)
+        if not segments:
             raise InvalidNameError("key name needs at least one segment")
-        for segment in self.segments:
+        for segment in segments:
             _check_segment(segment)
+        self._init(SEPARATOR.join(segments))
 
     @classmethod
     def parse(cls, text: Union[str, "KeyName"]) -> "KeyName":
         """Parse a display-form name. Raises InvalidNameError."""
+        # the naming rules tested on the whole text, by plain `in` scans,
+        # which on a name of a dozen characters cost less than one regex
+        # search; a name they refuse is split to raise the segment's message
+        if (isinstance(text, str) and text and text[0] != SEPARATOR
+                and text[-1] != SEPARATOR and "//" not in text and "=" not in text
+                and "\n" not in text and "\r" not in text and "\0" not in text):
+            name = object.__new__(cls)
+            object.__setattr__(name, "display", text)
+            return name
         if isinstance(text, KeyName):
             return text
         if not isinstance(text, str):
@@ -64,40 +117,37 @@ class KeyName:
             raise InvalidNameError("empty key name")
         if text.startswith(SEPARATOR) or text.endswith(SEPARATOR):
             raise InvalidNameError(f"name {text!r} has a leading or trailing '/'")
-        return cls(tuple(_check_segment(s) for s in text.split(SEPARATOR)))
+        return cls(tuple(text.split(SEPARATOR)))
 
     @property
-    def display(self) -> str:
-        return SEPARATOR.join(self.segments)
+    def segments(self) -> Tuple[str, ...]:
+        return tuple(self.display.split(SEPARATOR))
 
     def __str__(self) -> str:
         return self.display
 
+    def __repr__(self) -> str:
+        return f"KeyName(segments={self.segments!r})"
+
     def is_prefix_of(self, other: "KeyName") -> bool:
         """Strict: equal names are not each other's prefix."""
-        return (
-            len(self.segments) < len(other.segments)
-            and other.segments[: len(self.segments)] == self.segments
-        )
+        return other.display.startswith(self.display + SEPARATOR)
 
 
 NameLike = Union[str, KeyName]
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(FrozenRecord):
     """Immutable key: name, string value, string-to-string metadata."""
 
-    name: KeyName
-    value: str = ""
-    meta: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("name", "value", "meta")
 
-    def __post_init__(self):
-        if not isinstance(self.name, KeyName):
-            object.__setattr__(self, "name", KeyName.parse(self.name))
-        _check_value(self.value, "value")
+    def __init__(self, name: NameLike, value: str = "", meta: Optional[Mapping[str, str]] = None):
+        if not isinstance(name, KeyName):
+            name = KeyName.parse(name)
+        _check_value(value, "value")
         frozen: Dict[str, str] = {}
-        for prop, val in self.meta.items():
+        for prop, val in (meta or {}).items():
             if not prop:
                 raise InvalidNameError("empty metadata property name")
             if "=" in prop:
@@ -105,6 +155,9 @@ class Key:
             _check_value(prop, "property name")
             _check_value(val, f"property {prop!r} value")
             frozen[prop] = val
+        # one Key per spec entry: set the fields without _init's loop
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", value)
         object.__setattr__(self, "meta", frozen)
 
 
@@ -139,13 +192,18 @@ class KeySet:
         return key
 
     def below(self, prefix: NameLike) -> List[Key]:
-        """Keys strictly below prefix (the prefix key itself excluded)."""
-        parsed = KeyName.parse(prefix) if not isinstance(prefix, KeyName) else prefix
-        return [
-            self._by_name[d]
-            for d in self._sorted_names()
-            if parsed.is_prefix_of(self._by_name[d].name)
-        ]
+        """Keys strictly below prefix (the prefix key itself excluded).
+
+        Their names are the ones whose text starts with prefix + '/', and
+        those are adjacent in the sorted names."""
+        head = KeyName.parse(prefix).display + SEPARATOR
+        order = self._sorted_names()
+        found: List[Key] = []
+        for i in range(bisect_left(order, head), len(order)):
+            if not order[i].startswith(head):
+                break
+            found.append(self._by_name[order[i]])
+        return found
 
     def names(self) -> List[str]:
         return list(self._sorted_names())

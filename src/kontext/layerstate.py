@@ -37,13 +37,13 @@ import signal
 import stat
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional
 
 from .context import ContextState, check_layer_name, check_layer_value
 from .errors import CorruptStateError, InvalidLayerError, LockTimeoutError, UnsafeLockError
 from .fsutil import PathLike, atomic_write_text
+from .keydb import FrozenRecord
 
 GENERATION_FIELD = "generation"
 LAYER_PREFIX = "layer/"
@@ -250,11 +250,11 @@ def state_set_layer(
         return updated.generation
 
 
-@dataclass(frozen=True)
-class NotifyResult:
-    pid: int
-    ok: bool
-    error: Optional[str] = None
+class NotifyResult(FrozenRecord):
+    __slots__ = ("pid", "ok", "error")
+
+    def __init__(self, pid: int, ok: bool, error: Optional[str] = None):
+        self._init(pid, ok, error)
 
 
 def signal_number(signal_name: str) -> int:

@@ -23,12 +23,11 @@ serialize(parse(serialize(ks))) byte-identical to serialize(ks).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from .errors import InvalidNameError, InvalidValueError, SpecParseError, UnserializableError
 from .fsutil import PathLike, atomic_write_text
-from .keydb import Key, KeyName, KeySet
+from .keydb import FrozenRecord, Key, KeyName, KeySet, Record
 
 ENV_SPEC = "KONTEXT_SPEC"  # the spec file a shimmed process reads; the CLI's --spec fallback
 VALUE_PROPERTY = "value"
@@ -43,31 +42,29 @@ class ParseErrorKind(enum.Enum):
     ENCODING = "encoding"
 
 
-@dataclass(frozen=True)
-class ParseIssue:
-    line: int
-    kind: ParseErrorKind
-    message: str
+class ParseIssue(FrozenRecord):
+    __slots__ = ("line", "kind", "message")
+
+    def __init__(self, line: int, kind: ParseErrorKind, message: str):
+        self._init(line, kind, message)
 
 
-@dataclass
-class SpecDocument:
+class SpecDocument(Record):
     """Parse result: the key set plus bookkeeping for diagnostics."""
 
-    keyset: KeySet
-    warnings: List[ParseIssue] = field(default_factory=list)
-    line_index: Dict[str, int] = field(default_factory=dict)
-    source: Optional[str] = None
+    __slots__ = ("keyset", "warnings", "line_index", "source")
 
-
-class _Entry:
-    __slots__ = ("name", "value", "meta", "value_set")
-
-    def __init__(self, name: KeyName):
-        self.name = name
-        self.value = ""
-        self.meta: Dict[str, str] = {}
-        self.value_set = False
+    def __init__(
+        self,
+        keyset: KeySet,
+        warnings: Optional[List[ParseIssue]] = None,
+        line_index: Optional[Dict[str, int]] = None,
+        source: Optional[str] = None,
+    ):
+        self.keyset = keyset
+        self.warnings: List[ParseIssue] = [] if warnings is None else warnings
+        self.line_index: Dict[str, int] = {} if line_index is None else line_index
+        self.source = source
 
 
 def strip_comment(line: str) -> str:
@@ -103,110 +100,106 @@ def _decode(text: Union[str, bytes]) -> str:
     return text
 
 
+def _parse_name(text: str, line_no: int) -> KeyName:
+    try:
+        return KeyName.parse(text)
+    except InvalidNameError as exc:
+        raise SpecParseError(line_no, ParseErrorKind.INVALID_NAME, str(exc)) from None
+
+
 def parse_spec(text: Union[str, bytes], source: Optional[str] = None) -> SpecDocument:
     """Parse spec text into a SpecDocument. Raises SpecParseError."""
     decoded = _decode(text)
-    entries: Dict[str, _Entry] = {}
+    # display -> [name, value, meta, value_set], in first-seen order
+    entries: Dict[str, list] = {}
     warnings: List[ParseIssue] = []
     line_index: Dict[str, int] = {}
-    section: Optional[str] = None
-
-    def fail(line_no: int, kind: ParseErrorKind, message: str) -> SpecParseError:
-        return SpecParseError(line_no, kind, message)
+    section: Optional[list] = None  # the open section's entry
 
     for line_no, raw in enumerate(decoded.split("\n"), start=1):
-        if raw.endswith("\r"):
-            raw = raw[:-1]
         if "\r" in raw:
-            raise fail(line_no, ParseErrorKind.BAD_ASSIGNMENT, "stray carriage return")
-        stripped = strip_comment(raw).strip(" \t")
+            if raw.endswith("\r"):
+                raw = raw[:-1]
+            if "\r" in raw:
+                raise SpecParseError(
+                    line_no, ParseErrorKind.BAD_ASSIGNMENT, "stray carriage return"
+                )
+        if "#" in raw:
+            raw = strip_comment(raw)
+        stripped = raw.strip(" \t")
         if not stripped:
             continue
 
-        if stripped.startswith("["):
-            if len(stripped) < 2 or not stripped.endswith("]"):
-                raise fail(line_no, ParseErrorKind.BAD_SECTION, "unclosed section header")
-            inner = stripped[1:-1].strip(" \t")
-            try:
-                name = KeyName.parse(inner)
-            except InvalidNameError as exc:
-                raise fail(line_no, ParseErrorKind.INVALID_NAME, str(exc)) from None
-            display = name.display
-            if display not in entries:
-                entries[display] = _Entry(name)
-                line_index[display] = line_no
-            section = display
+        if stripped[0] == "[":
+            if len(stripped) < 2 or stripped[-1] != "]":
+                raise SpecParseError(
+                    line_no, ParseErrorKind.BAD_SECTION, "unclosed section header"
+                )
+            name = _parse_name(stripped[1:-1].strip(" \t"), line_no)
+            section = entries.get(name.display)
+            if section is None:
+                section = entries[name.display] = [name, "", {}, False]
+                line_index[name.display] = line_no
             continue
 
-        if "=" in stripped:
-            lhs, rhs = stripped.split("=", 1)
-            name_text = lhs.rstrip(" \t")
-            value = rhs.strip(" \t")
+        lhs, equals, rhs = stripped.partition("=")
+        if not equals:
+            raise SpecParseError(
+                line_no, ParseErrorKind.BAD_ASSIGNMENT, "expected NAME=VALUE or [NAME]"
+            )
+        name_text = lhs.rstrip(" \t")
+        value = rhs.lstrip(" \t")  # the line's end is already trimmed
 
-            if section is not None:
-                entry = entries[section]
-                if name_text == VALUE_PROPERTY:
-                    if entry.value_set:
-                        warnings.append(
-                            ParseIssue(
-                                line_no,
-                                ParseErrorKind.DUPLICATE_KEY,
-                                f"value of {section!r} assigned again",
-                            )
-                        )
-                    entry.value = value
-                    entry.value_set = True
-                else:
-                    if not name_text:
-                        raise fail(line_no, ParseErrorKind.INVALID_NAME, "empty property name")
-                    if name_text in entry.meta:
-                        warnings.append(
-                            ParseIssue(
-                                line_no,
-                                ParseErrorKind.DUPLICATE_KEY,
-                                f"property {name_text!r} of {section!r} assigned again",
-                            )
-                        )
-                    entry.meta[name_text] = value
-                continue
-
+        if section is not None:
             if name_text == VALUE_PROPERTY:
-                raise fail(
-                    line_no,
-                    ParseErrorKind.PROPERTY_OUTSIDE_SECTION,
-                    "reserved property 'value' outside any section",
-                )
-            try:
-                name = KeyName.parse(name_text)
-            except InvalidNameError as exc:
-                raise fail(line_no, ParseErrorKind.INVALID_NAME, str(exc)) from None
-            display = name.display
-            if display in entries:
-                warnings.append(
-                    ParseIssue(
+                if section[3]:
+                    warnings.append(ParseIssue(
                         line_no,
                         ParseErrorKind.DUPLICATE_KEY,
-                        f"key {display!r} assigned again",
-                    )
-                )
+                        f"value of {section[0].display!r} assigned again",
+                    ))
+                section[1] = value
+                section[3] = True
             else:
-                entries[display] = _Entry(name)
-                line_index[display] = line_no
-            entries[display].value = value
-            entries[display].value_set = True
+                if not name_text:
+                    raise SpecParseError(
+                        line_no, ParseErrorKind.INVALID_NAME, "empty property name"
+                    )
+                meta = section[2]
+                if name_text in meta:
+                    warnings.append(ParseIssue(
+                        line_no,
+                        ParseErrorKind.DUPLICATE_KEY,
+                        f"property {name_text!r} of {section[0].display!r} assigned again",
+                    ))
+                meta[name_text] = value
             continue
 
-        raise fail(
-            line_no, ParseErrorKind.BAD_ASSIGNMENT, "expected NAME=VALUE or [NAME]"
-        )
+        if name_text == VALUE_PROPERTY:
+            raise SpecParseError(
+                line_no,
+                ParseErrorKind.PROPERTY_OUTSIDE_SECTION,
+                "reserved property 'value' outside any section",
+            )
+        name = _parse_name(name_text, line_no)
+        entry = entries.get(name.display)
+        if entry is None:
+            entries[name.display] = [name, value, {}, True]
+            line_index[name.display] = line_no
+        else:
+            warnings.append(ParseIssue(
+                line_no, ParseErrorKind.DUPLICATE_KEY, f"key {name.display!r} assigned again"
+            ))
+            entry[1] = value
+            entry[3] = True
 
     keyset = KeySet()
-    for entry in entries.values():
+    for name, value, meta, _ in entries.values():
         try:
-            keyset.insert(Key(entry.name, entry.value, entry.meta))
+            keyset.insert(Key(name, value, meta))
         except (InvalidNameError, InvalidValueError) as exc:
-            line = line_index.get(entry.name.display, 0)
-            raise fail(line, ParseErrorKind.INVALID_NAME, str(exc)) from None
+            line = line_index.get(name.display, 0)
+            raise SpecParseError(line, ParseErrorKind.INVALID_NAME, str(exc)) from None
     return SpecDocument(keyset=keyset, warnings=warnings, line_index=line_index, source=source)
 
 
@@ -217,11 +210,8 @@ def _check_representable(text: str, what: str) -> None:
         raise UnserializableError(f"{what} {text!r} has leading or trailing whitespace")
     if text.startswith("#"):
         raise UnserializableError(f"{what} {text!r} starts with '#'")
-    for idx, ch in enumerate(text):
-        if ch == "#" and text[idx - 1] in " \t":
-            raise UnserializableError(
-                f"{what} {text!r} contains '#' after whitespace (comment rule)"
-            )
+    if " #" in text or "\t#" in text:
+        raise UnserializableError(f"{what} {text!r} contains '#' after whitespace (comment rule)")
 
 
 def _plain_line_safe(key: Key) -> bool:

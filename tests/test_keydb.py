@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kontext.errors import InvalidNameError, InvalidValueError
+from kontext.context import ContextState
+from kontext.errors import InvalidNameError, InvalidValueError, KontextError
 from kontext.keydb import Key, KeyName, KeySet
 
 
@@ -107,3 +110,85 @@ class TestKeySet:
     def test_equality(self):
         assert KeySet([Key("a", "1")]) == KeySet([Key("a", "1")])
         assert KeySet([Key("a", "1")]) != KeySet([Key("a", "2")])
+
+
+class TestImmutable:
+    @pytest.mark.parametrize("value, field", [
+        (KeyName.parse("a/b"), "display"),
+        (Key("a", "v", {"p": "1"}), "value"),
+        (ContextState({"net": "home"}, 1), "generation"),
+    ], ids=["KeyName", "Key", "ContextState"])
+    def test_fields_cannot_be_assigned_or_deleted(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, "x")
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+
+
+# the naming rules restated from the module docstring, apart from the code
+_FORBIDDEN_IN_SEGMENT = set("=\n\r\0")
+_FORBIDDEN_IN_VALUE = set("\n\r\0")
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.text(alphabet="ab /=*\n\r\0", max_size=10))
+@example("")
+@example("a//b")
+@example("/a")
+@example("a/")
+@example("a b/*")
+@example("a\0b")
+def test_name_parse_accepts_exactly_the_valid_names(text):
+    segments = text.split("/")
+    valid = bool(text) and all(seg and not set(seg) & _FORBIDDEN_IN_SEGMENT for seg in segments)
+    try:
+        name = KeyName.parse(text)
+    except InvalidNameError:
+        assert not valid
+    else:
+        assert valid
+        assert name.display == text
+        assert name.segments == tuple(segments)
+        assert name == KeyName(tuple(segments))
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.text(alphabet="ab =\n\r\0", max_size=6), st.sampled_from(["value", "prop", "meta"]))
+def test_key_rejects_exactly_the_forbidden_characters(text, place):
+    if place == "value":
+        bad = bool(set(text) & _FORBIDDEN_IN_VALUE)
+        args = (text, {})
+    elif place == "prop":
+        bad = not text or bool(set(text) & (_FORBIDDEN_IN_VALUE | {"="}))
+        args = ("", {"ok": "1", text: "v"})
+    else:
+        bad = bool(set(text) & _FORBIDDEN_IN_VALUE)
+        args = ("", {"ok": "1", "p": text})
+    try:
+        key = Key("a", *args)
+    except KontextError as exc:
+        assert bad
+        assert isinstance(exc, (InvalidNameError, InvalidValueError))
+    else:
+        assert not bad
+        assert (key.value, key.meta) == args
+
+
+# names that share text with a/b but not its segments: '-' and '.' sort
+# before '/', 'c' after it
+_BELOW_NAMES = ["a", "a/b", "a/bc", "a/b-c", "a/b.c", "a/b/c", "a/b/c/d", "a/b/*", "a/*", "ab"]
+_drawn_names = st.lists(st.text(alphabet="ab-.*", min_size=1, max_size=2),
+                        min_size=1, max_size=3).map("/".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_BELOW_NAMES), _drawn_names), max_size=24),
+       st.one_of(st.sampled_from(_BELOW_NAMES), _drawn_names))
+def test_below_matches_its_linear_definition(names, prefix):
+    ks = KeySet(Key(name) for name in names)
+    head = tuple(prefix.split("/"))
+    expected = [key for key in ks
+                if len(key.name.segments) > len(head)
+                and key.name.segments[:len(head)] == head]
+    assert ks.below(prefix) == expected
+    assert ks.below(KeyName.parse(prefix)) == expected
