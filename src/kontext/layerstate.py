@@ -2,10 +2,16 @@
 
 The file is UTF-8 with no NUL byte. It holds exactly one
 `generation=<uint>` line (ASCII digits, at most 2**63-1) plus one
-`layer/<name>=<value>` line per active layer (name order). Writers take an
-advisory flock on `<path>.lock`, re-read the current state, bump the
-generation, write a temp file in the same directory, and rename it over the
-target. Readers never lock: the rename keeps every read a complete snapshot.
+`layer/<name>=<value>` line per active layer (name order). A flip
+(`state_set_layer`) opens `<path>.lock` (creating the directory only when
+that open fails with ENOENT), takes an advisory flock on it, re-reads the
+current state and bumps the generation. It then writes the new text to a
+0600 temp file opened O_EXCL|O_NOFOLLOW in the same directory, fsyncs it and
+renames it over the target (fsutil.atomic_write_text). Readers never lock:
+the rename keeps every read a complete snapshot, and the fsync before it
+means a crash never leaves a torn or empty state file. The directory is not
+fsynced, so a power loss may lose the last flip; the state is then the one
+before it, never a mix.
 
 After every publish the writer also stores the published generation as 8
 bytes in native byte order at offset 0 of `<path>.lock`. The preload shim
@@ -42,7 +48,7 @@ from typing import Iterable, List, Optional
 
 from .context import ContextState, check_layer_name, check_layer_value
 from .errors import CorruptStateError, InvalidLayerError, LockTimeoutError, UnsafeLockError
-from .fsutil import PathLike, atomic_write_text
+from .fsutil import PathLike, atomic_write_text, open_making_parent
 from .keydb import FrozenRecord
 
 GENERATION_FIELD = "generation"
@@ -51,6 +57,7 @@ LOCK_SUFFIX = ".lock"
 GENERATION_WORD_MASK = (1 << 64) - 1
 GENERATION_MAX = (1 << 63) - 1  # the shim keeps it in a long long
 DEFAULT_LOCK_TIMEOUT = 2.0
+READ_CHUNK = 1 << 16
 
 SIGNAL_WHITELIST = {
     "HUP": signal.SIGHUP,
@@ -139,13 +146,17 @@ def state_read(path: PathLike) -> ContextState:
                    else None)
         if refused:
             raise CorruptStateError(0, f"state file refused: {refused}")
-    except BaseException:
+        chunks = []
+        while True:
+            chunk = os.read(fd, READ_CHUNK)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    finally:
         os.close(fd)
-        raise
     try:
-        # newline="": a lone \r is not a line break, for the shim neither
-        with open(fd, "r", encoding="utf-8", errors="strict", newline="") as handle:
-            text = handle.read()
+        # decoded as read: a lone \r is not a line break, for the shim neither
+        text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError:
         raise CorruptStateError(0, "state file is not valid UTF-8") from None
     return state_parse(text)
@@ -162,11 +173,11 @@ def state_write(path: PathLike, ctx: ContextState) -> None:
 
 
 def _open_lock(path: PathLike) -> int:
-    """Open or create <path>.lock, never through a symlink."""
+    """Open or create <path>.lock (and its directory), never through a symlink."""
     lock_path = str(path) + LOCK_SUFFIX
-    Path(lock_path).parent.mkdir(parents=True, exist_ok=True)
+    flags = os.O_CREAT | os.O_RDWR | os.O_NOFOLLOW | os.O_CLOEXEC
     try:
-        return os.open(lock_path, os.O_CREAT | os.O_RDWR | os.O_NOFOLLOW | os.O_CLOEXEC, 0o644)
+        return open_making_parent(lock_path, flags, 0o644)
     except OSError as exc:
         if exc.errno == errno.ELOOP:
             raise UnsafeLockError(f"lock {lock_path} is a symbolic link; refusing it") from None

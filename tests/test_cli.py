@@ -135,9 +135,14 @@ class TestParser:
         assert proxy_spec.read_text() == text
 
 
-# a child that runs the CLI, then prints the kontext modules it loaded, and
-# dataclasses and inspect if the CLI loaded them, as the last line of its stderr
-_SHOW_MODULES = """
+# dataclasses also imports inspect, ast and dis, which every call would pay
+# for; tempfile brings random, and a flip needs neither to name its temp file
+_NOT_ON_CLI_PATH = ("dataclasses", "inspect", "tempfile", "random")
+# a child, started with -S so that no site hook (a .pth file may import
+# tempfile) loads modules ahead of the CLI, that runs the CLI, then prints
+# the kontext modules and the _NOT_ON_CLI_PATH ones it loaded as the last
+# line of its stderr
+_SHOW_MODULES = f"""
 import sys
 preloaded = set(sys.modules)
 from kontext.cli import main
@@ -145,11 +150,9 @@ try:
     main(sys.argv[1:])
 finally:
     print(*sorted(m for m in set(sys.modules) - preloaded
-                  if m.startswith("kontext.") or m in ("dataclasses", "inspect")),
+                  if m.startswith("kontext.") or m in {_NOT_ON_CLI_PATH!r}),
           file=sys.stderr)
 """
-# dataclasses also imports inspect, ast and dis, which every call would pay for
-_NOT_ON_CLI_PATH = ("dataclasses", "inspect")
 _NOT_FOR_LAYER = ("kontext.scan", "kontext.tracing", "kontext.shim", "kontext.specfile",
                   "kontext.engine", *_NOT_ON_CLI_PATH)
 
@@ -170,7 +173,7 @@ class TestImports:
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, proxy_spec, argv, unwanted):
         argv = [arg.format(spec=proxy_spec, state=tmp_path / "state.ks", root=tmp_path)
                 for arg in argv]
-        proc = subprocess.run([sys.executable, "-c", _SHOW_MODULES, *argv],
+        proc = subprocess.run([sys.executable, "-S", "-c", _SHOW_MODULES, *argv],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stderr.splitlines()[-1].split())

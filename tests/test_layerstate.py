@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -15,8 +17,10 @@ import pytest
 from kontext.context import ContextState
 from kontext.errors import CorruptStateError, InvalidLayerError, LockTimeoutError
 from kontext import fsutil
+from kontext.keydb import Key, KeySet
 from kontext.layerstate import (GENERATION_MAX, default_state_path, notify, state_parse, state_read,
                                 state_serialize, state_set_layer, state_write)
+from kontext.specfile import load_spec, save_spec
 
 
 class TestSerialize:
@@ -235,6 +239,135 @@ class TestSetLayer:
         (tmp_path / ".state.ks.stale123").write_text("garbage")
         assert state_read(path).get("a") == "1"
         assert state_set_layer(path, "b", "2") == 2
+
+
+def _lock_is_free(path: Path) -> bool:
+    fd = os.open(str(path) + ".lock", os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return True
+    except BlockingIOError:
+        return False
+    finally:
+        os.close(fd)
+
+
+def _names_from(monkeypatch, *draws):
+    """Make fsutil's temp names come from draws (6 bytes each, the last one
+    repeated); returns the list of bytes handed out and the renames seen."""
+    handed, renames = [], []
+    real_replace = fsutil.os.replace
+
+    def urandom(n):
+        assert n == 6
+        handed.append(draws[min(len(handed), len(draws) - 1)])
+        return handed[-1]
+
+    def replace(src, dst):
+        renames.append(os.path.basename(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(fsutil.os, "urandom", urandom)
+    monkeypatch.setattr(fsutil.os, "replace", replace)
+    return handed, renames
+
+
+class TestPublish:
+    @pytest.mark.parametrize("occupant", ["file", "symlink", "dangling-symlink"])
+    def test_taken_temp_name_is_skipped_never_followed(self, tmp_path, monkeypatch, occupant):
+        path = tmp_path / "state.ks"
+        state_set_layer(path, "a", "1")
+        taken = tmp_path / ".state.ks.000000000000"
+        victim = tmp_path / "victim"
+        victim.write_text("victim\n")
+        if occupant == "file":
+            taken.write_text("planted\n")
+        else:
+            taken.symlink_to(victim if occupant == "symlink" else tmp_path / "absent")
+        handed, renames = _names_from(monkeypatch, bytes(6), b"\0\0\0\0\0\x01")
+        assert state_set_layer(path, "a", "2") == 2
+        assert len(handed) == 2
+        assert renames == [".state.ks.000000000001"]
+        assert state_read(path) == ContextState({"a": "2"}, 2)
+        assert victim.read_text() == "victim\n"
+        assert not (tmp_path / "absent").exists()
+        if occupant == "file":
+            assert taken.read_text() == "planted\n"
+        else:
+            assert taken.is_symlink()
+        assert sorted(p.name for p in tmp_path.glob(".state.ks.*")) == [taken.name]
+
+    def test_no_free_temp_name_raises_and_keeps_state_and_lock(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.ks"
+        state_set_layer(path, "a", "1")
+        before, lock_before = path.read_bytes(), Path(str(path) + ".lock").read_bytes()
+        (tmp_path / ".state.ks.000000000000").write_text("planted\n")
+        handed, renames = _names_from(monkeypatch, bytes(6))
+        with pytest.raises(FileExistsError):
+            state_set_layer(path, "a", "2")
+        assert len(handed) == fsutil.TEMP_NAME_ATTEMPTS
+        assert renames == []
+        assert path.read_bytes() == before
+        assert Path(str(path) + ".lock").read_bytes() == lock_before
+        assert _lock_is_free(path)
+        assert [p.name for p in tmp_path.glob(".state.ks.*")] == [".state.ks.000000000000"]
+
+    def test_failing_fsync_publishes_nothing_and_releases_the_lock(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.ks"
+        state_set_layer(path, "a", "1")
+        before = path.read_bytes()
+        synced = []
+
+        def fsync(fd):
+            synced.append(fd)
+            raise OSError(errno.EIO, "simulated I/O error")
+
+        monkeypatch.setattr(fsutil.os, "fsync", fsync)
+        with pytest.raises(OSError) as info:
+            state_set_layer(path, "a", "2")
+        assert info.value.errno == errno.EIO and len(synced) == 1
+        assert path.read_bytes() == before
+        assert state_read(path) == ContextState({"a": "1"}, 1)
+        assert list(tmp_path.glob(".state.ks.*")) == []
+        assert _lock_is_free(path)
+        monkeypatch.undo()
+        assert state_set_layer(path, "a", "2", timeout=0.2) == 2
+
+    @pytest.mark.parametrize("write", ["state_set_layer", "save_spec"])
+    def test_writer_makes_missing_directories_and_a_0600_file(self, tmp_path, write):
+        path = tmp_path / "deep" / "er" / "file.ks"
+        if write == "state_set_layer":
+            state_set_layer(path, "a", "1")
+            assert state_read(path) == ContextState({"a": "1"}, 1)
+        else:
+            save_spec(path, KeySet([Key("a", "1")]))
+            assert load_spec(path).keyset == KeySet([Key("a", "1")])
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert sorted(p.name for p in path.parent.iterdir()) == (
+            ["file.ks"] if write == "save_spec" else ["file.ks", "file.ks.lock"])
+
+    # the reader takes bytes as they are: \r\n ends a line only through
+    # state_parse's rstrip, and a lone \r stays inside its line
+    @pytest.mark.parametrize("data", [
+        b"generation=3\r\nlayer/a=x\r\n",
+        b"generation=3\r\n\r\nlayer/a=x\r\r\n",
+        b"generation=3\nlayer/a=x\ry\n",
+        b"generation=3\rlayer/a=x\n",
+        b"layer/a=x\r\ngeneration=3",
+        b"\rgeneration=3\n",
+    ])
+    def test_read_agrees_with_parse_of_the_decoded_bytes(self, tmp_path, data):
+        path = tmp_path / "state.ks"
+        path.write_bytes(data)
+        os.chmod(path, 0o600)
+
+        def outcome(fn, arg):
+            try:
+                return fn(arg)
+            except CorruptStateError as exc:
+                return ("error", exc.line, str(exc))
+
+        assert outcome(state_read, path) == outcome(state_parse, data.decode("utf-8"))
 
 
 class TestNotify:
