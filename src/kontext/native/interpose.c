@@ -117,6 +117,12 @@
 #include <unistd.h>
 
 #define KX_EXPORT __attribute__((visibility("default")))
+/* the getenv and open entries and what their unregistered paths call: GCC
+ * puts these in .text.hot, which the linker places ahead of all of core.c's
+ * ordinary code, so an edit to the parser or the lookup does not move them.
+ * Only what comes before .text.hot still can: a new PLT entry (a libc
+ * function no file called before) or code GCC files as unlikely. */
+#define KX_HOT __attribute__((hot))
 
 extern char **environ;
 
@@ -207,22 +213,29 @@ static long long kx_now_ns(void) {
     return (long long)ts.tv_sec * 1000000000LL + ts.tv_nsec;
 }
 
-/* authoritative environment scan; avoids recursing through interposers.
- * Like glibc's getenv it compares the first two bytes inline, so most
- * variables are passed over without a call; a one-byte name matches "X=". */
-static char *kx_env_scan(const char *name) {
+/* the value of the first entry of environ that is name followed by '=', as
+ * libc's getenv answers; the shim's own variables are read here too, so
+ * nothing recurses through interposers. The first two bytes filter each
+ * entry (a one-byte name matches "X="); the rest is compared inline, byte by
+ * byte, with no strlen or library call per entry. The compare stops at the
+ * first byte that differs, and an entry's NUL always differs from the name's
+ * next byte, so no entry is read past its end. A '=' in the name is compared
+ * like any other byte. */
+static KX_HOT char *kx_env_scan(const char *name) {
     if (!name || !*name || !environ)
         return NULL;
-    size_t n = strlen(name);
-    char c0 = name[0], c1 = n == 1 ? '=' : name[1];
+    char c0 = name[0], c1 = name[1] ? name[1] : '=';
     for (char **e = environ; *e; e++) {
         const char *v = *e;
         if (v[0] != c0 || v[1] != c1)
             continue;
-        if (n == 1)
+        if (!name[1])
             return (char *)v + 2;
-        if (strncmp(v + 2, name + 2, n - 2) == 0 && v[n] == '=')
-            return (char *)v + n + 1;
+        const char *p = name + 2;
+        for (v += 2; *p && *v == *p; v++, p++)
+            ;
+        if (!*p && *v == '=')
+            return (char *)v + 1;
     }
     return NULL;
 }
@@ -231,7 +244,7 @@ static char *kx_env_scan(const char *name) {
 /* real libc entry points                                              */
 /* ------------------------------------------------------------------ */
 
-static int kx_real_open(const char *path, int flags, mode_t mode) {
+static KX_HOT int kx_real_open(const char *path, int flags, mode_t mode) {
     static int (*fn)(const char *, int, mode_t);
     if (!fn)
         fn = (int (*)(const char *, int, mode_t))dlsym(RTLD_NEXT, "open");
@@ -242,7 +255,7 @@ static int kx_real_open(const char *path, int flags, mode_t mode) {
     return fn(path, flags, mode);
 }
 
-static int kx_real_open64(const char *path, int flags, mode_t mode) {
+static KX_HOT int kx_real_open64(const char *path, int flags, mode_t mode) {
     static int (*fn)(const char *, int, mode_t);
     if (!fn)
         fn = (int (*)(const char *, int, mode_t))dlsym(RTLD_NEXT, "open64");
@@ -251,7 +264,7 @@ static int kx_real_open64(const char *path, int flags, mode_t mode) {
     return fn(path, flags, mode);
 }
 
-static FILE *kx_real_fopen(const char *path, const char *mode) {
+static KX_HOT FILE *kx_real_fopen(const char *path, const char *mode) {
     static FILE *(*fn)(const char *, const char *);
     if (!fn)
         fn = (FILE * (*)(const char *, const char *)) dlsym(RTLD_NEXT, "fopen");
@@ -262,7 +275,7 @@ static FILE *kx_real_fopen(const char *path, const char *mode) {
     return fn(path, mode);
 }
 
-static FILE *kx_real_fopen64(const char *path, const char *mode) {
+static KX_HOT FILE *kx_real_fopen64(const char *path, const char *mode) {
     static FILE *(*fn)(const char *, const char *);
     if (!fn)
         fn = (FILE * (*)(const char *, const char *)) dlsym(RTLD_NEXT, "fopen64");
@@ -851,17 +864,21 @@ static void kx_ensure_init(void) {
         kx_trace("init-failed", failure, NULL, NULL);
 }
 
-/* after this returns, everything kx_ensure_init set up is readable without
- * the lock */
-static void kx_init_once(void) {
-    if (__atomic_load_n(&g_ready, __ATOMIC_ACQUIRE))
-        return;
+/* the first call's half of kx_init_once, out of the hot path */
+static __attribute__((noinline, cold)) void kx_init_slow(void) {
     pthread_mutex_lock(&g_lock);
     if (!g_ready) {
         kx_ensure_init();
         __atomic_store_n(&g_ready, 1, __ATOMIC_RELEASE);
     }
     pthread_mutex_unlock(&g_lock);
+}
+
+/* after this returns, everything kx_ensure_init set up is readable without
+ * the lock; once ready, one load and no call */
+static inline __attribute__((always_inline)) void kx_init_once(void) {
+    if (__builtin_expect(!__atomic_load_n(&g_ready, __ATOMIC_ACQUIRE), 0))
+        kx_init_slow();
 }
 
 /* ------------------------------------------------------------------ */
@@ -1020,7 +1037,7 @@ static inline __attribute__((always_inline)) int kx_slot_current(size_t i, const
 /* the lock is taken only for a registered name whose slot is not current;
  * a slot without an answer, a path and any other name are served from
  * environ */
-static char *kx_getenv_impl(const char *name) {
+static KX_HOT char *kx_getenv_impl(const char *name) {
     kx_init_once();
     size_t i;
     const char *answer = NULL;
@@ -1039,8 +1056,9 @@ static char *kx_getenv_impl(const char *name) {
 /* Every entry point leaves errno as libc would: the shim's own calls (a
  * missing state file, a first image) must not show through, so errno is
  * saved on entry and restored before returning or calling the real entry
- * point. */
-KX_EXPORT char *getenv(const char *name) {
+ * point. getenv starts a cache line, so that the code ahead of it in
+ * .text.hot does not decide where its hit path's lines break. */
+KX_EXPORT KX_HOT __attribute__((aligned(64))) char *getenv(const char *name) {
     if (kx_is_null(name))
         return NULL;
     if (t_inside)
@@ -1054,7 +1072,7 @@ KX_EXPORT char *getenv(const char *name) {
 }
 
 /* setuid/setgid programs get no answers at all, as from libc */
-KX_EXPORT char *secure_getenv(const char *name) {
+KX_EXPORT KX_HOT char *secure_getenv(const char *name) {
     int saved = errno;
     int secure = getauxval(AT_SECURE) != 0;
     errno = saved;
@@ -1158,7 +1176,7 @@ static __attribute__((noinline)) const char *kx_shadow_lookup(const char *path) 
  * never a registered file. Only a set bit pays for canonicalization and the
  * name table. Like getenv, the lock is taken only for a registered path
  * whose slot is not current. */
-static const char *kx_shadow_for(const char *path) {
+static KX_HOT const char *kx_shadow_for(const char *path) {
     kx_init_once();
     if (!g_active)
         return NULL;
@@ -1172,12 +1190,12 @@ static const char *kx_shadow_for(const char *path) {
 }
 
 /* the real open, with errno as the caller left it */
-static int kx_open_real(const char *path, int flags, mode_t mode, int is64, int saved) {
+static KX_HOT int kx_open_real(const char *path, int flags, mode_t mode, int is64, int saved) {
     errno = saved;
     return is64 ? kx_real_open64(path, flags, mode) : kx_real_open(path, flags, mode);
 }
 
-static int kx_open_impl(const char *path, int flags, mode_t mode, int is64, int saved) {
+static KX_HOT int kx_open_impl(const char *path, int flags, mode_t mode, int is64, int saved) {
     const char *shadow = kx_shadow_for(path);
     if (!shadow)
         return kx_open_real(path, flags, mode, is64, saved);
@@ -1188,7 +1206,7 @@ static int kx_open_impl(const char *path, int flags, mode_t mode, int is64, int 
     return kx_open_real(path, flags, mode, is64, saved);
 }
 
-static int kx_open_entry(const char *path, int flags, mode_t mode, int is64) {
+static KX_HOT int kx_open_entry(const char *path, int flags, mode_t mode, int is64) {
     int saved = errno;
     if (kx_is_null(path) || t_inside || !kx_flags_readonly(flags))
         return kx_open_real(path, flags, mode, is64, saved);
@@ -1207,7 +1225,7 @@ static int kx_needs_mode(int flags) {
     return (flags & O_CREAT) != 0;
 }
 
-KX_EXPORT int open(const char *path, int flags, ...) {
+KX_EXPORT KX_HOT int open(const char *path, int flags, ...) {
     mode_t mode = 0;
     if (kx_needs_mode(flags)) {
         va_list ap;
@@ -1218,7 +1236,7 @@ KX_EXPORT int open(const char *path, int flags, ...) {
     return kx_open_entry(path, flags, mode, 0);
 }
 
-KX_EXPORT int open64(const char *path, int flags, ...) {
+KX_EXPORT KX_HOT int open64(const char *path, int flags, ...) {
     mode_t mode = 0;
     if (kx_needs_mode(flags)) {
         va_list ap;
@@ -1231,15 +1249,15 @@ KX_EXPORT int open64(const char *path, int flags, ...) {
 
 /* what _FORTIFY_SOURCE builds call for open()/open64() when the compiler
  * cannot see the flags and no mode is passed */
-KX_EXPORT int __open_2(const char *path, int flags) {
+KX_EXPORT KX_HOT int __open_2(const char *path, int flags) {
     return kx_open_entry(path, flags, 0, 0);
 }
 
-KX_EXPORT int __open64_2(const char *path, int flags) {
+KX_EXPORT KX_HOT int __open64_2(const char *path, int flags) {
     return kx_open_entry(path, flags, 0, 1);
 }
 
-static FILE *kx_fopen_entry(const char *path, const char *mode, int is64) {
+static KX_HOT FILE *kx_fopen_entry(const char *path, const char *mode, int is64) {
     FILE *(*real)(const char *, const char *) = is64 ? kx_real_fopen64 : kx_real_fopen;
     if (kx_is_null(path) || !mode || t_inside || !kx_mode_readonly(mode))
         return real(path, mode);
@@ -1259,10 +1277,10 @@ static FILE *kx_fopen_entry(const char *path, const char *mode, int is64) {
     return handle;
 }
 
-KX_EXPORT FILE *fopen(const char *path, const char *mode) {
+KX_EXPORT KX_HOT FILE *fopen(const char *path, const char *mode) {
     return kx_fopen_entry(path, mode, 0);
 }
 
-KX_EXPORT FILE *fopen64(const char *path, const char *mode) {
+KX_EXPORT KX_HOT FILE *fopen64(const char *path, const char *mode) {
     return kx_fopen_entry(path, mode, 1);
 }

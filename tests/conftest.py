@@ -66,6 +66,19 @@ def path_spellings(real: Path):
 DIRECTORY_SUFFIXES = ("/", "/.", "/..")
 
 
+# (name, what libc's getenv answers) for t16_env_scan's own entries over an
+# otherwise empty environment, as the fixture prints it: bytes outside
+# printable ASCII as \xNN. The names reach the fixture through os.fsencode,
+# so \udcff is the byte 0xff.
+ENV_SCAN_CASES = (
+    ("Q", "one"), ("QQ", "two"), ("Q=", "(unset)"), ("Z", "(unset)"), ("Y", "yes"),
+    ("NOEQ", "after"), ("PREFIX", "(unset)"), ("PREFIXED", "long"), ("P", "short"),
+    ("A=B", "C"), ("", "(unset)"), ("=", "eq"), ("=x", "(unset)"), ("==", "(unset)"),
+    ("==e", "(unset)"), ("LONGNAM", "(unset)"), ("LONGNAME", "full"),
+    ("LONGNAME" + "X" * 300, "(unset)"), ("\u00e9T\udcff", r"\xe2\x82\xac\x80"),
+    ("\u00e9T", "(unset)"))
+
+
 KONTEXT_CMD = [sys.executable, "-m", "kontext"]
 
 # a spec image's checksum and header size (kx_image_header, native/core.c)

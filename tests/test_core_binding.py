@@ -24,8 +24,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (DEMO_SRC, DIRECTORY_SUFFIXES, PROXY_SPEC, ThreadsFlip, path_spec,
-                      path_spellings, resign_image, wait_for_getenv_record)
+from conftest import (DEMO_SRC, DIRECTORY_SUFFIXES, ENV_SCAN_CASES, PROXY_SPEC, ThreadsFlip,
+                      path_spec, path_spellings, resign_image, wait_for_getenv_record)
 from kontext.context import ContextState, candidates, contextual_lookup
 from kontext.errors import CorruptStateError, SpecParseError, TemplateError
 from kontext.layerstate import state_read, state_set_layer
@@ -130,6 +130,42 @@ def test_kxcore_builds_warning_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# the unregistered getenv and open paths, and engine functions they must precede
+HOT_PATH = ("getenv", "secure_getenv", "open", "open64", "__open_2", "__open64_2", "fopen",
+            "fopen64", "kx_shadow_for")
+ENGINE = ("kx_parse_spec", "kx_keyset_get", "kx_lookup")
+
+
+def _text_symbols(library):
+    """{name: (address, size)} of the library's code symbols, from nm."""
+    out = subprocess.run(["nm", "-n", "-S", str(library)], capture_output=True, text=True,
+                         check=True).stdout
+    return {parts[3]: (int(parts[0], 16), int(parts[1], 16))
+            for parts in map(str.split, out.splitlines())
+            if len(parts) == 4 and parts[2] in "tT"}
+
+
+def test_hot_path_is_pinned_ahead_of_the_engine(preload_so, tmp_path, monkeypatch):
+    import kontext.nativebuild as nativebuild
+
+    before = _text_symbols(preload_so)
+    assert max(before[name][0] for name in HOT_PATH) < min(before[name][0] for name in ENGINE)
+    # the same build from a copy whose core.c ends in a 5 KB function that
+    # nothing calls: it lands ahead of interpose.c's ordinary code, and the
+    # hot path does not move
+    for source in ("core.c", "core.h", "interpose.c"):
+        shutil.copy(NATIVE / source, tmp_path / source)
+    pad = "".join(f"    p[{i}] = {i};\n" for i in range(512))
+    with open(tmp_path / "core.c", "a") as core:
+        core.write(f"\nvoid kx_placement_pad(volatile int *p) {{\n{pad}}}\n")
+    monkeypatch.setattr(nativebuild, "NATIVE", tmp_path)
+    after = _text_symbols(nativebuild.build_preload(tmp_path / "_preload.so"))
+    assert after["kx_placement_pad"][1] >= 4096
+    assert after["kx_slot_fill"][0] > before["kx_slot_fill"][0]
+    assert {name: after[name][0] for name in HOT_PATH} == \
+        {name: before[name][0] for name in HOT_PATH}
+
+
 def test_benchmark_core_probe_builds(tmp_path):
     # perfbench links coreprobe.c straight against core.c; build it with the
     # benchmark's own recipe, so a core.h change that would break the
@@ -225,6 +261,12 @@ def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_
         plain = run(stem, preload_so)
         assert plain[0] == 0, (stem, plain)
         assert run(stem, asan_so) == (0, plain[1], ""), stem
+    # the environment scan over entries that are heap copies of their own
+    # length: a read past an entry's NUL is an ASan report
+    names = [name for name, _ in ENV_SCAN_CASES]
+    plain = run("t16_env_scan", preload_so, *names)
+    assert plain[0] == 0 and plain[1].count("\n") == len(names), plain
+    assert run("t16_env_scan", asan_so, *names) == (0, plain[1], "")
     # open and fopen of the registered path, spelled every way, and of
     # directories named by a trailing /, /. or /..
     for stem in ("t05_open_read", "t07_fopen_read"):

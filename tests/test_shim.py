@@ -13,9 +13,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (DIRECTORY_SUFFIXES, KONTEXT_CMD, PROXY_SPEC, ThreadsFlip, path_spec,
-                      path_spellings, wait_for_getenv_record)
+from conftest import (DIRECTORY_SUFFIXES, ENV_SCAN_CASES, KONTEXT_CMD, PROXY_SPEC, ThreadsFlip,
+                      path_spec, path_spellings, wait_for_getenv_record)
 from kontext.context import ContextState
 from kontext.errors import KontextError, UnsafeLockError
 from kontext.layerstate import state_read, state_set_layer, state_write
@@ -726,13 +728,31 @@ class TestNames:
 
     def test_environment_scan_matches_libc(self, demo_bins, preload_so, proxy_spec, tmp_path):
         # t16_env_scan appends entries a scan must tell apart to its environ
-        names = ["Q", "QQ", "Q=", "Z", "Y", "NOEQ", "PREFIX", "PREFIXED", "P", "A=B", ""]
-        argv = [str(demo_bins["t16_env_scan"]), *names]
+        argv = [str(demo_bins["t16_env_scan"]), *(name for name, _ in ENV_SCAN_CASES)]
         libc = subprocess.run(argv, env={}, capture_output=True, text=True, check=True).stdout
-        assert libc.splitlines() == ["one", "two", "(unset)", "(unset)", "yes", "after",
-                                     "(unset)", "long", "short", "C", "(unset)"]
+        assert libc.splitlines() == [answer for _, answer in ENV_SCAN_CASES]
         env = child_environment(spec=proxy_spec, state=tmp_path / "state.ks", base={})
         shim = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+        assert shim == libc
+
+    # environs over a tiny alphabet, so that entries share their first two
+    # bytes and longer prefixes, lack '=' or are empty, and names hold '='
+    _SCAN_BYTES = st.lists(st.sampled_from([b"A", b"B", b"=", b"\xff"]), max_size=6).map(b"".join)
+
+    @settings(max_examples=150, deadline=None)
+    @given(entries=st.lists(_SCAN_BYTES, max_size=10), names=st.lists(_SCAN_BYTES, max_size=10))
+    def test_environment_scan_matches_libc_on_drawn_environs(self, demo_bins, preload_so,
+                                                             tmp_path_factory, entries, names):
+        # every entry's part before its first '=' is asked too, so hits are common
+        asked = names + [entry.partition(b"=")[0] for entry in entries]
+        stdin = b"".join(line + b"\n" for line in [b"%d" % len(entries), *entries, *asked])
+        argv = [str(demo_bins["t16_env_scan"])]
+        libc = subprocess.run(argv, env={}, input=stdin, capture_output=True, check=True).stdout
+        assert len(libc.splitlines()) == len(asked)
+        spec = tmp_path_factory.getbasetemp() / "env-scan.ks"
+        spec.write_text(PROXY_SPEC)
+        env = child_environment(spec=spec, state=spec.with_name("env-scan-state.ks"), base={})
+        shim = subprocess.run(argv, env=env, input=stdin, capture_output=True, check=True).stdout
         assert shim == libc
 
 
