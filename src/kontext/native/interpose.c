@@ -3,6 +3,19 @@
  * __open_2/__open64_2, so running programs see contextually resolved
  * configuration.
  *
+ * Substitution: each path entry is one KX_SUBSTITUTE over its real function,
+ * found with dlsym(RTLD_NEXT) at its first use (kx_resolve). A call with a
+ * path, made outside the shim (t_inside) and passing the entry's read-only
+ * test, is made on the path's shadow file when kx_shadow_for gives one. When
+ * that call fails it is retried on the caller's path, so a deleted shadow
+ * file costs one failed call and never the open. Every other call goes to
+ * the real function as it came.
+ *
+ * errno: the shim saves and restores it only around its own work that can
+ * change it (first-call init and dlsym, a locked slot fill, getcwd, the
+ * trace write, the retry), so every entry leaves errno as libc would, and
+ * neither an unregistered call nor a current hit touches it.
+ *
  * Ground rules, in order:
  *   fail open   - on any internal problem the real call happens instead
  *   no crashes  - never propagate errors into the host process
@@ -244,44 +257,35 @@ static KX_HOT char *kx_env_scan(const char *name) {
 /* real libc entry points                                              */
 /* ------------------------------------------------------------------ */
 
-static KX_HOT int kx_real_open(const char *path, int flags, mode_t mode) {
-    static int (*fn)(const char *, int, mode_t);
-    if (!fn)
-        fn = (int (*)(const char *, int, mode_t))dlsym(RTLD_NEXT, "open");
-    if (!fn) {
-        errno = ENOSYS;
-        return -1;
-    }
-    return fn(path, flags, mode);
+typedef int kx_open_fn(const char *, int, ...);
+typedef FILE *kx_fopen_fn(const char *, const char *);
+
+/* each real function's dlsym(RTLD_NEXT) result, stored at its first use */
+static void *g_next_open, *g_next_open64, *g_next_fopen, *g_next_fopen64;
+
+/* the next definition of name after this library, or of fallback where
+ * there is none (open64 -> open), stored in *cache; NULL with errno ENOSYS
+ * when neither resolves. Every thread finds the same pointer, so a relaxed
+ * store is enough and a race costs one more dlsym. */
+static __attribute__((noinline, cold)) void *kx_resolve(void **cache, const char *name,
+                                                          const char *fallback) {
+    int saved = errno;
+    void *fn = dlsym(RTLD_NEXT, name);
+    if (!fn && fallback)
+        fn = dlsym(RTLD_NEXT, fallback);
+    errno = fn ? saved : ENOSYS;
+    __atomic_store_n(cache, fn, __ATOMIC_RELAXED);
+    return fn;
 }
 
-static KX_HOT int kx_real_open64(const char *path, int flags, mode_t mode) {
-    static int (*fn)(const char *, int, mode_t);
-    if (!fn)
-        fn = (int (*)(const char *, int, mode_t))dlsym(RTLD_NEXT, "open64");
-    if (!fn)
-        return kx_real_open(path, flags, mode);
-    return fn(path, flags, mode);
-}
+/* the real function of type T that cache holds, resolved at the first use */
+#define KX_NEXT(T, cache, name, fallback) \
+    ((T *)(__atomic_load_n(&(cache), __ATOMIC_RELAXED) ?: kx_resolve(&(cache), name, fallback)))
 
-static KX_HOT FILE *kx_real_fopen(const char *path, const char *mode) {
-    static FILE *(*fn)(const char *, const char *);
-    if (!fn)
-        fn = (FILE * (*)(const char *, const char *)) dlsym(RTLD_NEXT, "fopen");
-    if (!fn) {
-        errno = ENOSYS;
-        return NULL;
-    }
-    return fn(path, mode);
-}
-
-static KX_HOT FILE *kx_real_fopen64(const char *path, const char *mode) {
-    static FILE *(*fn)(const char *, const char *);
-    if (!fn)
-        fn = (FILE * (*)(const char *, const char *)) dlsym(RTLD_NEXT, "fopen64");
-    if (!fn)
-        return kx_real_fopen(path, mode);
-    return fn(path, mode);
+/* libc's open, for the shim's own files */
+static int kx_real_open(const char *path, int flags, mode_t mode) {
+    kx_open_fn *real = KX_NEXT(kx_open_fn, g_next_open, "open", NULL);
+    return real ? real(path, flags, mode) : -1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -312,6 +316,7 @@ static size_t kx_escape(const char *in, char *out, size_t cap) {
 static void kx_trace(const char *kind, const char *f3, const char *f4, const char *f5) {
     if (g_trace_fd < 0)
         return;
+    int saved = errno;
     const char *fields[] = {f3, f4, f5};
     char line[64 + 3 * 513];
     size_t w = (size_t)snprintf(line, 64, "%lld\t%s", kx_now_ns(), kind);
@@ -324,6 +329,7 @@ static void kx_trace(const char *kind, const char *f3, const char *f4, const cha
     line[w++] = '\n';
     ssize_t ignored = write(g_trace_fd, line, w);
     (void)ignored;
+    errno = saved;
 }
 
 /* ------------------------------------------------------------------ */
@@ -866,12 +872,14 @@ static void kx_ensure_init(void) {
 
 /* the first call's half of kx_init_once, out of the hot path */
 static __attribute__((noinline, cold)) void kx_init_slow(void) {
+    int saved = errno;
     pthread_mutex_lock(&g_lock);
     if (!g_ready) {
         kx_ensure_init();
         __atomic_store_n(&g_ready, 1, __ATOMIC_RELEASE);
     }
     pthread_mutex_unlock(&g_lock);
+    errno = saved;
 }
 
 /* after this returns, everything kx_ensure_init set up is readable without
@@ -1012,6 +1020,16 @@ static const char *kx_slot_fill(size_t i) {
     return answer;
 }
 
+/* kx_slot_fill under g_lock, for a slot that is not current */
+static const char *kx_slot_locked(size_t i) {
+    int saved = errno;
+    pthread_mutex_lock(&g_lock);
+    const char *answer = kx_slot_fill(i);
+    pthread_mutex_unlock(&g_lock);
+    errno = saved;
+    return answer;
+}
+
 /* the answer of slot i if it is current, without the lock: the check of
  * this second is done, the mapped word is the one the adopted state was
  * loaded for, and the slot was filled under the adopted state. Answers are
@@ -1041,11 +1059,8 @@ static KX_HOT char *kx_getenv_impl(const char *name) {
     kx_init_once();
     size_t i;
     const char *answer = NULL;
-    if (kx_name_slot(name, &i) && i < g_getenv_len && !kx_slot_current(i, &answer)) {
-        pthread_mutex_lock(&g_lock);
-        answer = kx_slot_fill(i);
-        pthread_mutex_unlock(&g_lock);
-    }
+    if (kx_name_slot(name, &i) && i < g_getenv_len && !kx_slot_current(i, &answer))
+        answer = kx_slot_locked(i);
     char *result = answer ? (char *)answer : kx_env_scan(name);
     if (__builtin_expect(g_trace_fd >= 0, 0)) /* keeps the record off the untraced path */
         kx_trace("getenv", name, answer ? "hit" : result ? "fallthrough" : "null",
@@ -1053,30 +1068,23 @@ static KX_HOT char *kx_getenv_impl(const char *name) {
     return result;
 }
 
-/* Every entry point leaves errno as libc would: the shim's own calls (a
- * missing state file, a first image) must not show through, so errno is
- * saved on entry and restored before returning or calling the real entry
- * point. getenv starts a cache line, so that the code ahead of it in
- * .text.hot does not decide where its hit path's lines break. */
+/* getenv starts a cache line, so that the code ahead of it in .text.hot
+ * does not decide where its hit path's lines break */
 KX_EXPORT KX_HOT __attribute__((aligned(64))) char *getenv(const char *name) {
     if (kx_is_null(name))
         return NULL;
     if (t_inside)
         return kx_env_scan(name);
-    int saved = errno;
     t_inside = 1;
     char *result = kx_getenv_impl(name);
     t_inside = 0;
-    errno = saved;
     return result;
 }
 
-/* setuid/setgid programs get no answers at all, as from libc */
+/* setuid/setgid programs get no answers at all, as from libc. The kernel
+ * always passes AT_SECURE, so getauxval never sets errno here. */
 KX_EXPORT KX_HOT char *secure_getenv(const char *name) {
-    int saved = errno;
-    int secure = getauxval(AT_SECURE) != 0;
-    errno = saved;
-    return secure ? NULL : getenv(name);
+    return getauxval(AT_SECURE) ? NULL : getenv(name);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1114,7 +1122,10 @@ static int kx_mode_readonly(const char *mode) {
 static int kx_canonical_path(const char *path, char *canon) {
     size_t w = 0, len = strlen(path);
     if (path[0] != '/') {
-        if (!getcwd(canon, PATH_MAX))
+        int saved = errno;
+        const char *cwd = getcwd(canon, PATH_MAX);
+        errno = saved;
+        if (!cwd)
             return -1;
         w = strlen(canon);
         canon[w++] = '/';
@@ -1160,11 +1171,8 @@ static __attribute__((noinline)) const char *kx_shadow_lookup(const char *path) 
     const char *shadow = NULL;
     if (kx_canonical_path(path, canon) != 0 || !kx_name_slot(canon, &i))
         return NULL;
-    if (!kx_slot_current(i, &shadow)) {
-        pthread_mutex_lock(&g_lock);
-        shadow = kx_slot_fill(i);
-        pthread_mutex_unlock(&g_lock);
-    }
+    if (!kx_slot_current(i, &shadow))
+        shadow = kx_slot_locked(i);
     kx_trace("open", canon, shadow ? "hit" : "fallthrough", shadow);
     return shadow;
 }
@@ -1189,33 +1197,6 @@ static KX_HOT const char *kx_shadow_for(const char *path) {
     return kx_shadow_lookup(path);
 }
 
-/* the real open, with errno as the caller left it */
-static KX_HOT int kx_open_real(const char *path, int flags, mode_t mode, int is64, int saved) {
-    errno = saved;
-    return is64 ? kx_real_open64(path, flags, mode) : kx_real_open(path, flags, mode);
-}
-
-static KX_HOT int kx_open_impl(const char *path, int flags, mode_t mode, int is64, int saved) {
-    const char *shadow = kx_shadow_for(path);
-    if (!shadow)
-        return kx_open_real(path, flags, mode, is64, saved);
-    int fd = kx_open_real(shadow, flags, mode, is64, saved);
-    if (fd >= 0)
-        return fd;
-    /* shadow vanished or is unreadable: fail open to the real file */
-    return kx_open_real(path, flags, mode, is64, saved);
-}
-
-static KX_HOT int kx_open_entry(const char *path, int flags, mode_t mode, int is64) {
-    int saved = errno;
-    if (kx_is_null(path) || t_inside || !kx_flags_readonly(flags))
-        return kx_open_real(path, flags, mode, is64, saved);
-    t_inside = 1;
-    int fd = kx_open_impl(path, flags, mode, is64, saved);
-    t_inside = 0;
-    return fd;
-}
-
 /* glibc's __OPEN_NEEDS_MODE: the flags with which open takes a mode */
 static int kx_needs_mode(int flags) {
 #ifdef O_TMPFILE
@@ -1225,62 +1206,77 @@ static int kx_needs_mode(int flags) {
     return (flags & O_CREAT) != 0;
 }
 
+/* open's mode argument, which it has only with the flags kx_needs_mode
+ * names; expands in the open entry itself, whose last named parameter is
+ * flags */
+#define KX_OPEN_MODE(flags)                                                    \
+    ({                                                                         \
+        mode_t kx_mode = 0;                                                    \
+        if (kx_needs_mode(flags)) {                                            \
+            va_list ap;                                                        \
+            va_start(ap, flags);                                               \
+            kx_mode = (mode_t)va_arg(ap, int);                                 \
+            va_end(ap);                                                        \
+        }                                                                      \
+        kx_mode;                                                               \
+    })
+
+/* The body of every path entry: the substitution in the header. real is the
+ * entry's real function (NULL: return fail, errno is ENOSYS), fail what it
+ * returns when it fails, readonly the entry's read-only test, and call the
+ * real call, which passes kx_p where the entry passes path. */
+#define KX_SUBSTITUTE(path, real, fail, readonly, call)                         \
+    do {                                                                       \
+        const char *kx_p = (path);                                             \
+        if (!(real))                                                           \
+            return fail;                                                       \
+        if (kx_is_null(kx_p) || t_inside || !(readonly))                       \
+            return call;                                                       \
+        t_inside = 1;                                                          \
+        __typeof__(call) kx_got = fail;                                        \
+        if ((kx_p = kx_shadow_for(path))) {                                    \
+            int kx_saved = errno;                                              \
+            if ((kx_got = call) == (fail))                                     \
+                errno = kx_saved;                                              \
+        }                                                                      \
+        if (kx_got == (fail)) {                                                \
+            kx_p = (path);                                                     \
+            kx_got = call;                                                     \
+        }                                                                      \
+        t_inside = 0;                                                          \
+        return kx_got;                                                         \
+    } while (0)
+
 KX_EXPORT KX_HOT int open(const char *path, int flags, ...) {
-    mode_t mode = 0;
-    if (kx_needs_mode(flags)) {
-        va_list ap;
-        va_start(ap, flags);
-        mode = (mode_t)va_arg(ap, int);
-        va_end(ap);
-    }
-    return kx_open_entry(path, flags, mode, 0);
+    kx_open_fn *real = KX_NEXT(kx_open_fn, g_next_open, "open", NULL);
+    mode_t mode = KX_OPEN_MODE(flags);
+    KX_SUBSTITUTE(path, real, -1, kx_flags_readonly(flags), real(kx_p, flags, mode));
 }
 
 KX_EXPORT KX_HOT int open64(const char *path, int flags, ...) {
-    mode_t mode = 0;
-    if (kx_needs_mode(flags)) {
-        va_list ap;
-        va_start(ap, flags);
-        mode = (mode_t)va_arg(ap, int);
-        va_end(ap);
-    }
-    return kx_open_entry(path, flags, mode, 1);
+    kx_open_fn *real = KX_NEXT(kx_open_fn, g_next_open64, "open64", "open");
+    mode_t mode = KX_OPEN_MODE(flags);
+    KX_SUBSTITUTE(path, real, -1, kx_flags_readonly(flags), real(kx_p, flags, mode));
 }
 
 /* what _FORTIFY_SOURCE builds call for open()/open64() when the compiler
  * cannot see the flags and no mode is passed */
 KX_EXPORT KX_HOT int __open_2(const char *path, int flags) {
-    return kx_open_entry(path, flags, 0, 0);
+    kx_open_fn *real = KX_NEXT(kx_open_fn, g_next_open, "open", NULL);
+    KX_SUBSTITUTE(path, real, -1, kx_flags_readonly(flags), real(kx_p, flags, 0));
 }
 
 KX_EXPORT KX_HOT int __open64_2(const char *path, int flags) {
-    return kx_open_entry(path, flags, 0, 1);
-}
-
-static KX_HOT FILE *kx_fopen_entry(const char *path, const char *mode, int is64) {
-    FILE *(*real)(const char *, const char *) = is64 ? kx_real_fopen64 : kx_real_fopen;
-    if (kx_is_null(path) || !mode || t_inside || !kx_mode_readonly(mode))
-        return real(path, mode);
-    int saved = errno;
-    t_inside = 1;
-    const char *shadow = kx_shadow_for(path);
-    FILE *handle = NULL;
-    if (shadow) {
-        errno = saved;
-        handle = real(shadow, mode);
-    }
-    if (!handle) { /* no shadow, or it vanished: the real file */
-        errno = saved;
-        handle = real(path, mode);
-    }
-    t_inside = 0;
-    return handle;
+    kx_open_fn *real = KX_NEXT(kx_open_fn, g_next_open64, "open64", "open");
+    KX_SUBSTITUTE(path, real, -1, kx_flags_readonly(flags), real(kx_p, flags, 0));
 }
 
 KX_EXPORT KX_HOT FILE *fopen(const char *path, const char *mode) {
-    return kx_fopen_entry(path, mode, 0);
+    kx_fopen_fn *real = KX_NEXT(kx_fopen_fn, g_next_fopen, "fopen", NULL);
+    KX_SUBSTITUTE(path, real, NULL, kx_mode_readonly(mode), real(kx_p, mode));
 }
 
 KX_EXPORT KX_HOT FILE *fopen64(const char *path, const char *mode) {
-    return kx_fopen_entry(path, mode, 1);
+    kx_fopen_fn *real = KX_NEXT(kx_fopen_fn, g_next_fopen64, "fopen64", "fopen");
+    KX_SUBSTITUTE(path, real, NULL, kx_mode_readonly(mode), real(kx_p, mode));
 }

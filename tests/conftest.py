@@ -97,7 +97,8 @@ class ThreadsFlip:
     """A running t15_threads_flip child under `env`, a shim over PROXY_SPEC
     and `state`, with KXT_PLAIN=plain-value; or, given `path`, a
     t20_threads_open child reading that registered path, whose shadow file
-    holds one line, host=<http_proxy's value> (path_spec).
+    holds one line, host=<http_proxy's value> (path_spec), through open or,
+    with `fopen`, through fopen.
 
     flip() sets one layer and then tells the child the value http_proxy has
     now ("next": each thread's next read must return it, "soon": within
@@ -106,7 +107,7 @@ class ThreadsFlip:
     number of getenv calls (or opens) the child's threads made.
     """
 
-    def __init__(self, exe, env, state, path=None):
+    def __init__(self, exe, env, state, path=None, fopen=False):
         from kontext.layerstate import state_read
         from kontext.specfile import parse_spec
 
@@ -116,7 +117,7 @@ class ThreadsFlip:
         self.lines = []
         self.calls = None
         self.form = "host={}" if path else "{}"
-        argv = [str(exe), *([str(path)] if path else []),
+        argv = [str(exe), *(["fopen"] if fopen else []), *([str(path)] if path else []),
                 *(self.form.format(v) for v in PROXY_VALUES)]
         self.proc = subprocess.Popen(argv, env=env, text=True,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,

@@ -1,6 +1,8 @@
-/* Reader threads race layer flips over a registered path. Four threads loop
- * over open, read and close of argv[1]; argv[2..] list every content the
- * file may have, each one line without its newline. Each stdin line "next
+/* Reader threads race layer flips over a registered path.
+ * Usage: t20_threads_open [fopen] PATH CONTENT... Four threads start
+ * together, with no open before them, and loop over open, read and close of
+ * PATH, through fopen when the first argument says so; the CONTENTs list
+ * every content the file may have, each one line without its newline. Each stdin line "next
  * CONTENT" or "soon CONTENT" starts a round, sent after the state changed:
  * with "next" the first read each thread starts after seeing the round must
  * return CONTENT, with "soon" each thread must read CONTENT within 3 s.
@@ -19,6 +21,8 @@
 #define THREADS 4
 
 static const char *g_path;
+static int g_fopen;
+static pthread_barrier_t g_start;
 static int g_ncontents;
 static char **g_contents;
 static char g_expected[256];
@@ -41,16 +45,26 @@ static void fail(const char *what, long id, const char *got) {
 /* the file's content without its final newline, into buf */
 static void read_path(long id, char *buf, size_t cap) {
     buf[0] = '\0';
-    int fd = open(g_path, O_RDONLY);
-    if (fd < 0) {
-        fail("open failed", id, "-1");
-        return;
-    }
     size_t len = 0;
-    ssize_t n;
-    while (len + 1 < cap && (n = read(fd, buf + len, cap - 1 - len)) > 0)
-        len += (size_t)n;
-    close(fd);
+    if (g_fopen) {
+        FILE *f = fopen(g_path, "r");
+        if (!f) {
+            fail("fopen failed", id, "NULL");
+            return;
+        }
+        len = fread(buf, 1, cap - 1, f);
+        fclose(f);
+    } else {
+        int fd = open(g_path, O_RDONLY);
+        if (fd < 0) {
+            fail("open failed", id, "-1");
+            return;
+        }
+        ssize_t n;
+        while (len + 1 < cap && (n = read(fd, buf + len, cap - 1 - len)) > 0)
+            len += (size_t)n;
+        close(fd);
+    }
     if (len > 0 && buf[len - 1] == '\n')
         len--;
     buf[len] = '\0';
@@ -61,6 +75,7 @@ static void *run_reader(void *arg) {
     unsigned done = 0;
     unsigned long calls = 0;
     char got[512];
+    pthread_barrier_wait(&g_start);
     while (!__atomic_load_n(&g_stop, __ATOMIC_ACQUIRE)) {
         unsigned round = __atomic_load_n(&g_round, __ATOMIC_ACQUIRE);
         read_path(id, got, sizeof got);
@@ -87,11 +102,15 @@ static void *run_reader(void *arg) {
 }
 
 int main(int argc, char **argv) {
+    g_fopen = argc > 1 && strcmp(argv[1], "fopen") == 0;
+    argc -= g_fopen;
+    argv += g_fopen;
     if (argc < 3)
         return 2;
     g_path = argv[1];
     g_ncontents = argc - 2;
     g_contents = argv + 2;
+    pthread_barrier_init(&g_start, NULL, THREADS);
     pthread_t threads[THREADS];
     for (long i = 0; i < THREADS; i++)
         if (pthread_create(&threads[i], NULL, run_reader, (void *)i) != 0)

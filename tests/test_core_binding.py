@@ -132,8 +132,10 @@ def test_kxcore_builds_warning_clean(tmp_path):
 
 # the unregistered getenv and open paths, and engine functions they must precede
 HOT_PATH = ("getenv", "secure_getenv", "open", "open64", "__open_2", "__open64_2", "fopen",
-            "fopen64", "kx_shadow_for")
+            "fopen64", "kx_shadow_for", "kx_env_scan")
 ENGINE = ("kx_parse_spec", "kx_keyset_get", "kx_lookup")
+# first-call work, which the linker puts ahead of the hot path
+COLD = ("kx_resolve", "kx_init_slow")
 
 
 def _text_symbols(library):
@@ -150,6 +152,7 @@ def test_hot_path_is_pinned_ahead_of_the_engine(preload_so, tmp_path, monkeypatc
 
     before = _text_symbols(preload_so)
     assert max(before[name][0] for name in HOT_PATH) < min(before[name][0] for name in ENGINE)
+    assert max(before[name][0] for name in COLD) < min(before[name][0] for name in HOT_PATH)
     # the same build from a copy whose core.c ends in a 5 KB function that
     # nothing calls: it lands ahead of interpose.c's ordinary code, and the
     # hot path does not move
@@ -196,11 +199,11 @@ def _sanitized_preload(out, *flags, core_only=False):
     return cc
 
 
-def _threads_flip(exe, env, state, path=None):
+def _threads_flip(exe, env, state, path=None, fopen=False):
     """t15_threads_flip (or, given `path`, t20_threads_open) through 12
     flips: ThreadsFlip.close()'s result and the number of calls the child
     made. A traced child gets the first flip only after its first call."""
-    child = ThreadsFlip(exe, env, state, path)
+    child = ThreadsFlip(exe, env, state, path, fopen)
     if "KONTEXT_TRACE" in env:
         wait_for_getenv_record(Path(env["KONTEXT_TRACE"]), kind="open" if path else "getenv")
     for layer in [("network", "work"), ("network", "home"), ("interface", "wlan")] * 4:
@@ -359,17 +362,20 @@ def test_path_threads_run_clean_under_thread_sanitizer(tmp_path):
     real.write_text("real file\n")
     spec = tmp_path / "spec.ks"
     spec.write_text(path_spec(real))
-    for trace in (None, tmp_path / "trace.log"):
-        state = tmp_path / f"state-{trace is not None}.ks"
+    # untraced, traced, then through fopen: the threads' first calls, made
+    # at once, also resolve the real function
+    for trace, fopen in ((None, False), (tmp_path / "trace.log", False), (None, True)):
+        state = tmp_path / f"state-{trace is not None}-{fopen}.ks"
         state_set_layer(state, "interface", "eth")
         env = child_environment(spec=spec, state=state, preload=tsan_so, trace=trace,
                                 base=dict(os.environ, TMPDIR=str(tmp_path)))
-        (code, out, err), calls = _threads_flip(exe, env, state, path=real)
-        assert (code, err) == (0, ""), trace
+        (code, out, err), calls = _threads_flip(exe, env, state, real, fopen)
+        assert (code, err) == (0, ""), (trace, fopen)
         assert out == "ok\n" * 12 + "rounds=12 failures=0\n"
-    records = parse_trace(trace.read_text())
-    assert sum(r.kind == "open" for r in records) == calls > 0
-    assert sum(r.kind == "reload" for r in records) == 12
+        if trace:
+            records = parse_trace(trace.read_text())
+            assert sum(r.kind == "open" for r in records) == calls > 0
+            assert sum(r.kind == "reload" for r in records) == 12
 
 
 @settings(max_examples=600, deadline=None)

@@ -756,26 +756,38 @@ class TestNames:
         assert shim == libc
 
 
+# every export that substitutes a shadow file for a path
+PATH_ENTRIES = ("open", "open64", "__open_2", "__open64_2", "fopen", "fopen64")
+
+# a traced child's trace file: none, a file, or /dev/full, where every
+# record's write fails with ENOSPC
+TRACES = {"untraced": None, "traced": "trace.log", "trace-write-fails": "/dev/full"}
+
+
 class TestPreloadHardening:
     def test_errno_left_as_libc_leaves_it(self, demo_bins, preload_so, tmp_path):
         # inside the shim a missing state file fails a stat, the first image
-        # is missing and a shadow file is rendered; none of it shows in errno
+        # is missing, the shadow store exists already (mkdir fails with
+        # EEXIST) and trace records are written; none of it shows in errno
+        (tmp_path / f"kontext-shadow-{os.geteuid()}").mkdir(mode=0o700)
         real = tmp_path / "app.conf"
         real.write_text("real file\n")
-        spec = tmp_path / "spec.ks"
-        spec.write_text(f"conf/app/host = shadow.example\n{PROXY_SPEC}"
-                        f"[open{real}]\ntemplate = conf/app\n")
         argv = [str(demo_bins["t17_errno"]), str(real)]
         base = {k: v for k, v in os.environ.items() if k != "http_proxy"}
         base["TMPDIR"] = str(tmp_path)
         libc = subprocess.run(argv, env=base, capture_output=True, text=True,
                               check=True).stdout.splitlines()
-        env = child_environment(spec=spec, state=tmp_path / "none" / "state.ks", base=base)
-        shim = subprocess.run(argv, env=env, capture_output=True, text=True,
-                              check=True).stdout.splitlines()
-        calls = ["getenv", "getenv-registered", "secure_getenv", "open", "fopen"]
-        assert [line.split()[2] for line in libc] == ["errno=0"] * 5
-        assert shim == [f"{call} ok=1 errno=0" for call in calls]
+        calls = ["getenv", "getenv-registered", "secure_getenv", *PATH_ENTRIES]
+        assert [line.split()[2] for line in libc] == ["errno=0"] * len(calls)
+        for trace, trace_path in TRACES.items():
+            spec = tmp_path / f"spec-{trace}.ks"
+            spec.write_text(f"conf/app/host = shadow.example\n{PROXY_SPEC}"
+                            f"[open{real}]\ntemplate = conf/app\n")
+            env = child_environment(spec=spec, state=tmp_path / "none" / "state.ks",
+                                    trace=trace_path and tmp_path / trace_path, base=base)
+            shim = subprocess.run(argv, env=env, capture_output=True, text=True,
+                                  check=True).stdout.splitlines()
+            assert shim == [f"{call} ok=1 errno=0" for call in calls], trace
 
     def test_reentrancy_guard_needs_no_tls_call(self, preload_so):
         # t_inside is initial-exec TLS, read with one thread-pointer-relative
@@ -891,6 +903,19 @@ class TestShadowFiles:
         real, env = shadowed
         _run([demo_bins["t13_fortified_open"], real, os.O_WRONLY | os.O_TRUNC, entry], env)
         assert real.read_text() == "written through the fortified open\n"
+
+    @pytest.mark.parametrize("trace", TRACES)
+    @pytest.mark.parametrize("entry", PATH_ENTRIES)
+    def test_deleted_shadow_fails_open_to_the_real_file(self, demo_bins, preload_so, shadowed,
+                                                        tmp_path, entry, trace):
+        # the second open still gets the deleted shadow's path from the slot;
+        # its real call fails, and the retry on the caller's path leaves
+        # errno as it was
+        real, env = shadowed
+        if TRACES[trace]:
+            env = dict(env, KONTEXT_TRACE=str(tmp_path / TRACES[trace]))
+        assert _run([demo_bins["t21_reopen"], real, entry], env) == \
+            f"{SHADOW}real file\nerrno=0\n"
 
     def test_store_keeps_one_file_after_exit(self, demo_bins, preload_so, shadowed):
         real, env = shadowed
