@@ -26,8 +26,8 @@
  * for the trace start record and registers the fork handlers. Everything
  * else happens under g_lock at the first intercepted call, in this order:
  * config env vars and trace fd; the spec (below); the answer slots and name
- * table; the generation word and state file. It ends by storing g_ready
- * with release. The spec, the name table, the slot range and the trace fd
+ * tables; the generation word and state file. It ends by storing g_ready
+ * with release. The spec, the name tables, the slot range and the trace fd
  * never change after that, so readers that load g_ready with acquire use
  * them without the lock. A traced process writes an init record with the
  * spec image's outcome and the time each stage took.
@@ -46,9 +46,9 @@
  *
  * Locking: g_lock serializes every writer of shim state (reload, slot fill,
  * which renders a shadow file for a path). Readers go without it, traced or
- * not: an unregistered name is probed in the immutable name table and served
+ * not: an unregistered name is probed in the immutable g_names and served
  * from environ, an unregistered path is turned away on its last segment
- * (kx_shadow_for), or else probed in the table too, and gets the real file,
+ * (kx_shadow_for), or else probed in g_paths, and gets the real file,
  * and a registered name or path whose slot is current (same coarse second as
  * the last full check, mapped word equal to the word the adopted state was
  * loaded for, slot epoch equal to g_epoch) gets the slot's answer. Only a
@@ -97,10 +97,14 @@
  * lookup error, a failed render or a refused store leaves "no answer" in the
  * slot, so the name or path falls through to environ or the real file, and a
  * traced process writes one note saying why. Answers are interned in the
- * slot, so A->B->A flips return the first pointer again. One hashed table
- * (FNV-1a, open addressing) finds the slot of a bare getenv name or of a
- * canonical path; a name never starts with '/' (a key has no empty segment)
- * and a path always does.
+ * slot, so A->B->A flips return the first pointer again. Two hashed tables
+ * (FNV-1a, open addressing) find a slot: g_names a bare getenv name's, keyed
+ * by the name, and g_paths a registered path's, keyed by its last segment.
+ * An open looks for the path as the program passed it first, and
+ * canonicalizes a copy only when no registered path equals it
+ * (kx_shadow_lookup), so a hit on a canonical path makes no copy and hashes
+ * the last segment once. A registered path that is not its own canonical
+ * form matches no open and stays out of g_paths.
  *
  * Config environment variables:
  *   KONTEXT_SPEC        spec file path; unset or unparseable -> passthrough
@@ -144,14 +148,14 @@ extern char **environ;
 /* ------------------------------------------------------------------ */
 
 /* All written only under g_lock. Read without it, after an acquire load of
- * g_ready: g_active, g_trace_fd, g_spec, g_names, g_tails, g_slots_len,
- * g_getenv_len and each slot's key and name, which never change once ready,
- * and, with atomic loads, g_checked_s, g_word, *g_word, g_word_seen, g_epoch
- * and each slot's epoch and answer. Writers publish in this order: a reload
- * adopts the state and bumps g_epoch, then stores g_word_seen (release); a
- * slot fill stores answer, then epoch (both release); a full check stores
- * g_checked_s (release) after its reload. Everything else is read only under
- * g_lock. */
+ * g_ready: g_active, g_trace_fd, g_spec, g_names, g_paths, g_tails,
+ * g_slots_len, g_getenv_len and each slot's key and name, which never change
+ * once ready, and, with atomic loads, g_checked_s, g_word, *g_word,
+ * g_word_seen, g_epoch and each slot's epoch and answer. Writers publish in
+ * this order: a reload adopts the state and bumps g_epoch, then stores
+ * g_word_seen (release); a slot fill stores answer, then epoch (both
+ * release); a full check stores g_checked_s (release) after its reload.
+ * Everything else is read only under g_lock. */
 
 static pthread_mutex_t g_lock = PTHREAD_MUTEX_INITIALIZER;
 /* reentrancy guard; initial-exec, so a check is one thread-pointer-relative
@@ -185,7 +189,7 @@ typedef struct kx_interned {
 
 typedef struct {
     const char *key;          /* "getenv/NAME", or the path's template prefix */
-    const char *name;         /* NAME, or the canonical path: what g_names finds */
+    const char *name;         /* NAME, or the path: what g_names or g_paths finds */
     unsigned long long epoch; /* g_epoch the answer belongs to; 0 is never current */
     const char *answer;       /* interned value or shadow path, NULL when absent */
     kx_interned *values;      /* every answer this slot gave, kept forever */
@@ -196,10 +200,19 @@ static size_t g_slots_len = 0;
 static size_t g_getenv_len = 0;        /* slots [0, g_getenv_len) are getenv names */
 static unsigned long long g_epoch = 1; /* grows with every adopted state */
 
-/* every slot's name: slot index + 1 per bucket, 0 for empty; the size is a
- * power of two at least twice g_slots_len, so probes end */
-static size_t *g_names = NULL;
-static size_t g_names_mask = 0;
+/* a hashed table of slot indexes: slot index + 1 per bucket, 0 for empty;
+ * a power of two more than twice the entries, so probes end */
+typedef struct {
+    size_t *buckets;
+    size_t mask;
+} kx_table;
+
+/* the getenv slots, keyed by the kx_name_hash of their name */
+static kx_table g_names;
+/* the path slots whose name is canonical, keyed by the kx_name_hash of
+ * their last segment, which kx_shadow_for computes anyway. Paths that share
+ * a last segment share a chain, but no getenv name ever walks it. */
+static kx_table g_paths;
 
 /* the last segments of the path slots' names, one bit per kx_name_hash: a
  * path whose bit is clear is no registered path, and a set bit only means
@@ -258,10 +271,12 @@ static KX_HOT char *kx_env_scan(const char *name) {
 /* ------------------------------------------------------------------ */
 
 typedef int kx_open_fn(const char *, int, ...);
+typedef int kx_open2_fn(const char *, int);
 typedef FILE *kx_fopen_fn(const char *, const char *);
 
 /* each real function's dlsym(RTLD_NEXT) result, stored at its first use */
-static void *g_next_open, *g_next_open64, *g_next_fopen, *g_next_fopen64;
+static void *g_next_open, *g_next_open64, *g_next_open_2, *g_next_open64_2;
+static void *g_next_fopen, *g_next_fopen64;
 
 /* the next definition of name after this library, or of fallback where
  * there is none (open64 -> open), stored in *cache; NULL with errno ENOSYS
@@ -569,41 +584,114 @@ static const char *kx_tail(const char *path) {
     return slash ? slash + 1 : path;
 }
 
-/* the name table over every slot, keyed by the slot's name, and g_tails over
- * the path slots */
-static int kx_names_build(void) {
-    size_t size = 1, bits = 64;
-    while (size < 2 * g_slots_len)
+/* textual canonicalization into canon (2 * PATH_MAX bytes): cwd join plus
+ * . / .. / duplicate-slash collapse, in place, since a write never passes
+ * the read position; symlinks are not resolved (registered paths must match
+ * the spelling programs use after normalization). A path whose last segment
+ * is ordinary (not empty, . or ..) keeps it as the canonical path's last
+ * segment, which is what lets kx_shadow_for turn a path away, and find its
+ * chain in g_paths, before calling this; canon is then never empty.
+ * 0 on success. */
+static int kx_canonical_path(const char *path, char *canon) {
+    size_t w = 0, len = strlen(path);
+    if (path[0] != '/') {
+        int saved = errno;
+        const char *cwd = getcwd(canon, PATH_MAX);
+        errno = saved;
+        if (!cwd)
+            return -1;
+        w = strlen(canon);
+        canon[w++] = '/';
+    }
+    if (w + len >= 2 * PATH_MAX)
+        return -1;
+    memcpy(canon + w, path, len + 1);
+
+    w = 0;
+    const char *p = canon;
+    while (*p) {
+        while (*p == '/')
+            p++;
+        if (!*p)
+            break;
+        const char *seg = p;
+        while (*p && *p != '/')
+            p++;
+        size_t seg_len = (size_t)(p - seg);
+        if (seg_len == 1 && seg[0] == '.')
+            continue;
+        if (seg_len == 2 && seg[0] == '.' && seg[1] == '.') {
+            while (w > 0 && canon[w - 1] != '/')
+                w--;
+            if (w > 0)
+                w--; /* drop the slash too */
+            continue;
+        }
+        canon[w++] = '/';
+        memmove(canon + w, seg, seg_len);
+        w += seg_len;
+    }
+    canon[w] = '\0';
+    return 0;
+}
+
+/* whether a registered path is its own canonical form. One that is not (a .
+ * or .. segment, or too long for canon) equals no path kx_canonical_path
+ * makes, so no open is ever served it. */
+static int kx_path_is_canonical(const char *path) {
+    char canon[2 * PATH_MAX];
+    return kx_canonical_path(path, canon) == 0 && strcmp(canon, path) == 0;
+}
+
+/* an empty table for n entries; 0 on success */
+static int kx_table_alloc(kx_table *table, size_t n) {
+    size_t size = 1;
+    while (size <= 2 * n)
         size *= 2;
+    table->buckets = (size_t *)calloc(size, sizeof *table->buckets);
+    table->mask = size - 1;
+    return table->buckets ? 0 : -1;
+}
+
+static void kx_table_put(kx_table *table, size_t hash, size_t i) {
+    size_t b = hash & table->mask;
+    while (table->buckets[b])
+        b = (b + 1) & table->mask;
+    table->buckets[b] = i + 1;
+}
+
+/* g_names, g_paths and g_tails. Only path slots whose name is canonical go
+ * in, so a path equal to a name in g_paths is canonical itself. */
+static int kx_names_build(void) {
+    size_t bits = 64;
     while (bits < 8 * (g_slots_len - g_getenv_len))
         bits *= 2;
-    g_names = (size_t *)calloc(size, sizeof *g_names);
     g_tails = (unsigned char *)calloc(bits / 8, 1);
-    if (!g_names || !g_tails)
+    if (!g_tails || kx_table_alloc(&g_names, g_getenv_len) != 0 ||
+        kx_table_alloc(&g_paths, g_slots_len - g_getenv_len) != 0)
         return -1;
-    g_names_mask = size - 1;
     g_tails_mask = bits - 1;
-    for (size_t i = 0; i < g_slots_len; i++) {
-        size_t b = kx_name_hash(g_slots[i].name) & g_names_mask;
-        while (g_names[b])
-            b = (b + 1) & g_names_mask;
-        g_names[b] = i + 1;
-        if (i >= g_getenv_len) {
-            size_t bit = kx_name_hash(kx_tail(g_slots[i].name)) & g_tails_mask;
-            g_tails[bit / 8] |= (unsigned char)(1u << bit % 8);
-        }
+    for (size_t i = 0; i < g_getenv_len; i++)
+        kx_table_put(&g_names, kx_name_hash(g_slots[i].name), i);
+    for (size_t i = g_getenv_len; i < g_slots_len; i++) {
+        const char *name = g_slots[i].name;
+        if (!kx_path_is_canonical(name))
+            continue;
+        size_t hash = kx_name_hash(kx_tail(name)), bit = hash & g_tails_mask;
+        kx_table_put(&g_paths, hash, i);
+        g_tails[bit / 8] |= (unsigned char)(1u << bit % 8);
     }
     return 0;
 }
 
-/* the slot of a registered name or canonical path; immutable data only, so
- * no lock. Inlined into getenv and kx_shadow_for alike, so that getenv's hit
- * makes no call. */
-static inline __attribute__((always_inline)) int kx_name_slot(const char *name, size_t *slot) {
-    if (!g_active)
-        return 0;
-    for (size_t b = kx_name_hash(name) & g_names_mask; g_names[b]; b = (b + 1) & g_names_mask) {
-        size_t i = g_names[b] - 1;
+/* the slot whose name is name, in table's chain of hash; immutable data
+ * only, so no lock. Inlined into getenv and the path lookup alike, so that
+ * getenv's hit makes no call. */
+static inline __attribute__((always_inline)) int kx_table_slot(const kx_table *table,
+                                                               const char *name, size_t hash,
+                                                               size_t *slot) {
+    for (size_t b = hash & table->mask; table->buckets[b]; b = (b + 1) & table->mask) {
+        size_t i = table->buckets[b] - 1;
         if (strcmp(g_slots[i].name, name) == 0) {
             *slot = i;
             return 1;
@@ -771,7 +859,7 @@ __attribute__((constructor)) static void kx_on_load(void) {
 }
 
 /* a slot per getenv/ key of g_spec, then per open/ key with a template, and
- * their name table */
+ * their name tables */
 static int kx_slots_build(char *failure, size_t cap) {
     size_t start, end, open_start, open_end;
     if (kx_keyset_below(&g_spec, "getenv", &start, &end) != KX_OK ||
@@ -1059,7 +1147,8 @@ static KX_HOT char *kx_getenv_impl(const char *name) {
     kx_init_once();
     size_t i;
     const char *answer = NULL;
-    if (kx_name_slot(name, &i) && i < g_getenv_len && !kx_slot_current(i, &answer))
+    if (g_active && kx_table_slot(&g_names, name, kx_name_hash(name), &i) &&
+        !kx_slot_current(i, &answer))
         answer = kx_slot_locked(i);
     char *result = answer ? (char *)answer : kx_env_scan(name);
     if (__builtin_expect(g_trace_fd >= 0, 0)) /* keeps the record off the untraced path */
@@ -1112,68 +1201,33 @@ static int kx_mode_readonly(const char *mode) {
     return 1;
 }
 
-/* textual canonicalization into canon (2 * PATH_MAX bytes): cwd join plus
- * . / .. / duplicate-slash collapse, in place, since a write never passes
- * the read position; symlinks are not resolved (registered paths must match
- * the spelling programs use after normalization). The caller passes a path
- * whose last segment is ordinary (not empty, . or ..): it is the canonical
- * path's last segment as well, which is what lets kx_shadow_for turn a path
- * away before calling this, and canon is never empty. 0 on success. */
-static int kx_canonical_path(const char *path, char *canon) {
-    size_t w = 0, len = strlen(path);
-    if (path[0] != '/') {
-        int saved = errno;
-        const char *cwd = getcwd(canon, PATH_MAX);
-        errno = saved;
-        if (!cwd)
-            return -1;
-        w = strlen(canon);
-        canon[w++] = '/';
-    }
-    if (w + len >= 2 * PATH_MAX)
-        return -1;
-    memcpy(canon + w, path, len + 1);
-
-    w = 0;
-    const char *p = canon;
-    while (*p) {
-        while (*p == '/')
-            p++;
-        if (!*p)
-            break;
-        const char *seg = p;
-        while (*p && *p != '/')
-            p++;
-        size_t seg_len = (size_t)(p - seg);
-        if (seg_len == 1 && seg[0] == '.')
-            continue;
-        if (seg_len == 2 && seg[0] == '.' && seg[1] == '.') {
-            while (w > 0 && canon[w - 1] != '/')
-                w--;
-            if (w > 0)
-                w--; /* drop the slash too */
-            continue;
-        }
-        canon[w++] = '/';
-        memmove(canon + w, seg, seg_len);
-        w += seg_len;
-    }
-    canon[w] = '\0';
-    return 0;
+/* the slot of path's canonical form, in g_paths' chain of hash, when that
+ * form is not path itself, whose walk already missed. A frame of its own for
+ * canon, so that neither a turned-away path nor a path found as given pays
+ * for it. */
+static __attribute__((noinline)) int kx_canonical_slot(const char *path, size_t hash,
+                                                       size_t *slot) {
+    char canon[2 * PATH_MAX];
+    return kx_canonical_path(path, canon) == 0 && strcmp(canon, path) != 0 &&
+           kx_table_slot(&g_paths, canon, hash, slot);
 }
 
-/* kx_shadow_for past the last-segment filter: the slot of the canonical
- * path and its answer. A frame of its own for canon, so that the turned-away
- * path keeps a small one. */
-static __attribute__((noinline)) const char *kx_shadow_lookup(const char *path) {
-    char canon[2 * PATH_MAX];
+/* kx_shadow_for past the last-segment filter: the slot of the path and its
+ * answer. hash is the kx_name_hash of the path's last segment, which keys
+ * g_paths. The chain is walked first for the path as given: a name in
+ * g_paths is canonical, so a path equal to one is its own canonical form.
+ * Only when none equals it is the path canonicalized and the chain walked
+ * again; the canonical path keeps the last segment, and so the chain. The
+ * trace record names the slot's name: the canonical path either way. */
+static KX_HOT __attribute__((noinline)) const char *kx_shadow_lookup(const char *path,
+                                                                     size_t hash) {
     size_t i;
     const char *shadow = NULL;
-    if (kx_canonical_path(path, canon) != 0 || !kx_name_slot(canon, &i))
+    if (!kx_table_slot(&g_paths, path, hash, &i) && !kx_canonical_slot(path, hash, &i))
         return NULL;
     if (!kx_slot_current(i, &shadow))
         shadow = kx_slot_locked(i);
-    kx_trace("open", canon, shadow ? "hit" : "fallthrough", shadow);
+    kx_trace("open", g_slots[i].name, shadow ? "hit" : "fallthrough", shadow);
     return shadow;
 }
 
@@ -1181,9 +1235,9 @@ static __attribute__((noinline)) const char *kx_shadow_lookup(const char *path) 
  * path, or NULL for "use the real file". A path is turned away on its last
  * segment, before any copy or getcwd: one whose bit in g_tails is clear is
  * no registered path, and an empty, . or .. last segment names a directory,
- * never a registered file. Only a set bit pays for canonicalization and the
- * name table. Like getenv, the lock is taken only for a registered path
- * whose slot is not current. */
+ * never a registered file. Only a set bit pays for g_paths, and the
+ * segment's hash serves both. Like getenv, the lock is taken only for a
+ * registered path whose slot is not current. */
 static KX_HOT const char *kx_shadow_for(const char *path) {
     kx_init_once();
     if (!g_active)
@@ -1191,10 +1245,10 @@ static KX_HOT const char *kx_shadow_for(const char *path) {
     const char *tail = kx_tail(path);
     if (!tail[0] || (tail[0] == '.' && (!tail[1] || (tail[1] == '.' && !tail[2]))))
         return NULL;
-    size_t bit = kx_name_hash(tail) & g_tails_mask;
+    size_t hash = kx_name_hash(tail), bit = hash & g_tails_mask;
     if (!(g_tails[bit / 8] >> bit % 8 & 1))
         return NULL;
-    return kx_shadow_lookup(path);
+    return kx_shadow_lookup(path, hash);
 }
 
 /* glibc's __OPEN_NEEDS_MODE: the flags with which open takes a mode */
@@ -1260,15 +1314,16 @@ KX_EXPORT KX_HOT int open64(const char *path, int flags, ...) {
 }
 
 /* what _FORTIFY_SOURCE builds call for open()/open64() when the compiler
- * cannot see the flags and no mode is passed */
+ * cannot see the flags and no mode is passed: libc's own, whose check aborts
+ * an O_CREAT or O_TMPFILE open without a mode */
 KX_EXPORT KX_HOT int __open_2(const char *path, int flags) {
-    kx_open_fn *real = KX_NEXT(kx_open_fn, g_next_open, "open", NULL);
-    KX_SUBSTITUTE(path, real, -1, kx_flags_readonly(flags), real(kx_p, flags, 0));
+    kx_open2_fn *real = KX_NEXT(kx_open2_fn, g_next_open_2, "__open_2", NULL);
+    KX_SUBSTITUTE(path, real, -1, kx_flags_readonly(flags), real(kx_p, flags));
 }
 
 KX_EXPORT KX_HOT int __open64_2(const char *path, int flags) {
-    kx_open_fn *real = KX_NEXT(kx_open_fn, g_next_open64, "open64", "open");
-    KX_SUBSTITUTE(path, real, -1, kx_flags_readonly(flags), real(kx_p, flags, 0));
+    kx_open2_fn *real = KX_NEXT(kx_open2_fn, g_next_open64_2, "__open64_2", NULL);
+    KX_SUBSTITUTE(path, real, -1, kx_flags_readonly(flags), real(kx_p, flags));
 }
 
 KX_EXPORT KX_HOT FILE *fopen(const char *path, const char *mode) {

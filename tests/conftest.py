@@ -98,7 +98,8 @@ class ThreadsFlip:
     and `state`, with KXT_PLAIN=plain-value; or, given `path`, a
     t20_threads_open child reading that registered path, whose shadow file
     holds one line, host=<http_proxy's value> (path_spec), through open or,
-    with `fopen`, through fopen.
+    with `fopen`, through fopen. The child runs in `cwd`, where a relative
+    `path` starts.
 
     flip() sets one layer and then tells the child the value http_proxy has
     now ("next": each thread's next read must return it, "soon": within
@@ -107,7 +108,7 @@ class ThreadsFlip:
     number of getenv calls (or opens) the child's threads made.
     """
 
-    def __init__(self, exe, env, state, path=None, fopen=False):
+    def __init__(self, exe, env, state, path=None, fopen=False, cwd=None):
         from kontext.layerstate import state_read
         from kontext.specfile import parse_spec
 
@@ -119,7 +120,7 @@ class ThreadsFlip:
         self.form = "host={}" if path else "{}"
         argv = [str(exe), *(["fopen"] if fopen else []), *([str(path)] if path else []),
                 *(self.form.format(v) for v in PROXY_VALUES)]
-        self.proc = subprocess.Popen(argv, env=env, text=True,
+        self.proc = subprocess.Popen(argv, env=env, cwd=cwd, text=True,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      stderr=subprocess.PIPE, bufsize=1)
 

@@ -130,9 +130,10 @@ def test_kxcore_builds_warning_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# the unregistered getenv and open paths, and engine functions they must precede
+# the unregistered getenv and open paths, the registered open's lookup, and
+# engine functions they must precede
 HOT_PATH = ("getenv", "secure_getenv", "open", "open64", "__open_2", "__open64_2", "fopen",
-            "fopen64", "kx_shadow_for", "kx_env_scan")
+            "fopen64", "kx_shadow_for", "kx_shadow_lookup", "kx_env_scan")
 ENGINE = ("kx_parse_spec", "kx_keyset_get", "kx_lookup")
 # first-call work, which the linker puts ahead of the hot path
 COLD = ("kx_resolve", "kx_init_slow")
@@ -199,11 +200,12 @@ def _sanitized_preload(out, *flags, core_only=False):
     return cc
 
 
-def _threads_flip(exe, env, state, path=None, fopen=False):
+def _threads_flip(exe, env, state, path=None, fopen=False, cwd=None):
     """t15_threads_flip (or, given `path`, t20_threads_open) through 12
-    flips: ThreadsFlip.close()'s result and the number of calls the child
-    made. A traced child gets the first flip only after its first call."""
-    child = ThreadsFlip(exe, env, state, path, fopen)
+    flips, run in `cwd`: ThreadsFlip.close()'s result and the number of
+    calls the child made. A traced child gets the first flip only after its
+    first call."""
+    child = ThreadsFlip(exe, env, state, path, fopen, cwd)
     if "KONTEXT_TRACE" in env:
         wait_for_getenv_record(Path(env["KONTEXT_TRACE"]), kind="open" if path else "getenv")
     for layer in [("network", "work"), ("network", "home"), ("interface", "wlan")] * 4:
@@ -271,7 +273,8 @@ def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_
     assert plain[0] == 0 and plain[1].count("\n") == len(names), plain
     assert run("t16_env_scan", asan_so, *names) == (0, plain[1], "")
     # open and fopen of the registered path, spelled every way, and of
-    # directories named by a trailing /, /. or /..
+    # directories named by a trailing /, /. or /..: the absolute spelling
+    # finds the slot as given, the relative ones only after canonicalization
     for stem in ("t05_open_read", "t07_fopen_read"):
         for arg, shadow in [*path_spellings(real),
                             *((f"{real}{suffix}", False) for suffix in DIRECTORY_SUFFIXES)]:
@@ -363,18 +366,22 @@ def test_path_threads_run_clean_under_thread_sanitizer(tmp_path):
     spec = tmp_path / "spec.ks"
     spec.write_text(path_spec(real))
     # untraced, traced, then through fopen: the threads' first calls, made
-    # at once, also resolve the real function
-    for trace, fopen in ((None, False), (tmp_path / "trace.log", False), (None, True)):
-        state = tmp_path / f"state-{trace is not None}-{fopen}.ks"
+    # at once, also resolve the real function. The absolute path finds its
+    # slot as given; the relative one, traced, only after canonicalization.
+    runs = ((None, False, real), (tmp_path / "trace.log", False, real), (None, True, real),
+            (tmp_path / "trace-relative.log", False, Path(real.name)))
+    for trace, fopen, path in runs:
+        state = tmp_path / f"state-{trace is not None}-{fopen}-{path.is_absolute()}.ks"
         state_set_layer(state, "interface", "eth")
         env = child_environment(spec=spec, state=state, preload=tsan_so, trace=trace,
                                 base=dict(os.environ, TMPDIR=str(tmp_path)))
-        (code, out, err), calls = _threads_flip(exe, env, state, real, fopen)
-        assert (code, err) == (0, ""), (trace, fopen)
+        (code, out, err), calls = _threads_flip(exe, env, state, path, fopen, cwd=tmp_path)
+        assert (code, err) == (0, ""), (trace, fopen, path)
         assert out == "ok\n" * 12 + "rounds=12 failures=0\n"
         if trace:
             records = parse_trace(trace.read_text())
             assert sum(r.kind == "open" for r in records) == calls > 0
+            assert {r.fields[0] for r in records if r.kind == "open"} == {str(real)}
             assert sum(r.kind == "reload" for r in records) == 12
 
 

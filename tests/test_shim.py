@@ -22,7 +22,7 @@ from kontext.context import ContextState
 from kontext.errors import KontextError, UnsafeLockError
 from kontext.layerstate import state_read, state_set_layer, state_write
 from kontext.shim import ShimSession, child_environment, preload_library_path
-from kontext.tracing import parse_trace
+from kontext.tracing import load_trace, parse_trace
 
 
 def session(state_path, environ=None, spec=PROXY_SPEC):
@@ -904,6 +904,23 @@ class TestShadowFiles:
         _run([demo_bins["t13_fortified_open"], real, os.O_WRONLY | os.O_TRUNC, entry], env)
         assert real.read_text() == "written through the fortified open\n"
 
+    @pytest.mark.parametrize("entry", ["open", "open64"])
+    def test_fortified_create_without_mode_fails_as_without_the_shim(self, demo_bins, preload_so,
+                                                                      shadowed, tmp_path, entry):
+        # libc's __open_2 aborts an O_CREAT open that passes no mode; the
+        # shim must not make it a file with whatever mode the call lacked
+        _, env = shadowed
+        plain = {k: v for k, v in env.items() if k != "LD_PRELOAD"}
+        outcomes = []
+        for side, environ in (("libc", plain), ("shim", env)):
+            created = tmp_path / f"created-{side}"
+            ran = subprocess.run([str(demo_bins["t13_fortified_open"]), str(created),
+                                  str(os.O_WRONLY | os.O_CREAT), entry], env=environ,
+                                 capture_output=True, timeout=30)
+            outcomes.append((ran.returncode, created.exists()))
+        assert outcomes[0] == (-signal.SIGABRT, False)
+        assert outcomes[1] == outcomes[0]
+
     @pytest.mark.parametrize("trace", TRACES)
     @pytest.mark.parametrize("entry", PATH_ENTRIES)
     def test_deleted_shadow_fails_open_to_the_real_file(self, demo_bins, preload_so, shadowed,
@@ -971,6 +988,16 @@ class TestPathSpellings:
                              text=True, timeout=30)
         return ran.returncode, ran.stdout, ran.stderr
 
+    @staticmethod
+    def _spec_env(tmp_path, spec_text):
+        """A child environment over spec_text, TMPDIR an empty directory."""
+        spec = tmp_path / "spec.ks"
+        spec.write_text(spec_text)
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        return child_environment(spec=spec, state=tmp_path / "state.ks",
+                                 base=dict(os.environ, TMPDIR=str(tmpdir)))
+
     @pytest.mark.parametrize("stem", ["t05_open_read", "t07_fopen_read"])
     def test_each_spelling_of_the_path_gets_the_shadow(self, demo_bins, preload_so, shadowed,
                                                        stem):
@@ -999,17 +1026,76 @@ class TestPathSpellings:
         paths = [etc / f"app{i}.conf" for i in range(300)] + [etc / "unregistered.conf"]
         for path in paths:
             path.write_text("real file\n")
-        spec = tmp_path / "many.ks"
-        spec.write_text("conf/app/host = shadow.example\n" +
-                        "".join(f"[open{path}]\ntemplate = conf/app\n" for path in paths[:-1]))
-        tmpdir = tmp_path / "tmp"
-        tmpdir.mkdir()
-        env = child_environment(spec=spec, state=tmp_path / "state.ks",
-                                base=dict(os.environ, TMPDIR=str(tmpdir)))
+        env = self._spec_env(tmp_path, "conf/app/host = shadow.example\n" + "".join(
+            f"[open{path}]\ntemplate = conf/app\n" for path in paths[:-1]))
         ran = subprocess.run([str(demo_bins["sync_open"])], env=env, capture_output=True,
                              text=True, timeout=60, input="".join(f"{p}\n" for p in paths))
         bodies = [line.partition("\t")[2] for line in ran.stdout.splitlines()]
         assert bodies == [SHADOW.replace("\n", "\\n")] * 300 + ["real file\\n"]
+
+    @pytest.mark.parametrize("stem", ["t05_open_read", "t07_fopen_read"])
+    @pytest.mark.parametrize("form", ["dot", "dotdot", "long"])
+    def test_non_canonical_registered_path_is_never_served(self, demo_bins, preload_so, tmp_path,
+                                                           stem, form):
+        # no canonical path equals a registered path with a . or .. segment,
+        # or one too long to canonicalize, so no open gets its shadow: not
+        # even one spelled exactly like it
+        (tmp_path / "y").mkdir()
+        real = tmp_path / "y" / "app.conf"
+        real.write_text("real file\n")
+        (tmp_path / "app.conf").write_text("real file above\n")
+        registered = {"dot": f"{tmp_path}/y/./app.conf", "dotdot": f"{tmp_path}/y/../app.conf",
+                      "long": f"{tmp_path}/" + f"{'d' * 250}/" * 33 + "app.conf"}[form]
+        assert form != "long" or len(registered) >= 8192
+        env = self._spec_env(tmp_path, "conf/app/host = shadow.example\n"
+                                       f"[open{registered}]\ntemplate = conf/app\n")
+        for arg in (registered, str(real), "app.conf"):
+            want = self._opens(demo_bins[stem], arg, real, env, shim=False)
+            assert want[1] != SHADOW
+            assert self._opens(demo_bins[stem], arg, real, env) == want, arg
+
+    @pytest.mark.parametrize("stem", ["t05_open_read", "t07_fopen_read"])
+    def test_paths_sharing_a_last_segment_keep_their_own_shadows(self, demo_bins, preload_so,
+                                                                 tmp_path, stem):
+        # a/app.conf and b/app.conf are found through one last segment; c/
+        # app.conf is not registered, and app.conf, relative, is spelled
+        # like a registered getenv name whose value names another file
+        reals = {}
+        for d in "abc":
+            (tmp_path / d).mkdir()
+            reals[d] = tmp_path / d / "app.conf"
+            reals[d].write_text(f"real file {d}\n")
+        (tmp_path / "app.conf").write_text("real file above\n")
+        decoy = tmp_path / "decoy.conf"
+        decoy.write_text("the getenv value's file\n")
+        env = self._spec_env(tmp_path, f"getenv/app.conf = {decoy}\n"
+                             "conf/a/host = a.example\nconf/b/host = b.example\n"
+                             f"[open{reals['a']}]\ntemplate = conf/a\n"
+                             f"[open{reals['b']}]\ntemplate = conf/b\n")
+        exe = demo_bins[stem]
+        for d in "ab":
+            for arg, shadow in path_spellings(reals[d]):
+                want = ((0, f"host={d}.example\n", "") if shadow else
+                        self._opens(exe, arg, reals[d], env, shim=False))
+                assert self._opens(exe, arg, reals[d], env) == want, (d, arg)
+        top = tmp_path / "app.conf"  # run from tmp_path
+        for arg in (str(reals["c"]), "c/app.conf", "app.conf"):
+            want = self._opens(exe, arg, top, env, shim=False)
+            assert want[0] == 0 and want[1].startswith("real file")
+            assert self._opens(exe, arg, top, env) == want, arg
+
+    def test_trace_names_the_canonical_path(self, demo_bins, preload_so, shadowed, tmp_path):
+        # found as given or only after canonicalization, the record names
+        # the registered path
+        real, env = shadowed
+        (real.parent / "sub").mkdir()
+        env = dict(env, KONTEXT_TRACE=str(tmp_path / "trace.log"))
+        spellings = [str(real), f"./{real.name}", f"sub/../{real.name}"]
+        for arg in spellings:
+            assert self._opens(demo_bins["t05_open_read"], arg, real, env) == (0, SHADOW, "")
+        records = load_trace(tmp_path / "trace.log")
+        assert [r.fields[:2] for r in records if r.kind == "open"] == \
+            [(str(real), "hit")] * len(spellings)
 
 
 class TestPathSlots:
