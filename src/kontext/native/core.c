@@ -35,14 +35,7 @@ static void kx_trim(const char **begin, const char **end) {
         (*end)--;
 }
 
-/* growable string buffer */
-typedef struct {
-    char *data;
-    size_t len;
-    size_t cap;
-} kx_buf;
-
-static int kx_buf_push(kx_buf *buf, const char *s, size_t n) {
+int kx_buf_push(kx_buf *buf, const char *s, size_t n) {
     if (buf->len + n + 1 > buf->cap) {
         size_t cap = buf->cap ? buf->cap : 128;
         while (cap < buf->len + n + 1)
@@ -509,20 +502,10 @@ typedef struct {
     size_t mask;
 } kx_draft;
 
-/* FNV-1a from a basis offset by seed: the low bits of the hash are a
- * bijection of the seed's low bits, so a property name repeated over many
- * sections spreads over the table instead of piling on one slot */
-static size_t kx_hash(const char *s, size_t n, unsigned seed) {
-    unsigned h = 2166136261u ^ seed;
-    for (size_t i = 0; i < n; i++)
-        h = (h ^ (unsigned char)s[i]) * 16777619u;
-    return h;
-}
-
 /* index of the key named name (n bytes, already NUL-cut in the text),
  * appending an empty one when the name is new; -1 when out of memory */
 static long kx_parse_key(kx_draft *d, char *name, size_t n) {
-    size_t h = kx_hash(name, n, 0) & d->mask;
+    size_t h = kx_name_hash(name, 0) & d->mask;
     for (unsigned slot; (slot = d->slots[h]) != 0; h = (h + 1) & d->mask)
         if (!(slot & KX_PROP_ENTRY) && strcmp(d->keys[slot - 1].name, name) == 0)
             return (long)slot - 1;
@@ -540,10 +523,11 @@ static long kx_parse_key(kx_draft *d, char *name, size_t n) {
     return (long)d->len++;
 }
 
-/* set property prop (n bytes) of the key at index key to value, both
- * NUL-cut in the text; a later line wins */
-static void kx_parse_prop(kx_draft *d, long key, char *prop, size_t n, char *value) {
-    size_t h = kx_hash(prop, n, (unsigned)key + 1) & d->mask;
+/* set property prop of the key at index key to value, both NUL-cut in the
+ * text; a later line wins. A property's hash is seeded by its section, so
+ * one property name repeated over many sections spreads over the table. */
+static void kx_parse_prop(kx_draft *d, long key, char *prop, char *value) {
+    size_t h = kx_name_hash(prop, (uint64_t)key + 1) & d->mask;
     for (unsigned slot; (slot = d->slots[h]) != 0; h = (h + 1) & d->mask) {
         if (!(slot & KX_PROP_ENTRY))
             continue;
@@ -728,7 +712,7 @@ int kx_parse_spec(const char *data, size_t len, kx_keyset *out, kx_error *err) {
                 rc = KX_E_PARSE;
                 break;
             } else {
-                kx_parse_prop(&d, section, (char *)nb, nlen, (char *)vb);
+                kx_parse_prop(&d, section, (char *)nb, (char *)vb);
             }
             continue;
         }

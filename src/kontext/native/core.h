@@ -138,6 +138,29 @@ KX_API const void *kx_keyset_image(kx_keyset *ks, const char *text, size_t len, 
 KX_API int kx_keyset_from_image(const void *data, size_t size, uint64_t spec_len,
                                 uint64_t spec_hash, kx_keyset *out, const char **why);
 
+/* FNV-1a, 64 bit, of a NUL-terminated name, from a basis offset by seed: the
+ * parser's tables and the shim's name tables all hash a name with this. The
+ * low bits of the hash are a bijection of the seed's low bits, so a name
+ * hashed under many seeds (a property name repeated over many sections)
+ * spreads over a table instead of piling on one run of buckets. Inline, so a
+ * probe that hashes makes no call (a tier-1 test checks getenv's). */
+static inline uint64_t kx_name_hash(const char *name, uint64_t seed) {
+    uint64_t h = 14695981039346656037ULL ^ seed;
+    for (const unsigned char *p = (const unsigned char *)name; *p; p++)
+        h = (h ^ *p) * 1099511628211ULL;
+    return h;
+}
+
+/* a growable string, NUL-terminated after every push; {0} is empty, and
+ * free(data) releases it */
+typedef struct {
+    char *data;
+    size_t len;
+    size_t cap;
+} kx_buf;
+
+KX_API int kx_buf_push(kx_buf *buf, const char *s, size_t n);
+
 /* hashing */
 KX_API void kx_hash_init(kx_hasher *h);
 KX_API void kx_hash_update(kx_hasher *h, const void *data, size_t n);

@@ -47,16 +47,18 @@
  * Locking: g_lock serializes every writer of shim state (reload, slot fill,
  * which renders a shadow file for a path). Readers go without it, traced or
  * not: an unregistered name is probed in the immutable g_names and served
- * from environ, an unregistered path is turned away on its last segment
- * (kx_shadow_for), or else probed in g_paths, and gets the real file,
- * and a registered name or path whose slot is current (same coarse second as
- * the last full check, mapped word equal to the word the adopted state was
- * loaded for, slot epoch equal to g_epoch) gets the slot's answer. Only a
- * registered name or path whose slot is not current takes the lock.
+ * from environ, an unregistered path is turned away when the home bucket of
+ * its last segment in g_paths is empty (kx_shadow_for), or else when the
+ * walk from there misses, and gets the real file, and a registered name or
+ * path whose slot is current (same coarse second as the last full check,
+ * mapped word equal to the word the adopted state was loaded for, slot epoch
+ * equal to g_epoch) gets the slot's answer. Only a registered name or path
+ * whose slot is not current takes the lock.
  *
  * Tracing: a traced process writes one record per getenv and per registered
  * open, and one per reload, each with a single write() to the O_APPEND trace
- * fd, so the counts survive _exit, exec and a fatal signal.
+ * fd, so the counts survive _exit, exec and a fatal signal. A getenv record
+ * holds the value, so a trace file the shim creates has mode 0600.
  *
  * Staleness: writers store the published state's generation as 8 bytes in
  * native byte order at offset 0 of <state>.lock, after the rename. The shim
@@ -98,8 +100,9 @@
  * slot, so the name or path falls through to environ or the real file, and a
  * traced process writes one note saying why. Answers are interned in the
  * slot, so A->B->A flips return the first pointer again. Two hashed tables
- * (FNV-1a, open addressing) find a slot: g_names a bare getenv name's, keyed
- * by the name, and g_paths a registered path's, keyed by its last segment.
+ * (core.h's kx_name_hash, linear probing) find a slot: g_names a bare getenv
+ * name's, keyed by the name, and g_paths a registered path's, keyed by its
+ * last segment.
  * An open looks for the path as the program passed it first, and
  * canonicalizes a copy only when no registered path equals it
  * (kx_shadow_lookup), so a hit on a canonical path makes no copy and hashes
@@ -148,14 +151,14 @@ extern char **environ;
 /* ------------------------------------------------------------------ */
 
 /* All written only under g_lock. Read without it, after an acquire load of
- * g_ready: g_active, g_trace_fd, g_spec, g_names, g_paths, g_tails,
- * g_slots_len, g_getenv_len and each slot's key and name, which never change
- * once ready, and, with atomic loads, g_checked_s, g_word, *g_word,
- * g_word_seen, g_epoch and each slot's epoch and answer. Writers publish in
- * this order: a reload adopts the state and bumps g_epoch, then stores
- * g_word_seen (release); a slot fill stores answer, then epoch (both
- * release); a full check stores g_checked_s (release) after its reload.
- * Everything else is read only under g_lock. */
+ * g_ready: g_active, g_trace_fd, g_spec, g_names, g_paths, g_slots_len,
+ * g_getenv_len and each slot's key and name, which never change once ready,
+ * and, with atomic loads, g_checked_s, g_word, *g_word, g_word_seen, g_epoch
+ * and each slot's epoch and answer. Writers publish in this order: a reload
+ * adopts the state and bumps g_epoch, then stores g_word_seen (release); a
+ * slot fill stores answer, then epoch (both release); a full check stores
+ * g_checked_s (release) after its reload. Everything else is read only under
+ * g_lock. */
 
 static pthread_mutex_t g_lock = PTHREAD_MUTEX_INITIALIZER;
 /* reentrancy guard; initial-exec, so a check is one thread-pointer-relative
@@ -201,7 +204,7 @@ static size_t g_getenv_len = 0;        /* slots [0, g_getenv_len) are getenv nam
 static unsigned long long g_epoch = 1; /* grows with every adopted state */
 
 /* a hashed table of slot indexes: slot index + 1 per bucket, 0 for empty;
- * a power of two more than twice the entries, so probes end */
+ * a power of two of more buckets than entries, so probes end */
 typedef struct {
     size_t *buckets;
     size_t mask;
@@ -211,15 +214,14 @@ typedef struct {
 static kx_table g_names;
 /* the path slots whose name is canonical, keyed by the kx_name_hash of
  * their last segment, which kx_shadow_for computes anyway. Paths that share
- * a last segment share a chain, but no getenv name ever walks it. */
+ * a last segment share a chain, but no getenv name ever walks it. The table
+ * is also the filter that turns an unregistered path away: with linear
+ * probing and no deletes, an empty home bucket proves that no registered
+ * path has that hash. At KX_PATH_SPARSITY buckets per path or more, and at
+ * least KX_PATH_MIN_BUCKETS, at most one bucket in 8 is taken. */
 static kx_table g_paths;
-
-/* the last segments of the path slots' names, one bit per kx_name_hash: a
- * path whose bit is clear is no registered path, and a set bit only means
- * that it may be (a Bloom filter with one hash; Bloom, CACM 1970). At least
- * 8 bits per path and a power of two. */
-static unsigned char *g_tails = NULL;
-static size_t g_tails_mask = 0;
+#define KX_PATH_SPARSITY 8
+#define KX_PATH_MIN_BUCKETS 64
 
 /* ------------------------------------------------------------------ */
 /* tiny helpers                                                        */
@@ -571,13 +573,6 @@ static void kx_refresh_if_stale(void) {
 /* registered names and paths                                          */
 /* ------------------------------------------------------------------ */
 
-static size_t kx_name_hash(const char *name) {
-    unsigned long long h = 14695981039346656037ULL; /* FNV-1a, 64 bit */
-    for (const unsigned char *p = (const unsigned char *)name; *p; p++)
-        h = (h ^ *p) * 1099511628211ULL;
-    return (size_t)h;
-}
-
 /* the last segment of a path: what follows its last slash */
 static const char *kx_tail(const char *path) {
     const char *slash = strrchr(path, '/');
@@ -643,10 +638,11 @@ static int kx_path_is_canonical(const char *path) {
     return kx_canonical_path(path, canon) == 0 && strcmp(canon, path) == 0;
 }
 
-/* an empty table for n entries; 0 on success */
-static int kx_table_alloc(kx_table *table, size_t n) {
+/* an empty table of the least power of two of at least min buckets; 0 on
+ * success */
+static int kx_table_alloc(kx_table *table, size_t min) {
     size_t size = 1;
-    while (size <= 2 * n)
+    while (size < min)
         size *= 2;
     table->buckets = (size_t *)calloc(size, sizeof *table->buckets);
     table->mask = size - 1;
@@ -660,27 +656,19 @@ static void kx_table_put(kx_table *table, size_t hash, size_t i) {
     table->buckets[b] = i + 1;
 }
 
-/* g_names, g_paths and g_tails. Only path slots whose name is canonical go
- * in, so a path equal to a name in g_paths is canonical itself. */
+/* g_names, more than twice its entries so probes end, and g_paths. Only
+ * path slots whose name is canonical go in, so a path equal to a name in
+ * g_paths is canonical itself. */
 static int kx_names_build(void) {
-    size_t bits = 64;
-    while (bits < 8 * (g_slots_len - g_getenv_len))
-        bits *= 2;
-    g_tails = (unsigned char *)calloc(bits / 8, 1);
-    if (!g_tails || kx_table_alloc(&g_names, g_getenv_len) != 0 ||
-        kx_table_alloc(&g_paths, g_slots_len - g_getenv_len) != 0)
+    size_t paths = KX_PATH_SPARSITY * (g_slots_len - g_getenv_len);
+    if (kx_table_alloc(&g_names, 2 * g_getenv_len + 1) != 0 ||
+        kx_table_alloc(&g_paths, paths > KX_PATH_MIN_BUCKETS ? paths : KX_PATH_MIN_BUCKETS) != 0)
         return -1;
-    g_tails_mask = bits - 1;
     for (size_t i = 0; i < g_getenv_len; i++)
-        kx_table_put(&g_names, kx_name_hash(g_slots[i].name), i);
-    for (size_t i = g_getenv_len; i < g_slots_len; i++) {
-        const char *name = g_slots[i].name;
-        if (!kx_path_is_canonical(name))
-            continue;
-        size_t hash = kx_name_hash(kx_tail(name)), bit = hash & g_tails_mask;
-        kx_table_put(&g_paths, hash, i);
-        g_tails[bit / 8] |= (unsigned char)(1u << bit % 8);
-    }
+        kx_table_put(&g_names, kx_name_hash(g_slots[i].name, 0), i);
+    for (size_t i = g_getenv_len; i < g_slots_len; i++)
+        if (kx_path_is_canonical(g_slots[i].name))
+            kx_table_put(&g_paths, kx_name_hash(kx_tail(g_slots[i].name), 0), i);
     return 0;
 }
 
@@ -913,7 +901,7 @@ static void kx_ensure_init(void) {
     const char *state_path = kx_env_scan("KONTEXT_STATE");
 
     if (trace_path && *trace_path)
-        g_trace_fd = kx_real_open(trace_path, O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+        g_trace_fd = kx_real_open(trace_path, O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0600);
 
     if (state_path && *state_path) {
         snprintf(g_state_path, sizeof g_state_path, "%s", state_path);
@@ -1011,50 +999,34 @@ static int kx_shadow_render(const char *prefix, char *path, size_t cap) {
         return -1; /* nothing below the prefix: nothing to serve */
 
     size_t prefix_len = strlen(prefix);
-    char *content = NULL;
-    size_t content_len = 0, content_cap = 0;
-    for (size_t i = start; i < end; i++) {
+    kx_buf content = {0};
+    int rc = KX_OK;
+    for (size_t i = start; i < end && rc >= KX_OK; i++) {
         const char *name = kx_key_name(kx_keyset_at(&g_spec, i));
         kx_result res;
-        kx_error err;
-        int rc = kx_lookup(&g_spec, name, &g_state, &res, &err);
+        kx_error err = {0};
+        rc = kx_lookup(&g_spec, name, &g_state, &res, &err);
         if (rc == KX_OK) {
             const char *rel = name + prefix_len + 1;
-            size_t need = strlen(rel) + 1 + strlen(res.value) + 1;
-            if (content_len + need + 1 > content_cap) {
-                size_t grown_cap = content_cap ? content_cap : 256;
-                while (grown_cap < content_len + need + 1)
-                    grown_cap *= 2;
-                char *grown = (char *)realloc(content, grown_cap);
-                if (!grown) {
-                    free(content);
-                    kx_result_free(&res);
-                    return -1;
-                }
-                content = grown;
-                content_cap = grown_cap;
-            }
-            content_len += (size_t)snprintf(content + content_len, content_cap - content_len,
-                                            "%s=%s\n", rel, res.value);
-            kx_result_free(&res);
-        } else if (rc == KX_ABSENT) {
-            kx_result_free(&res);
-        } else {
-            kx_result_free(&res);
+            if (kx_buf_push(&content, rel, strlen(rel)) || kx_buf_push(&content, "=", 1) ||
+                kx_buf_push(&content, res.value, strlen(res.value)) ||
+                kx_buf_push(&content, "\n", 1))
+                rc = KX_E_NOMEM;
+        } else if (rc != KX_ABSENT) {
             kx_trace("note", "shadow-render-error", name, err.message);
-            free(content);
-            return -1;
         }
+        kx_result_free(&res);
     }
 
     /* named by its content: a file of that name holds these bytes, whoever
      * wrote it, so any process of the user may serve it */
-    const char *bytes = content ? content : "";
+    const char *bytes = content.data ? content.data : "";
     char name[48];
-    snprintf(name, sizeof name, "%zu-%016llx.conf", content_len,
-             (unsigned long long)kx_hash64(bytes, content_len));
-    int ok = kx_shadow_path(name, path, cap) == 0 && kx_write_file(path, bytes, content_len) == 0;
-    free(content);
+    snprintf(name, sizeof name, "%zu-%016llx.conf", content.len,
+             (unsigned long long)kx_hash64(bytes, content.len));
+    int ok = rc >= KX_OK && kx_shadow_path(name, path, cap) == 0 &&
+             kx_write_file(path, bytes, content.len) == 0;
+    free(content.data);
     return ok ? 0 : -1;
 }
 
@@ -1147,7 +1119,7 @@ static KX_HOT char *kx_getenv_impl(const char *name) {
     kx_init_once();
     size_t i;
     const char *answer = NULL;
-    if (g_active && kx_table_slot(&g_names, name, kx_name_hash(name), &i) &&
+    if (g_active && kx_table_slot(&g_names, name, kx_name_hash(name, 0), &i) &&
         !kx_slot_current(i, &answer))
         answer = kx_slot_locked(i);
     char *result = answer ? (char *)answer : kx_env_scan(name);
@@ -1212,7 +1184,7 @@ static __attribute__((noinline)) int kx_canonical_slot(const char *path, size_t 
            kx_table_slot(&g_paths, canon, hash, slot);
 }
 
-/* kx_shadow_for past the last-segment filter: the slot of the path and its
+/* kx_shadow_for past the home bucket: the slot of the path and its
  * answer. hash is the kx_name_hash of the path's last segment, which keys
  * g_paths. The chain is walked first for the path as given: a name in
  * g_paths is canonical, so a path equal to one is its own canonical form.
@@ -1233,11 +1205,11 @@ static KX_HOT __attribute__((noinline)) const char *kx_shadow_lookup(const char 
 
 /* shared open/fopen front half: the shadow file that substitutes for the
  * path, or NULL for "use the real file". A path is turned away on its last
- * segment, before any copy or getcwd: one whose bit in g_tails is clear is
- * no registered path, and an empty, . or .. last segment names a directory,
- * never a registered file. Only a set bit pays for g_paths, and the
- * segment's hash serves both. Like getenv, the lock is taken only for a
- * registered path whose slot is not current. */
+ * segment, before any copy or getcwd: one whose home bucket in g_paths is
+ * empty is no registered path, and an empty, . or .. last segment names a
+ * directory, never a registered file. Only a taken home bucket pays for the
+ * walk of its chain. Like getenv, the lock is taken only for a registered
+ * path whose slot is not current. */
 static KX_HOT const char *kx_shadow_for(const char *path) {
     kx_init_once();
     if (!g_active)
@@ -1245,8 +1217,8 @@ static KX_HOT const char *kx_shadow_for(const char *path) {
     const char *tail = kx_tail(path);
     if (!tail[0] || (tail[0] == '.' && (!tail[1] || (tail[1] == '.' && !tail[2]))))
         return NULL;
-    size_t hash = kx_name_hash(tail), bit = hash & g_tails_mask;
-    if (!(g_tails[bit / 8] >> bit % 8 & 1))
+    size_t hash = kx_name_hash(tail, 0);
+    if (!g_paths.buckets[hash & g_paths.mask])
         return NULL;
     return kx_shadow_lookup(path, hash);
 }

@@ -153,6 +153,8 @@ def test_hot_path_is_pinned_ahead_of_the_engine(preload_so, tmp_path, monkeypatc
 
     before = _text_symbols(preload_so)
     assert max(before[name][0] for name in HOT_PATH) < min(before[name][0] for name in ENGINE)
+    # core.h's name hash is inlined into every probe, getenv's included
+    assert "kx_name_hash" not in before
     assert max(before[name][0] for name in COLD) < min(before[name][0] for name in HOT_PATH)
     # the same build from a copy whose core.c ends in a 5 KB function that
     # nothing calls: it lands ahead of interpose.c's ordinary code, and the
@@ -439,24 +441,37 @@ def test_spec_line_order_does_not_matter(kxcore, blocks, data):
     assert all(a < b for a, b in zip(names, names[1:]))
 
 
+def _best_parse_s(kxcore, text, runs=3):
+    """The least of `runs` times kx_parse_spec took over text, in seconds."""
+    data, times = text.encode(), []
+    for _ in range(runs):
+        start = time.perf_counter()
+        kxcore.Engine(data)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def test_spec_parse_time_does_not_depend_on_line_order(kxcore):
     lines = [f"k/{i:05d} = v{i}" for i in range(10_000)]
-
-    def best_of_3(text):
-        data, times = text.encode(), []
-        for _ in range(3):
-            start = time.perf_counter()
-            kxcore.Engine(data)
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    in_order = best_of_3("\n".join(lines))
-    reversed_ = best_of_3("\n".join(reversed(lines)))
+    in_order = _best_parse_s(kxcore, "\n".join(lines))
+    reversed_ = _best_parse_s(kxcore, "\n".join(reversed(lines)))
     assert reversed_ <= 3 * in_order, (reversed_, in_order)
     # one section with as many properties: each line probes the index, not
     # the section's earlier properties
-    one_section = best_of_3("\n".join(["[s]"] + [f"p{i:05d} = v{i}" for i in range(10_000)]))
+    one_section = _best_parse_s(
+        kxcore, "\n".join(["[s]"] + [f"p{i:05d} = v{i}" for i in range(10_000)]))
     assert one_section <= 3 * in_order, (one_section, in_order)
+
+
+def test_spec_parse_time_does_not_depend_on_property_names_repeating(kxcore):
+    # every section has a property `label`: the section's seed must spread
+    # those entries over the parser's table, or they fill one run of buckets
+    # that every later probe crosses
+    sections = 20_000
+    shared = _best_parse_s(kxcore, "".join(f"[s{i}]\nlabel = v\n" for i in range(sections)), 5)
+    distinct = _best_parse_s(
+        kxcore, "".join(f"[s{i}]\nlabel{i} = v\n" for i in range(sections)), 5)
+    assert shared <= 3 * distinct, (shared, distinct)
 
 
 @settings(max_examples=600, deadline=None)

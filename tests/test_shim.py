@@ -311,6 +311,17 @@ class TestPreloadEndToEnd:
         assert hit and hit[0].fields[1] == "hit"
         assert hit[0].fields[2] == "default.example.com"
 
+    def test_trace_file_is_private(self, demo_bins, preload_so, proxy_spec, tmp_path):
+        # a getenv record holds the variable's value, so the trace file the
+        # shim creates is its owner's alone, whatever the umask lets through
+        trace = tmp_path / "child.trace"
+        env = child_environment(spec=proxy_spec, state=tmp_path / "state.ks", trace=trace,
+                                base=dict(os.environ))
+        out = subprocess.run([str(demo_bins["hello_proxy"])], env=env, capture_output=True,
+                             timeout=30, umask=0o022)
+        assert out.returncode == 0
+        assert stat.S_IMODE(trace.stat().st_mode) & 0o077 == 0
+
     def test_trace_counts_survive_exit_without_handlers(
         self, demo_bins, preload_so, proxy_spec, tmp_path
     ):
@@ -973,6 +984,14 @@ class TestShadowFiles:
         assert list(inside.iterdir()) == []
 
 
+def _fnv1a64(name):
+    """kx_name_hash of name with seed 0 (native/core.h): FNV-1a, 64 bit."""
+    h = 0xCBF29CE484222325
+    for byte in name.encode():
+        h = (h ^ byte) * 0x100000001B3 & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 class TestPathSpellings:
     """The shim finds a registered path by its canonical spelling, after the
     last path segment admitted it: any spelling gets the shadow, and
@@ -1083,6 +1102,34 @@ class TestPathSpellings:
             want = self._opens(exe, arg, top, env, shim=False)
             assert want[0] == 0 and want[1].startswith("real file")
             assert self._opens(exe, arg, top, env) == want, arg
+
+    @pytest.mark.parametrize("stem", ["t05_open_read", "t07_fopen_read"])
+    def test_entry_pushed_past_its_home_bucket(self, demo_bins, preload_so, tmp_path, stem):
+        # two registered last segments share their home bucket in g_paths,
+        # so the second in key order takes the next one; an unregistered
+        # path whose home is that next bucket walks on past it to the real
+        # file. Agreeing low 12 bits give the same buckets in any table of
+        # up to 4,096.
+        names, seen = [f"p{i}.conf" for i in range(10_000)], {}
+        for name in names:
+            home = _fnv1a64(name) & 0xFFF
+            if home in seen:
+                tails = sorted([seen[home], name])
+                break
+            seen[home] = name
+        other = next(name for name in names if _fnv1a64(name) & 0xFFF == (home + 1) & 0xFFF)
+        etc = tmp_path / "etc"
+        etc.mkdir()
+        registered = [etc / tail for tail in tails]
+        for path in [*registered, etc / other]:
+            path.write_text("real file\n")
+        env = self._spec_env(tmp_path, "conf/a/host = a.example\nconf/b/host = b.example\n" +
+                             "".join(f"[open{path}]\ntemplate = conf/{d}\n"
+                                     for d, path in zip("ab", registered)))
+        exe = demo_bins[stem]
+        for d, path in zip("ab", registered):
+            assert self._opens(exe, str(path), path, env) == (0, f"host={d}.example\n", "")
+        assert self._opens(exe, str(etc / other), etc / other, env) == (0, "real file\n", "")
 
     def test_trace_names_the_canonical_path(self, demo_bins, preload_so, shadowed, tmp_path):
         # found as given or only after canonicalization, the record names
