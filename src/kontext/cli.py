@@ -83,6 +83,8 @@ def _load_spec_doc(path: Path) -> SpecDocument:
         return load_spec(path)
     except FileNotFoundError:
         raise _CliError(EXIT_DATA, f"{path}: no such spec file") from None
+    except OSError as exc:  # a directory, or no read permission
+        raise _CliError(EXIT_DATA, f"{path}: {exc.strerror}") from None
 
 
 def _print_table(rows: Sequence[Sequence[str]], header: Optional[Sequence[str]] = None) -> None:
@@ -103,29 +105,22 @@ def _print_table(rows: Sequence[Sequence[str]], header: Optional[Sequence[str]] 
 def _template_segment_map(template_text: str):
     """(base name or None, rendered segment count, {layer: {segment idx}}).
 
-    Maps each layer reference to the name segments its value lands in,
-    using sentinel renders. The base is the literal text before the first
-    reference, up to its last separator; when that text has no separator
-    there is no usable base and the caller skips entry analysis. Raises
-    TemplateError for a template that does not parse.
+    Maps each layer reference to the name segments its value lands in: a
+    literal piece moves the index by its separators, a reference never does,
+    since a layer value holds no separator. The base is the literal text
+    before the first reference, up to its last separator; when that text has
+    no separator there is no usable base and the caller skips entry
+    analysis. Raises TemplateError for a template that does not parse.
     """
-    pieces = template_pieces(template_text)
-    markers: Dict[str, str] = {}
-    for is_ref, s in pieces:
-        if is_ref and s not in markers:
-            markers[s] = f"\x02{len(markers)}\x02"
-    segments = "".join(markers[s] if is_ref else s for is_ref, s in pieces).split(SEPARATOR)
-    ref_segments: Dict[str, Set[int]] = {name: set() for name in markers}
-    for idx, segment in enumerate(segments):
-        for name, marker in markers.items():
-            if marker in segment:
-                ref_segments[name].add(idx)
-
-    leading = ""
-    for is_ref, s in pieces:
+    ref_segments: Dict[str, Set[int]] = {}
+    leading, index = "", 0
+    for is_ref, s in template_pieces(template_text):
         if is_ref:
-            break
-        leading += s
+            ref_segments.setdefault(s, set()).add(index)
+        else:
+            index += s.count(SEPARATOR)
+            if not ref_segments:
+                leading += s
     slash = leading.rfind(SEPARATOR)
     base: Optional[KeyName] = None
     if slash > 0:
@@ -133,7 +128,7 @@ def _template_segment_map(template_text: str):
             base = KeyName.parse(leading[:slash])
         except KontextError:
             base = None
-    return base, len(segments), ref_segments
+    return base, index + 1, ref_segments
 
 
 def cmd_spec_check(args) -> int:
@@ -230,14 +225,10 @@ def cmd_get(args) -> int:
 
 
 def cmd_set(args) -> int:
-    from .specfile import load_spec, save_spec
+    from .specfile import save_spec
 
     path = _spec_path(args)
-    if path.exists():
-        doc = load_spec(path)
-        keyset = doc.keyset
-    else:
-        keyset = KeySet()
+    keyset = _load_spec_doc(path).keyset if path.exists() else KeySet()
 
     name = KeyName.parse(args.name)
     if args.remove:
@@ -347,10 +338,10 @@ def cmd_trace(args) -> int:
 
     from .tracing import aggregate, load_trace
 
-    fd, trace_path = tempfile.mkstemp(prefix="kontext-trace-", suffix=".tsv")
-    os.close(fd)
     spec = _spec_path(args, required=False)
     doc = _load_spec_doc(spec) if spec else None
+    fd, trace_path = tempfile.mkstemp(prefix="kontext-trace-", suffix=".tsv")
+    os.close(fd)
     try:
         env = _child_env(args, trace=Path(trace_path))
         argv = [args.program] + list(args.args)

@@ -129,10 +129,6 @@ class KeyName(FrozenRecord):
     def __repr__(self) -> str:
         return f"KeyName(segments={self.segments!r})"
 
-    def is_prefix_of(self, other: "KeyName") -> bool:
-        """Strict: equal names are not each other's prefix."""
-        return other.display.startswith(self.display + SEPARATOR)
-
 
 NameLike = Union[str, KeyName]
 

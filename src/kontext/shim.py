@@ -7,11 +7,9 @@ Two distinct layers live here:
     the only commands that import this module). The spec and state
     variables come from specfile.ENV_SPEC and layerstate.ENV_STATE, so the
     other commands read them without loading this module
-  * ShimSession, an in-process model of the preload shim's getenv path
-    (registration check, stat-based state refresh, contextual lookup,
-    environment fallthrough, counters) over the Python engine. It serves
-    perfbench and the tests only; no command uses it, and the real shim is
-    the C library
+  * ShimSession, which answers getenv from the Python engine for perfbench's
+    shim.session_getenv_us reading and its answer check. No command uses it;
+    the real shim is the C library
 """
 
 from __future__ import annotations
@@ -20,12 +18,11 @@ import os
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
-from .context import ContextState
-from .engine import SpecLike, make_backend
-from .errors import CorruptStateError, InvalidNameError, KontextError
-from .keydb import KeyName
-from .layerstate import ENV_STATE, default_state_path, state_read
-from .specfile import ENV_SPEC
+from .context import contextual_lookup
+from .errors import KontextError
+from .fsutil import PathLike
+from .layerstate import ENV_STATE, state_read
+from .specfile import ENV_SPEC, SpecDocument
 
 ENV_TRACE = "KONTEXT_TRACE"
 ENV_PRELOAD_OVERRIDE = "KONTEXT_PRELOAD"
@@ -72,101 +69,18 @@ def child_environment(
 
 # kept for perfbench's shim.session_getenv_us; goes when the benchmark retires that metric
 class ShimSession:
-    """In-process getenv shim: contextual answers with live state refresh.
+    """getenv answers as perfbench's reference gives them: the contextual
+    value of getenv/NAME under the state read when the session is made, or
+    else the environment's value, also when the lookup fails."""
 
-    Follows the preload library's decision sequence: unregistered names
-    fall through to the environment untouched; registered names refresh
-    the layer state, then resolve contextually; every lookup problem falls
-    open to the environment. The refresh stays stat-based: every registered
-    call compares the state file's metadata. The preload library instead
-    watches the generation word in `<state>.lock` and stats at most once a
-    second, and it caches answers per state, which this session does not.
-    """
-
-    def __init__(
-        self,
-        spec: SpecLike,
-        state_path: Optional[Union[str, os.PathLike]] = None,
-        environ: Optional[Mapping[str, str]] = None,
-    ):
-        self._backend = make_backend(spec)
-        self._state_path = Path(state_path) if state_path else default_state_path()
-        self._environ: Mapping[str, str] = os.environ if environ is None else environ
-        self._ctx = ContextState({}, 0)
-        self._stat: Optional[tuple] = None
-        self.calls = 0
-        self.hits = 0
-        self.reloads = 0
-        self.fallthroughs = 0
-        self._load_state(initial=True)
-
-    @property
-    def context(self) -> ContextState:
-        return self._ctx
-
-    @property
-    def state_path(self) -> Path:
-        return self._state_path
+    def __init__(self, doc: SpecDocument, state_path: PathLike, environ: Mapping[str, str]):
+        self._keyset = doc.keyset
+        self._ctx = state_read(state_path)
+        self._environ = environ
 
     def getenv(self, name: str) -> Optional[str]:
-        """The shim's answer for one environment variable read."""
-        self.calls += 1
-        key = GETENV_PREFIX + name
-        registered = False
         try:
-            KeyName.parse(key)
-        except InvalidNameError:
-            pass  # names the key grammar cannot hold are never registered
-        else:
-            registered = self._backend.has_key(key)
-        if not registered:
-            self.fallthroughs += 1
-            return self._environ.get(name)
-
-        self.refresh_if_stale()
-        try:
-            outcome = self._backend.lookup(key, self._ctx)
+            outcome = contextual_lookup(self._keyset, GETENV_PREFIX + name, self._ctx)
         except KontextError:
-            outcome = None  # fail open
-        if outcome is None:
-            self.fallthroughs += 1
-            return self._environ.get(name)
-        self.hits += 1
-        return outcome.value
-
-    def refresh_if_stale(self) -> None:
-        """Reload layer state only when the file metadata changed."""
-        meta = self._stat_meta()
-        if meta is None:
-            return  # deleted or unreadable: keep the cached context
-        if meta == self._stat:
-            return
-        self._load_state(initial=False, known_meta=meta)
-
-    def _stat_meta(self) -> Optional[tuple]:
-        try:
-            st = os.stat(self._state_path)
-        except OSError:
-            return None
-        return (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
-
-    def _load_state(self, initial: bool, known_meta: Optional[tuple] = None) -> None:
-        meta = known_meta if known_meta is not None else self._stat_meta()
-        try:
-            fresh = state_read(self._state_path)
-        except CorruptStateError:
-            self._stat = meta  # remember the bad file; keep the cached context
-            return
-        if initial or fresh.generation > self._ctx.generation:
-            self._ctx = fresh
-            if not initial:
-                self.reloads += 1
-        self._stat = meta
-
-    def counters(self) -> Dict[str, int]:
-        return {
-            "calls": self.calls,
-            "hits": self.hits,
-            "reloads": self.reloads,
-            "fallthroughs": self.fallthroughs,
-        }
+            outcome = None  # fail open, as the shim does
+        return self._environ.get(name) if outcome is None else outcome.value

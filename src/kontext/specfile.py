@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Union
 
-from .errors import InvalidNameError, InvalidValueError, SpecParseError, UnserializableError
+from .errors import InvalidNameError, SpecParseError, UnserializableError
 from .fsutil import PathLike, atomic_write_text
 from .keydb import FrozenRecord, Key, KeyName, KeySet, Record
 
@@ -52,19 +52,17 @@ class ParseIssue(FrozenRecord):
 class SpecDocument(Record):
     """Parse result: the key set plus bookkeeping for diagnostics."""
 
-    __slots__ = ("keyset", "warnings", "line_index", "source")
+    __slots__ = ("keyset", "warnings", "line_index")
 
     def __init__(
         self,
         keyset: KeySet,
         warnings: Optional[List[ParseIssue]] = None,
         line_index: Optional[Dict[str, int]] = None,
-        source: Optional[str] = None,
     ):
         self.keyset = keyset
         self.warnings: List[ParseIssue] = [] if warnings is None else warnings
         self.line_index: Dict[str, int] = {} if line_index is None else line_index
-        self.source = source
 
 
 def strip_comment(line: str) -> str:
@@ -107,7 +105,7 @@ def _parse_name(text: str, line_no: int) -> KeyName:
         raise SpecParseError(line_no, ParseErrorKind.INVALID_NAME, str(exc)) from None
 
 
-def parse_spec(text: Union[str, bytes], source: Optional[str] = None) -> SpecDocument:
+def parse_spec(text: Union[str, bytes]) -> SpecDocument:
     """Parse spec text into a SpecDocument. Raises SpecParseError."""
     decoded = _decode(text)
     # display -> [name, value, meta, value_set], in first-seen order
@@ -195,12 +193,8 @@ def parse_spec(text: Union[str, bytes], source: Optional[str] = None) -> SpecDoc
 
     keyset = KeySet()
     for name, value, meta, _ in entries.values():
-        try:
-            keyset.insert(Key(name, value, meta))
-        except (InvalidNameError, InvalidValueError) as exc:
-            line = line_index.get(name.display, 0)
-            raise SpecParseError(line, ParseErrorKind.INVALID_NAME, str(exc)) from None
-    return SpecDocument(keyset=keyset, warnings=warnings, line_index=line_index, source=source)
+        keyset.insert(Key(name, value, meta))
+    return SpecDocument(keyset=keyset, warnings=warnings, line_index=line_index)
 
 
 def _check_representable(text: str, what: str) -> None:
@@ -259,7 +253,7 @@ def load_spec(path: PathLike) -> SpecDocument:
     """Read and parse a spec file. IO errors propagate as OSError."""
     with open(path, "rb") as handle:
         data = handle.read()
-    return parse_spec(data, source=str(path))
+    return parse_spec(data)
 
 
 def save_spec(path: PathLike, keys: Union[KeySet, SpecDocument]) -> None:

@@ -165,15 +165,32 @@ def wait_for_getenv_record(trace, timeout=10.0, kind="getenv"):
         time.sleep(0.01)
 
 
+def c_compiler() -> Optional[str]:
+    """The C compiler kontext.nativebuild runs, $CC or else cc; None when it
+    is not on PATH. Every native build of the tests goes through it."""
+    cc = os.environ.get("CC", "cc")
+    return cc if shutil.which(cc) else None
+
+
+@pytest.fixture(scope="session")
+def cc() -> str:
+    """c_compiler(); skips the test without one."""
+    compiler = c_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    return compiler
+
+
 @pytest.fixture(scope="session")
 def _session_preload(tmp_path_factory) -> Optional[Path]:
-    """_preload.so compiled once from the current sources; None without cc.
+    """_preload.so compiled once from the current sources; None without a
+    C compiler (c_compiler).
 
     It goes to a pytest temp dir, never into src/, so the packaged-path
     fallback of preload_library_path() stays what a bare checkout has.
-    A compile error fails the session with cc's stderr.
+    A compile error fails the session with the compiler's stderr.
     """
-    if shutil.which("cc") is None:
+    if c_compiler() is None:
         return None
     from kontext.nativebuild import build_preload
 
@@ -181,10 +198,8 @@ def _session_preload(tmp_path_factory) -> Optional[Path]:
 
 
 @pytest.fixture(scope="session")
-def kxcore_so(tmp_path_factory) -> Path:
+def kxcore_so(tmp_path_factory, cc) -> Path:
     """_kxcore.so (core.c alone, kx_* exported) built once, like _session_preload."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
     from kontext.nativebuild import build_core
 
     return build_core(tmp_path_factory.mktemp("kxcore") / "_kxcore.so")
@@ -228,16 +243,14 @@ def state_file(tmp_path) -> Path:
 
 
 @pytest.fixture(scope="session")
-def demo_bins(tmp_path_factory):
+def demo_bins(tmp_path_factory, cc):
     """Compile every fixture C program once; {stem: executable path}."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
     outdir = tmp_path_factory.mktemp("demo-bins")
     bins = {}
     for src in sorted(DEMO_SRC.glob("*.c")):
         exe = outdir / src.stem
         subprocess.run(
-            ["cc", "-O1", "-o", str(exe), str(src)],
+            [cc, "-O1", "-o", str(exe), str(src)],
             check=True,
             capture_output=True,
         )

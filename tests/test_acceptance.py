@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ import pytest
 from conftest import KONTEXT_CMD, PROXY_SPEC
 from kontext.context import ContextState, contextual_lookup
 from kontext.context import candidates as pure_candidates
-from kontext.engine import make_backend
 from kontext.errors import CycleDetectedError, DepthExceededError
 from kontext.keydb import Key, KeySet
 from kontext.layerstate import state_read, state_set_layer
@@ -51,12 +51,13 @@ def test_criterion_01_proxy_scenario_exact_values(kxcore):
         ({"interface": "usb", "network": "work"}, "default.example.com"),
         ({}, "default.example.com"),
     ]
-    engines = [make_backend(PROXY_SPEC), kxcore.Engine(PROXY_SPEC)]
-    for engine in engines:
+    engines = [("python", partial(contextual_lookup, parse_spec(PROXY_SPEC).keyset)),
+               ("c", kxcore.Engine(PROXY_SPEC).lookup)]
+    for engine, lookup in engines:
         for layers, expected in scenarios:
-            out = engine.lookup("getenv/http_proxy", ContextState(layers))
+            out = lookup("getenv/http_proxy", ContextState(layers))
             assert out is not None
-            assert out.value == expected, (engine.name, layers)
+            assert out.value == expected, (engine, layers)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"scenario run took {elapsed:.3f}s"
     print(f"CRITERION 1: PASS ({len(scenarios)} contexts x {len(engines)} engines, {elapsed * 1000:.0f} ms)")
@@ -131,24 +132,25 @@ def test_criterion_03_lookup_oracle_equivalence(kxcore):
         text = serialize_spec(entries_keyset(entries))
         expected_kind, payload = oracle_lookup(entries, query, layers)
 
-        for backend in (make_backend(text), kxcore.Engine(text)):
+        for engine, lookup in (("python", partial(contextual_lookup, parse_spec(text).keyset)),
+                               ("c", kxcore.Engine(text).lookup)):
             if expected_kind == "cycle":
                 with pytest.raises(CycleDetectedError):
-                    backend.lookup(query, ContextState(layers))
+                    lookup(query, ContextState(layers))
             elif expected_kind == "depth":
                 with pytest.raises(DepthExceededError):
-                    backend.lookup(query, ContextState(layers))
+                    lookup(query, ContextState(layers))
             elif expected_kind == "absent":
-                assert backend.lookup(query, ContextState(layers)) is None
+                assert lookup(query, ContextState(layers)) is None
             else:
-                out = backend.lookup(query, ContextState(layers))
+                out = lookup(query, ContextState(layers))
                 assert out is not None
                 value, matched, chain = payload
                 assert (out.value, out.matched_name, out.chain) == (
                     value,
                     matched,
                     tuple(chain),
-                ), (seed, backend.name)
+                ), (seed, engine)
         if expected_kind == "cycle":
             cycles += 1
 

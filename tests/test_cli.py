@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import errno
 import os
 import subprocess
 import sys
@@ -169,7 +170,8 @@ class TestImports:
           *_NOT_ON_CLI_PATH)),
         (("scan", "{root}"), ("kontext.specfile", "kontext.shim", "kontext.engine",
                               "kontext.tracing")),
-    ], ids=["layer-set", "layer-unset", "layer-list", "get", "scan"])
+        (("trace", "true"), ("kontext.engine", "kontext.scan")),
+    ], ids=["layer-set", "layer-unset", "layer-list", "get", "scan", "trace"])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, proxy_spec, argv, unwanted):
         argv = [arg.format(spec=proxy_spec, state=tmp_path / "state.ks", root=tmp_path)
                 for arg in argv]
@@ -179,6 +181,28 @@ class TestImports:
         loaded = set(proc.stderr.splitlines()[-1].split())
         assert "kontext.cli" in loaded
         assert sorted(loaded & set(unwanted)) == []
+
+
+class TestUnreadableSpec:
+    # a spec path that cannot be read as a file is a data error, exit 3,
+    # not a traceback's exit 1, which means "not found"; it leaves no
+    # temporary file behind
+    @pytest.mark.parametrize("argv", [
+        ("get", "--spec", "{spec}", "getenv/http_proxy"),
+        ("spec-check", "{spec}"),
+        ("set", "--spec", "{spec}", "a/b", "v"),
+        ("trace", "--spec", "{spec}", "true"),
+    ], ids=["get", "spec-check", "set", "trace"])
+    def test_directory_is_data_error(self, tmp_path, argv):
+        spec, temp = tmp_path / "spec", tmp_path / "tmp"
+        spec.mkdir()
+        temp.mkdir()
+        proc = subprocess.run(KONTEXT_CMD + [arg.format(spec=spec) for arg in argv],
+                              env=dict(os.environ, TMPDIR=str(temp)),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            3, f"kontext: {spec}: {os.strerror(errno.EISDIR)}\n")
+        assert list(temp.iterdir()) == []
 
 
 class TestSpecCheck:

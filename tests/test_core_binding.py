@@ -106,10 +106,7 @@ def test_every_core_export_has_a_caller(kxcore):
             and not re.search(rf"\b{name}\s*\(", callers)] == []
 
 
-def test_preload_builds_warning_clean(tmp_path):
-    cc = os.environ.get("CC", "cc")
-    if shutil.which(cc) is None:
-        pytest.skip("no C compiler on PATH")
+def test_preload_builds_warning_clean(tmp_path, cc):
     cmd = [cc, *PRELOAD_FLAGS, "-Wall", "-Wextra", "-Werror",
            "-I", str(NATIVE), str(NATIVE / "core.c"), str(NATIVE / "interpose.c"), "-ldl",
            "-o", str(tmp_path / "_preload.so")]
@@ -117,12 +114,9 @@ def test_preload_builds_warning_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_kxcore_builds_warning_clean(tmp_path):
+def test_kxcore_builds_warning_clean(tmp_path, cc):
     # core.c alone, exported as for _kxcore.so: a static that only the
     # shim used must not be left behind unused
-    cc = os.environ.get("CC", "cc")
-    if shutil.which(cc) is None:
-        pytest.skip("no C compiler on PATH")
     cmd = [cc, *PRELOAD_FLAGS, "-Wall", "-Wextra", "-Werror", "-I", str(NATIVE),
            '-DKX_API=__attribute__((visibility("default")))', str(NATIVE / "core.c"),
            "-o", str(tmp_path / "_kxcore.so")]
@@ -172,7 +166,7 @@ def test_hot_path_is_pinned_ahead_of_the_engine(preload_so, tmp_path, monkeypatc
         {name: before[name][0] for name in HOT_PATH}
 
 
-def test_benchmark_core_probe_builds(tmp_path):
+def test_benchmark_core_probe_builds(tmp_path, cc):
     # perfbench links coreprobe.c straight against core.c; build it with the
     # benchmark's own recipe, so a core.h change that would break the
     # benchmark's traced run fails here
@@ -180,26 +174,21 @@ def test_benchmark_core_probe_builds(tmp_path):
     spec = importlib.util.spec_from_file_location("perfbench_nativebuild", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    cc = os.environ.get("CC", "cc")
     args = bench._recipes(NATIVE)["coreprobe"]
     proc = subprocess.run([cc, *args, "-o", str(tmp_path / "coreprobe")], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
 
 
-def _sanitized_preload(out, *flags, core_only=False):
-    """_preload.so, or with core_only _kxcore.so, built with extra sanitizer
-    flags; skips without a compiler."""
-    cc = os.environ.get("CC", "cc")
-    if shutil.which(cc) is None:
-        pytest.skip("no C compiler on PATH")
+def _sanitized_preload(cc, out, *flags, core_only=False):
+    """_preload.so, or with core_only _kxcore.so, built by `cc` with extra
+    sanitizer flags."""
     sources = (['-DKX_API=__attribute__((visibility("default")))', str(NATIVE / "core.c")]
                if core_only else [str(NATIVE / "core.c"), str(NATIVE / "interpose.c"), "-ldl"])
     cmd = [cc, *PRELOAD_FLAGS, *flags, "-fno-omit-frame-pointer", "-I", str(NATIVE),
            *sources, "-o", str(out)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return cc
 
 
 def _threads_flip(exe, env, state, path=None, fopen=False, cwd=None):
@@ -215,9 +204,9 @@ def _threads_flip(exe, env, state, path=None, fopen=False, cwd=None):
     return child.close(), child.calls
 
 
-def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_path):
+def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_path, cc):
     asan_so = tmp_path / "_preload_asan.so"
-    cc = _sanitized_preload(asan_so, "-fsanitize=address,undefined")
+    _sanitized_preload(cc, asan_so, "-fsanitize=address,undefined")
     runtime = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
                              text=True, check=True).stdout.strip()
     real = tmp_path / "app.conf"
@@ -315,10 +304,10 @@ def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_
         assert signed or got == want, round
 
 
-def test_threads_run_clean_under_thread_sanitizer(tmp_path):
+def test_threads_run_clean_under_thread_sanitizer(tmp_path, cc):
     # the fixture is instrumented too, so TSan sees the rounds' ordering
     tsan_so = tmp_path / "_preload_tsan.so"
-    cc = _sanitized_preload(tsan_so, "-fsanitize=thread")
+    _sanitized_preload(cc, tsan_so, "-fsanitize=thread")
     exe = tmp_path / "t15_threads_flip"
     subprocess.run([cc, "-O1", "-fsanitize=thread", "-o", str(exe),
                     str(DEMO_SRC / "t15_threads_flip.c")], check=True, capture_output=True)
@@ -355,11 +344,11 @@ def test_threads_run_clean_under_thread_sanitizer(tmp_path):
     assert out == "ok\n" * 12 + "rounds=12 failures=0\n"
 
 
-def test_path_threads_run_clean_under_thread_sanitizer(tmp_path):
+def test_path_threads_run_clean_under_thread_sanitizer(tmp_path, cc):
     # registered opens read their path's slot without the lock, as getenv
     # reads a name's; the flips make the slot render its file again
     tsan_so = tmp_path / "_preload_tsan.so"
-    cc = _sanitized_preload(tsan_so, "-fsanitize=thread")
+    _sanitized_preload(cc, tsan_so, "-fsanitize=thread")
     exe = tmp_path / "t20_threads_open"
     subprocess.run([cc, "-O1", "-fsanitize=thread", "-o", str(exe),
                     str(DEMO_SRC / "t20_threads_open.c")], check=True, capture_output=True)
@@ -559,12 +548,12 @@ def test_template_walks_agree(kxcore, text, layers, hits, own):
         template_outcome(lambda: contextual_lookup(keyset, "q", ContextState(layers))))
 
 
-def test_core_runs_clean_under_sanitizers(tmp_path):
+def test_core_runs_clean_under_sanitizers(tmp_path, cc):
     # the state parser's and the template walk's differentials and criterion
     # 3's oracle instances, in a child Python that loads the ASan runtime
     # before the sanitized core
     core = tmp_path / "_kxcore_asan.so"
-    cc = _sanitized_preload(core, "-fsanitize=address,undefined", core_only=True)
+    _sanitized_preload(cc, core, "-fsanitize=address,undefined", core_only=True)
     runtime = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
                              text=True, check=True).stdout.strip()
     tests = Path(__file__).resolve().parent

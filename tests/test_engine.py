@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
-from kontext.context import ContextState
-from kontext.engine import PureBackend, make_backend
+from kontext.context import ContextState, contextual_lookup
 from kontext.errors import CycleDetectedError, DepthExceededError, InvalidNameError, SpecParseError
 from kontext.keydb import Key, KeyName, KeySet
 from kontext.specfile import ParseErrorKind, parse_spec, serialize_spec
@@ -31,10 +32,10 @@ def entries_keyset(entries):
     return ks
 
 
-def outcome_tuple(backend, name, layers):
+def outcome_tuple(lookup, name, layers):
     """Normalized lookup result: ("ok", ...), ("absent",), or error class."""
     try:
-        out = backend.lookup(name, ContextState(layers))
+        out = lookup(name, ContextState(layers))
     except CycleDetectedError as exc:
         return ("cycle", tuple(exc.chain))
     except DepthExceededError as exc:
@@ -44,43 +45,14 @@ def outcome_tuple(backend, name, layers):
     return ("ok", out.value, out.matched_name, tuple(out.chain))
 
 
-class TestMakeBackend:
-    def test_unknown_choice(self):
-        for choice in ("turbo", "compiled"):
-            with pytest.raises(ValueError):
-                make_backend(SPEC, choice)
-
-    def test_pure_always_works(self):
-        backend = make_backend(SPEC, "pure")
-        assert isinstance(backend, PureBackend)
-        assert backend.name == "pure"
-
-    @pytest.mark.parametrize("choice", ["pure", "auto"])
-    def test_accepts_every_spec_shape(self, choice):
-        doc = parse_spec(SPEC)
-        shapes = [SPEC, SPEC.encode(), doc, doc.keyset]
-        for spec in shapes:
-            backend = make_backend(spec, choice)
-            out = backend.lookup(
-                "getenv/http_proxy",
-                ContextState({"interface": "eth", "network": "work"}),
-            )
-            assert out is not None and out.value == "proxy.example.com"
-
-    def test_auto_falls_back_on_unserializable_keyset(self):
-        ks = KeySet()
-        ks.insert(Key("a/b", "padded "))  # trailing space survives in-memory only
-        backend = make_backend(ks, "auto")
-        assert isinstance(backend, PureBackend)
-        out = backend.lookup("a/b", ContextState())
-        assert out is not None and out.value == "padded "
-
-
 @pytest.fixture
 def backend(request):
-    """The Python engine, or the C engine through its ctypes binding."""
+    """SPEC's lookup and has_key in the Python engine (contextual_lookup over
+    the parsed key set), or in the C engine through its ctypes binding."""
     if request.param == "pure":
-        return make_backend(SPEC, "pure")
+        keyset = parse_spec(SPEC).keyset
+        return SimpleNamespace(lookup=partial(contextual_lookup, keyset),
+                               has_key=keyset.__contains__)
     return request.getfixturevalue("kxcore").Engine(SPEC)
 
 
@@ -125,15 +97,16 @@ class TestPureCompiledParity:
         rng = random.Random(20_000 + seed)
         entries, layers, query = make_instance(rng, seed_cycle=(seed % 7 == 0))
         text = serialize_spec(entries_keyset(entries))
-        pure = make_backend(text, "pure")
+        keyset = parse_spec(text).keyset
+        pure = partial(contextual_lookup, keyset)
         compiled = kxcore.Engine(text)
 
         names = sorted(entries) + [query, "getenv/missing", "no/such/key"]
         for name in names:
             got_pure = outcome_tuple(pure, name, layers)
-            got_compiled = outcome_tuple(compiled, name, layers)
+            got_compiled = outcome_tuple(compiled.lookup, name, layers)
             assert got_pure == got_compiled, f"{name} under {layers}"
-            assert pure.has_key(name) == compiled.has_key(name)
+            assert (name in keyset) == compiled.has_key(name)
 
         kind, payload = oracle_lookup(entries, query, layers)
         expected = ("ok",) + payload if kind == "ok" else None
@@ -157,9 +130,10 @@ class TestPureCompiledParity:
         }
         text = serialize_spec(entries_keyset(entries))
         chains = []
-        for engine in (make_backend(text, "pure"), kxcore.Engine(text)):
+        for lookup in (partial(contextual_lookup, parse_spec(text).keyset),
+                       kxcore.Engine(text).lookup):
             with pytest.raises(CycleDetectedError) as exc:
-                engine.lookup("cyc/a", ContextState())
+                lookup("cyc/a", ContextState())
             chains.append(tuple(exc.value.chain))
         assert chains[0] == chains[1] == ("cyc/a", "cyc/b", "cyc/a")
 

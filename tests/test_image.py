@@ -14,14 +14,14 @@ import mmap
 import os
 import struct
 import subprocess
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import IMAGE_HEADER, PROXY_SPEC, resign_image
-from kontext.context import ContextState
-from kontext.engine import make_backend
+from kontext.context import ContextState, contextual_lookup
 from kontext.errors import CycleDetectedError, DepthExceededError, TemplateError
 from kontext.layerstate import state_set_layer
 from kontext.shim import child_environment
@@ -65,9 +65,9 @@ def contextual_specs(draw):
     return "\n".join(plain + sections) + "\n", names, layers
 
 
-def outcome(engine, name, layers):
+def outcome(lookup, name, layers):
     try:
-        out = engine.lookup(name, ContextState(layers))
+        out = lookup(name, ContextState(layers))
     except (CycleDetectedError, DepthExceededError) as exc:
         return (type(exc).__name__, tuple(exc.chain))
     except TemplateError:
@@ -92,13 +92,13 @@ def test_image_answers_like_text_and_python(kxcore, tmp_path, drawn):
     with open(path, "rb") as f:
         image = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
     mapped = kxcore.Engine.from_image(image, text)
-    python = make_backend(text, "pure")
+    keyset = parse_spec(text).keyset
     assert mapped.entries() == parsed.entries() == python_spec(text)
     for name in names + ["no/such/key"]:
-        want = outcome(python, name, layers)
-        assert outcome(parsed, name, layers) == want, name
-        assert outcome(mapped, name, layers) == want, name
-        assert mapped.has_key(name) == python.has_key(name)
+        want = outcome(partial(contextual_lookup, keyset), name, layers)
+        assert outcome(parsed.lookup, name, layers) == want, name
+        assert outcome(mapped.lookup, name, layers) == want, name
+        assert mapped.has_key(name) == (name in keyset)
 
 
 FUZZ_TEXT = "plain/key = 7\n" + PROXY_SPEC + "[getenv/KXT]\nowner = me\nvalue = plain\n"
@@ -127,13 +127,13 @@ def test_damaged_image_is_refused_or_answers_the_same(kxcore, flips, signed):
         # a deliberate rewrite may change answers, but reading it stays in bounds
         try:
             engine.entries()
-            [outcome(engine, name, FUZZ_LAYERS) for name in FUZZ_NAMES]
+            [outcome(engine.lookup, name, FUZZ_LAYERS) for name in FUZZ_NAMES]
         except UnicodeDecodeError:
             pass
         return
     assert engine.entries() == parsed.entries()
-    assert [outcome(engine, n, FUZZ_LAYERS) for n in FUZZ_NAMES] == [
-        outcome(parsed, n, FUZZ_LAYERS) for n in FUZZ_NAMES]
+    assert [outcome(engine.lookup, n, FUZZ_LAYERS) for n in FUZZ_NAMES] == [
+        outcome(parsed.lookup, n, FUZZ_LAYERS) for n in FUZZ_NAMES]
 
 
 # ------------------------------------------------------------ in the shim

@@ -34,13 +34,6 @@ class TestKeyName:
         name = KeyName.parse("x/y")
         assert KeyName.parse(name) is name
 
-    def test_is_prefix_of_is_strict(self):
-        base = KeyName.parse("a/b")
-        assert base.is_prefix_of(KeyName.parse("a/b/c"))
-        assert not base.is_prefix_of(base)
-        assert not base.is_prefix_of(KeyName.parse("a/bc"))
-        assert not base.is_prefix_of(KeyName.parse("a"))
-
     def test_names_are_hashable_and_equal_by_value(self):
         assert KeyName.parse("a/b") == KeyName.parse("a/b")
         assert len({KeyName.parse("a/b"), KeyName.parse("a/b")}) == 1

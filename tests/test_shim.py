@@ -1,4 +1,5 @@
-"""In-process shim sessions and child environments for the preload library."""
+"""Child environments for the preload library, and the real shim's
+behaviour in running children."""
 
 from __future__ import annotations
 
@@ -21,55 +22,31 @@ from conftest import (DIRECTORY_SUFFIXES, ENV_SCAN_CASES, KONTEXT_CMD, PROXY_SPE
 from kontext.context import ContextState
 from kontext.errors import KontextError, UnsafeLockError
 from kontext.layerstate import state_read, state_set_layer, state_write
-from kontext.shim import ShimSession, child_environment, preload_library_path
+from kontext.shim import child_environment, preload_library_path
 from kontext.tracing import load_trace, parse_trace
 
 
-def session(state_path, environ=None, spec=PROXY_SPEC):
-    return ShimSession(spec, state_path, environ=environ or {})
-
-
-@pytest.fixture
-def shim(request):
-    """Start a shim over PROXY_SPEC: (state, environ=None) -> object with getenv.
-
-    "pure" is ShimSession, which also keeps counters; "preload" is the real
-    _preload.so in a running child.
-    """
-    if request.param == "pure":
-        return session
-    return request.getfixturevalue("probe_child")
+@pytest.fixture(params=["preload"])
+def shim(request, probe_child):
+    """Start the real _preload.so over PROXY_SPEC in a running child:
+    (state, environ=None) -> object with getenv. The id names the shim the
+    test runs on."""
+    return probe_child
 
 
 class TestGetenvPath:
-    @pytest.mark.parametrize("shim", ["pure", "preload"], indirect=True)
     def test_unregistered_falls_through(self, tmp_path, shim):
         sess = shim(tmp_path / "s.ks", {"PATH": "/usr/bin"})
         assert sess.getenv("PATH") == "/usr/bin"
-        if isinstance(sess, ShimSession):
-            assert sess.counters() == {
-                "calls": 1,
-                "hits": 0,
-                "reloads": 0,
-                "fallthroughs": 1,
-            }
 
-    @pytest.mark.parametrize("shim", ["pure", "preload"], indirect=True)
     def test_unregistered_missing_is_none(self, tmp_path, shim):
         sess = shim(tmp_path / "s.ks")
         assert sess.getenv("NO_SUCH_VAR") is None
-        if isinstance(sess, ShimSession):
-            assert sess.fallthroughs == 1
 
-    @pytest.mark.parametrize("shim", ["pure", "preload"], indirect=True)
     def test_registered_hit_without_state(self, tmp_path, shim):
         sess = shim(tmp_path / "s.ks", {"http_proxy": "ignored"})
         assert sess.getenv("http_proxy") == "default.example.com"
-        if isinstance(sess, ShimSession):
-            assert sess.hits == 1
-            assert sess.fallthroughs == 0
 
-    @pytest.mark.parametrize("shim", ["pure", "preload"], indirect=True)
     def test_registered_hit_with_layers(self, tmp_path, shim):
         state = tmp_path / "s.ks"
         state_set_layer(state, "interface", "eth")
@@ -77,85 +54,84 @@ class TestGetenvPath:
         sess = shim(state)
         assert sess.getenv("http_proxy") == "proxy.example.com"
 
-    def test_environment_never_consulted_on_hit(self, tmp_path):
-        sess = session(tmp_path / "s.ks", environ={"http_proxy": "env-proxy"})
-        assert sess.getenv("http_proxy") == "default.example.com"
+    def test_environment_never_consulted_on_hit(self, probe_child, tmp_path):
+        # every state's answer comes from the spec, also where the template
+        # finds only the full wildcard
+        state = tmp_path / "s.ks"
+        child = probe_child(state, {"http_proxy": "env-proxy"})
+        for layer, answer in [(("interface", "eth"), "default.example.com"),
+                              (("network", "work"), "proxy.example.com"),
+                              (("interface", "wlan"), "default.example.com"),
+                              (("network", "home"), "proxy.example.org")]:
+            state_set_layer(state, *layer)
+            assert child.getenv("http_proxy") == answer
 
-    def test_invalid_names_fall_through(self, tmp_path):
-        sess = session(tmp_path / "s.ks", environ={"a//b": "weird"})
-        assert sess.getenv("a//b") == "weird"
-        assert sess.getenv("") is None
-        assert sess.fallthroughs == 2
+    def test_invalid_names_fall_through(self, probe_child, tmp_path):
+        # names the key grammar cannot hold are never registered
+        child = probe_child(tmp_path / "s.ks", {"a//b": "weird"})
+        assert child.getenv("a//b") == "weird"
+        assert child.getenv("") is None
 
-    def test_lookup_failure_falls_open(self, tmp_path):
-        # zero-ref template pointing at itself: resolution cycles
-        spec = "[getenv/loop]\ncontext = getenv/loop\n"
-        sess = ShimSession(spec, tmp_path / "s.ks", environ={"loop": "from-env"})
-        assert sess.getenv("loop") == "from-env"
-        assert sess.fallthroughs == 1
-        assert sess.hits == 0
+    def test_lookup_failure_falls_open(self, demo_bins, preload_so, tmp_path):
+        # a template that does not parse, and a chain of 17 keys, one more
+        # than a lookup follows
+        spec = tmp_path / "broken.ks"
+        chain = "".join(f"[chain/{i}]\ncontext = chain/{i + 1}\n" for i in range(15))
+        spec.write_text("chain/15 = end\n[getenv/bad]\ncontext = bad/%unterminated\n"
+                        f"[getenv/deep]\ncontext = chain/0\n{chain}")
+        child = _Probe(demo_bins["sync_getenv_ptr"], spec, tmp_path / "s.ks",
+                       {"bad": "env-bad", "deep": "env-deep"})
+        try:
+            assert [child.getenv("bad"), child.getenv("deep")] == ["env-bad", "env-deep"]
+        finally:
+            child.close()
 
 
 class TestStateRefresh:
-    @pytest.mark.parametrize("shim", ["pure", "preload"], indirect=True)
     def test_reload_on_state_change(self, tmp_path, shim):
         state = tmp_path / "s.ks"
         state_set_layer(state, "interface", "wlan")
         state_set_layer(state, "network", "work")
         sess = shim(state)
         assert sess.getenv("http_proxy") == "default.example.com"
-        if isinstance(sess, ShimSession):
-            assert sess.reloads == 0
 
         state_set_layer(state, "network", "home")
         assert sess.getenv("http_proxy") == "proxy.example.org"
-        if isinstance(sess, ShimSession):
-            assert sess.reloads == 1
 
-    def test_no_reload_when_file_unchanged(self, tmp_path):
-        state = tmp_path / "s.ks"
+    def test_no_reload_when_file_unchanged(self, demo_bins, preload_so, proxy_spec, tmp_path):
+        state, trace = tmp_path / "s.ks", tmp_path / "trace.log"
         state_set_layer(state, "interface", "eth")
-        sess = session(state)
-        for _ in range(5):
-            sess.getenv("http_proxy")
-        assert sess.reloads == 0
+        child = _Probe(demo_bins["sync_getenv_ptr"], proxy_spec, state,
+                       dict(os.environ, KONTEXT_TRACE=str(trace)))
+        try:
+            for _ in range(5):
+                assert child.getenv("http_proxy") == "default.example.com"
+            time.sleep(1.1)  # past the next full check, which finds the file unchanged
+            assert child.getenv("http_proxy") == "default.example.com"
+        finally:
+            child.close()
+        records = parse_trace(trace.read_text())
+        assert [r.fields[1] for r in records if r.kind == "getenv"] == ["hit"] * 6
+        assert [r for r in records if r.kind == "reload"] == []
 
-    def test_stale_generation_not_adopted(self, tmp_path):
+    def test_stale_generation_not_adopted(self, probe_child, tmp_path):
         state = tmp_path / "s.ks"
         state_write(state, ContextState({"interface": "eth", "network": "work"}, 9))
-        sess = session(state)
-        assert sess.getenv("http_proxy") == "proxy.example.com"
+        child = probe_child(state)
+        assert child.getenv("http_proxy") == "proxy.example.com"
 
-        # a rewrite that moves the counter backwards is ignored
+        # a rewrite that moves the counter backwards is ignored; one that
+        # moves it past the adopted state is not
         state_write(state, ContextState({"interface": "wlan", "network": "home"}, 3))
-        assert sess.getenv("http_proxy") == "proxy.example.com"
-        assert sess.reloads == 0
-        assert sess.context.generation == 9
-
-    def test_corrupt_rewrite_keeps_cached_context(self, tmp_path):
-        state = tmp_path / "s.ks"
-        state_write(state, ContextState({"interface": "eth", "network": "work"}, 2))
-        sess = session(state)
-        assert sess.getenv("http_proxy") == "proxy.example.com"
-
-        state.write_text("generation=zzz\n")
-        assert sess.getenv("http_proxy") == "proxy.example.com"
-        assert sess.reloads == 0
-
-    def test_deleted_state_keeps_cached_context(self, tmp_path):
-        state = tmp_path / "s.ks"
-        state_write(state, ContextState({"interface": "eth", "network": "work"}, 2))
-        sess = session(state)
-        assert sess.getenv("http_proxy") == "proxy.example.com"
-
-        state.unlink()
-        assert sess.getenv("http_proxy") == "proxy.example.com"
+        assert child.getenv("http_proxy") == "proxy.example.com"
+        state_write(state, ContextState({"interface": "wlan", "network": "home"}, 10))
+        assert child.getenv("http_proxy") == "proxy.example.org"
 
     @pytest.mark.parametrize("change", ["stale", "corrupt", "deleted"])
     def test_preload_keeps_cached_answer(self, probe_child, tmp_path, change):
-        # the cases above on the real shim: an older generation moves the
-        # word backwards, a hand-written corrupt file moves no word and is
-        # read at the once-a-second check, a deleted file is missing there
+        # an older generation moves the word backwards, a hand-written
+        # corrupt file moves no word and is read at the once-a-second check,
+        # a deleted file is missing there
         state = tmp_path / "s.ks"
         state_write(state, ContextState({"interface": "eth", "network": "work"}, 9))
         child = probe_child(state)
@@ -170,43 +146,46 @@ class TestStateRefresh:
         time.sleep(1.1)  # past the next full check
         assert child.getenv("http_proxy") == "proxy.example.com"
 
-    def test_corrupt_file_remembered_until_it_changes(self, tmp_path):
+    def test_deleted_state_keeps_cached_context(self, probe_child, tmp_path):
+        # the adopted state outlives its file, and a state published after
+        # the deletion is adopted
         state = tmp_path / "s.ks"
         state_write(state, ContextState({"interface": "eth", "network": "work"}, 2))
-        sess = session(state)
-        sess.getenv("http_proxy")
+        child = probe_child(state)
+        assert child.getenv("http_proxy") == "proxy.example.com"
+
+        state.unlink()
+        time.sleep(1.1)  # the next full check finds no file
+        assert child.getenv("http_proxy") == "proxy.example.com"
+
+        state_write(state, ContextState({"interface": "wlan", "network": "home"}, 3))
+        assert child.getenv("http_proxy") == "proxy.example.org"
+
+    def test_corrupt_rewrite_keeps_cached_context(self, probe_child, tmp_path):
+        # a corrupt state behind a word that moved forward is read on the
+        # next call, not at the once-a-second check, and the adopted state stays
+        state = tmp_path / "s.ks"
+        state_write(state, ContextState({"interface": "eth", "network": "work"}, 2))
+        child = probe_child(state)
+        assert child.getenv("http_proxy") == "proxy.example.com"
+
+        state.write_text("generation=zzz\n")
+        with open(tmp_path / "s.ks.lock", "r+b") as lock:
+            lock.write((3).to_bytes(8, sys.byteorder))
+        assert child.getenv("http_proxy") == "proxy.example.com"
+
+    def test_corrupt_file_remembered_until_it_changes(self, probe_child, tmp_path):
+        state = tmp_path / "s.ks"
+        state_write(state, ContextState({"interface": "eth", "network": "work"}, 2))
+        child = probe_child(state)
+        assert child.getenv("http_proxy") == "proxy.example.com"
 
         state.write_text("garbage\n")
-        sess.getenv("http_proxy")
-        stat_after_bad = sess._stat
-        sess.getenv("http_proxy")
-        assert sess._stat == stat_after_bad  # no re-read loop on a bad file
+        time.sleep(1.1)  # the next full check reads the bad file and keeps the state
+        assert child.getenv("http_proxy") == "proxy.example.com"
 
         state_write(state, ContextState({"interface": "wlan", "network": "home"}, 7))
-        assert sess.getenv("http_proxy") == "proxy.example.org"
-        assert sess.reloads == 1
-
-
-class TestCounters:
-    def test_calls_split_exactly(self, tmp_path):
-        import random
-
-        rng = random.Random(3)
-        sess = session(tmp_path / "s.ks", environ={"TERM": "xterm"})
-        names = ["http_proxy", "TERM", "MISSING", "", "a//b"]
-        for _ in range(200):
-            sess.getenv(rng.choice(names))
-        counts = sess.counters()
-        assert counts["calls"] == 200
-        assert counts["hits"] + counts["fallthroughs"] == counts["calls"]
-        assert counts["hits"] > 0
-        assert counts["fallthroughs"] > 0
-
-    def test_properties(self, tmp_path):
-        state = tmp_path / "s.ks"
-        sess = session(state)
-        assert sess.state_path == state
-        assert isinstance(sess.context, ContextState)
+        assert child.getenv("http_proxy") == "proxy.example.org"
 
 
 class TestChildEnvironment:
