@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -312,15 +313,34 @@ def cmd_layer(args) -> int:
 
 
 def _child_env(args, trace: Optional[Path] = None):
+    """(environment for a child under the shim, the spec it loads or None).
+
+    The spec must be one the shim loads, or the child would run with the
+    shim silently off: a regular file that parses. It is stat'ed before it
+    is opened, since opening a FIFO would block.
+    """
     from .shim import child_environment
 
     spec = _spec_path(args, required=False)
+    doc = None
+    if spec:
+        try:
+            mode = spec.stat().st_mode
+        except OSError:
+            mode = stat.S_IFREG  # missing or unreadable: _load_spec_doc says which
+        # a directory fails to load as it does for every command
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise _CliError(EXIT_DATA, f"{spec}: not a regular file")
+        try:
+            doc = _load_spec_doc(spec)
+        except SpecParseError as exc:
+            raise _CliError(EXIT_DATA, f"{spec}: {exc}") from None
     state = _state_path(args, explicit_only=True)
-    return child_environment(spec=spec, state=state, trace=trace)
+    return child_environment(spec=spec, state=state, trace=trace), doc
 
 
 def cmd_run(args) -> int:
-    env = _child_env(args)
+    env, _ = _child_env(args)
     argv = [args.program] + list(args.args)
     try:
         os.execvpe(args.program, argv, env)
@@ -338,12 +358,10 @@ def cmd_trace(args) -> int:
 
     from .tracing import aggregate, load_trace
 
-    spec = _spec_path(args, required=False)
-    doc = _load_spec_doc(spec) if spec else None
     fd, trace_path = tempfile.mkstemp(prefix="kontext-trace-", suffix=".tsv")
     os.close(fd)
     try:
-        env = _child_env(args, trace=Path(trace_path))
+        env, doc = _child_env(args, trace=Path(trace_path))
         argv = [args.program] + list(args.args)
         t0 = time.monotonic_ns()
         try:
@@ -365,9 +383,9 @@ def cmd_trace(args) -> int:
         spec_keyset=doc.keyset if doc else None,
         fallback_t0_ns=t0,
     )
-    data = report.as_dict()
     if args.porcelain:
-        print("\t".join(f"{k}={data[k]}" for k in ("getenv_all", "all_uniq", "later_uniq", "later_config")))
+        print(f"getenv_all={report.total_calls}\tall_uniq={report.unique_names}"
+              f"\tlater_uniq={report.later_unique}\tlater_config={report.config_candidates}")
     else:
         _print_table(
             [[

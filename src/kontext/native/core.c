@@ -89,6 +89,8 @@ int kx_name_valid(const char *name) {
 /* hashing                                                             */
 /* ------------------------------------------------------------------ */
 
+#define KX_HASH_LANES 8
+#define KX_HASH_ROUND (8 * KX_HASH_LANES)
 #define KX_P1 0x9E3779B97F4A7C15ULL
 #define KX_P2 0xC2B2AE3D27D4EB4FULL
 
@@ -99,58 +101,25 @@ static uint64_t kx_lane(uint64_t lane, uint64_t word) {
     return lane ^ (lane >> 29);
 }
 
-/* rounds over n bytes (a multiple of KX_HASH_ROUND); the lanes stay in
- * registers, as data may alias them */
-static void kx_hash_rounds(uint64_t lane[KX_HASH_LANES], const unsigned char *p, size_t n) {
-    uint64_t l[KX_HASH_LANES];
-    memcpy(l, lane, sizeof l);
-    for (const unsigned char *end = p + n; p < end; p += KX_HASH_ROUND) {
-        uint64_t w[KX_HASH_LANES];
-        memcpy(w, p, sizeof w);
+/* 8 bytes per step in each of KX_HASH_LANES independent lanes, the last
+ * round padded with zeros; the length goes into the finish */
+uint64_t kx_hash64(const void *data, size_t n) {
+    const unsigned char *p = (const unsigned char *)data;
+    uint64_t lane[KX_HASH_LANES], w[KX_HASH_LANES];
+    for (int i = 0; i < KX_HASH_LANES; i++)
+        lane[i] = KX_P2 * (uint64_t)(i + 1);
+    for (size_t off = 0; off < n; off += KX_HASH_ROUND) {
+        if (n - off >= KX_HASH_ROUND) {
+            memcpy(w, p + off, sizeof w);
+        } else {
+            memset(w, 0, sizeof w);
+            memcpy(w, p + off, n - off);
+        }
 #pragma GCC unroll 8
         for (int i = 0; i < KX_HASH_LANES; i++)
-            l[i] = kx_lane(l[i], w[i]);
+            lane[i] = kx_lane(lane[i], w[i]);
     }
-    memcpy(lane, l, sizeof l);
-}
-
-void kx_hash_init(kx_hasher *h) {
-    memset(h, 0, sizeof *h);
-    for (int i = 0; i < KX_HASH_LANES; i++)
-        h->lane[i] = KX_P2 * (uint64_t)(i + 1);
-}
-
-void kx_hash_update(kx_hasher *h, const void *data, size_t n) {
-    const unsigned char *p = (const unsigned char *)data;
-    h->len += n;
-    if (h->npend) {
-        size_t take = n < KX_HASH_ROUND - h->npend ? n : KX_HASH_ROUND - h->npend;
-        memcpy(h->pend + h->npend, p, take);
-        h->npend += take;
-        p += take;
-        n -= take;
-        if (h->npend < KX_HASH_ROUND)
-            return;
-        kx_hash_rounds(h->lane, h->pend, KX_HASH_ROUND);
-        h->npend = 0;
-    }
-    size_t whole = n - n % KX_HASH_ROUND;
-    kx_hash_rounds(h->lane, p, whole);
-    p += whole;
-    n -= whole;
-    memcpy(h->pend, p, n);
-    h->npend = n;
-}
-
-uint64_t kx_hash_final(const kx_hasher *h) {
-    uint64_t lane[KX_HASH_LANES];
-    memcpy(lane, h->lane, sizeof lane);
-    if (h->npend) {
-        unsigned char last[KX_HASH_ROUND] = {0};
-        memcpy(last, h->pend, h->npend);
-        kx_hash_rounds(lane, last, KX_HASH_ROUND);
-    }
-    uint64_t x = h->len * KX_P2;
+    uint64_t x = (uint64_t)n * KX_P2;
     for (int i = 0; i < KX_HASH_LANES; i++)
         x = kx_lane(x, lane[i]);
     x ^= x >> 33; /* MurmurHash3's finalizer */
@@ -158,13 +127,6 @@ uint64_t kx_hash_final(const kx_hasher *h) {
     x ^= x >> 33;
     x *= 0xC4CEB9FE1A85EC53ULL;
     return x ^ (x >> 33);
-}
-
-uint64_t kx_hash64(const void *data, size_t n) {
-    kx_hasher h;
-    kx_hash_init(&h);
-    kx_hash_update(&h, data, n);
-    return kx_hash_final(&h);
 }
 
 /* ------------------------------------------------------------------ */

@@ -78,18 +78,6 @@ typedef struct {
     int owned; /* kx_keyset_free frees block: kx_parse_spec's, not an adopted image */
 } kx_keyset;
 
-/* 64-bit hash of a byte string, 8 bytes per step in each of independent
- * lanes; fed in pieces of any size it gives what one kx_hash64 call gives */
-#define KX_HASH_LANES 8
-#define KX_HASH_ROUND (8 * KX_HASH_LANES)
-
-typedef struct {
-    uint64_t lane[KX_HASH_LANES];
-    uint64_t len;
-    unsigned char pend[KX_HASH_ROUND];
-    size_t npend;
-} kx_hasher;
-
 /* a parsed state is one block, like a key set: a name slot and a value slot
  * per line of the text, then the text with each name and value cut in
  * place (one malloc) */
@@ -161,10 +149,8 @@ typedef struct {
 
 KX_API int kx_buf_push(kx_buf *buf, const char *s, size_t n);
 
-/* hashing */
-KX_API void kx_hash_init(kx_hasher *h);
-KX_API void kx_hash_update(kx_hasher *h, const void *data, size_t n);
-KX_API uint64_t kx_hash_final(const kx_hasher *h);
+/* 64-bit hash of a byte string: an image's spec hash and checksum, and a
+ * shadow file's name */
 KX_API uint64_t kx_hash64(const void *data, size_t n);
 
 /* validation */

@@ -34,12 +34,13 @@
  *
  * Spec image: the parsed key set is one position-independent block
  * (core.h), and <spec>.kxi holds that block. The first call reads the spec
- * in small chunks while hashing it, maps the image and adopts it when the
- * file passes the generation word's rules below (regular, not a symlink, one
- * link, owned by the euid, not group/world-writable) and core.c's checks
- * pass: magic, version, byte order, the spec's length and hash equal to the
- * bytes just read, the checksum, and every offset in bounds. Otherwise it
- * parses the text and, if its euid owns the spec and it is not AT_SECURE,
+ * once, whole, and only when it is a regular file (a FIFO would block the
+ * host), then maps the image and adopts it when the file passes the
+ * generation word's rules below (regular, not a symlink, one link, owned by
+ * the euid, not group/world-writable) and core.c's checks pass: magic,
+ * version, byte order, the spec's length and hash equal to the bytes just
+ * read, the checksum, and every offset in bounds. Otherwise it parses the
+ * bytes it read and, if its euid owns the spec and it is not AT_SECURE,
  * writes the image (kx_write_file) for the next process. Content is the
  * only staleness rule, so a stale, damaged or foreign image costs a parse
  * and never changes an answer; deleting it is always safe.
@@ -110,7 +111,8 @@
  * form matches no open and stays out of g_paths.
  *
  * Config environment variables:
- *   KONTEXT_SPEC        spec file path; unset or unparseable -> passthrough
+ *   KONTEXT_SPEC        spec file path (symlinks followed); unset, not a
+ *                       regular file or unparseable -> passthrough
  *   KONTEXT_STATE       state file path; default ${XDG_RUNTIME_DIR:-/tmp}/kontext/state.ks
  *   KONTEXT_TRACE       trace file path (append); unset -> no tracing
  *   TMPDIR              where the shadow store is; unset or empty -> /tmp
@@ -353,11 +355,10 @@ static void kx_trace(const char *kind, const char *f3, const char *f4, const cha
 /* state loading                                                       */
 /* ------------------------------------------------------------------ */
 
-/* the rest of fd, whose fstat the caller has in st; a regular file is read
- * with one read() into a buffer of its size */
+/* the rest of the regular file fd, whose fstat the caller has in st: one
+ * read() into a buffer of its size, and more only while the file grows */
 static int kx_read_fd(int fd, const struct stat *st, char **data_out, size_t *len_out) {
-    int regular = S_ISREG(st->st_mode);
-    size_t cap = regular ? (size_t)st->st_size + 1 : 8192, len = 0;
+    size_t cap = (size_t)st->st_size + 1, len = 0;
     char *data = (char *)malloc(cap);
     if (!data)
         return -1;
@@ -378,11 +379,9 @@ static int kx_read_fd(int fd, const struct stat *st, char **data_out, size_t *le
             free(data);
             return -1;
         }
-        if (got == 0)
-            break;
         len += (size_t)got;
-        if (regular && len < cap)
-            break; /* a short read of a regular file ends at its end */
+        if (len < cap)
+            break; /* a short read ends at the end of the file */
     }
     *data_out = data;
     *len_out = len;
@@ -706,29 +705,6 @@ static void kx_stage(int stage, long long *mark) {
     *mark = now;
 }
 
-/* length and kx_hash64 of the rest of fd, read through one small buffer
- * instead of a copy of the whole file; lock held */
-static int kx_hash_fd(int fd, uint64_t *len, uint64_t *hash, long long *mark) {
-    static char buf[32768];
-    kx_hasher h;
-    kx_hash_init(&h);
-    for (;;) {
-        ssize_t got = read(fd, buf, sizeof buf);
-        if (got < 0 && errno == EINTR)
-            continue;
-        kx_stage(KX_ST_READ, mark);
-        if (got < 0)
-            return -1;
-        if (got == 0)
-            break;
-        kx_hash_update(&h, buf, (size_t)got);
-        kx_stage(KX_ST_HASH, mark);
-    }
-    *len = h.len;
-    *hash = kx_hash_final(&h);
-    return 0;
-}
-
 /* write the image of g_spec, parsed from text, at path */
 static int kx_image_write(const char *path, const char *text, size_t len) {
     size_t size;
@@ -737,49 +713,26 @@ static int kx_image_write(const char *path, const char *text, size_t len) {
 }
 
 /* g_spec from <spec>.kxi when that image is valid for the spec's bytes as
- * read now, else parsed from the text and, when this process may, written
- * as the image for the next one. Sets g_image_outcome. Returns 0, or -1
- * with failure filled in. Lock held. */
+ * read now, else parsed from them and, when this process may, written as
+ * the image for the next one. Sets g_image_outcome. Returns 0, or -1 with
+ * failure filled in. Lock held. */
 static int kx_spec_load(const char *spec_path, char *failure, size_t cap) {
     long long mark = kx_now_ns();
     struct stat st;
-    int fd = kx_real_open(spec_path, O_RDONLY | O_CLOEXEC, 0);
+    /* O_NONBLOCK: opening a FIFO must not wait for a writer, and only a
+     * regular file is read */
+    int fd = kx_real_open(spec_path, O_RDONLY | O_CLOEXEC | O_NONBLOCK, 0);
     if (fd < 0 || fstat(fd, &st) != 0) {
         snprintf(failure, cap, "spec unreadable (errno %d)", errno);
         if (fd >= 0)
             close(fd);
         return -1;
     }
-    /* only a regular file can be read twice, and has a stable name */
-    char image_path[PATH_MAX];
-    int imaged = S_ISREG(st.st_mode) &&
-                 snprintf(image_path, sizeof image_path, "%s.kxi", spec_path) <
-                     (int)sizeof image_path;
-    const char *why = "missing";
-    struct stat image_st;
-    const void *image = imaged ? kx_map_trusted(image_path, 1, &image_st, &why) : NULL;
-    kx_stage(KX_ST_LOAD, &mark);
-    if (image) {
-        size_t size = (size_t)image_st.st_size;
-        uint64_t len, hash;
-        int rc = KX_E_IMAGE;
-        why = "unreadable";
-        if (kx_hash_fd(fd, &len, &hash, &mark) == 0)
-            rc = kx_keyset_from_image(image, size, len, hash, &g_spec, &why);
-        kx_stage(KX_ST_HASH, &mark);
-        if (rc == KX_OK) {
-            close(fd);
-            snprintf(g_image_outcome, sizeof g_image_outcome, "mapped");
-            return 0;
-        }
-        munmap((void *)image, size);
-        if (lseek(fd, 0, SEEK_SET) != 0) {
-            snprintf(failure, cap, "spec unreadable (errno %d)", errno);
-            close(fd);
-            return -1;
-        }
+    if (!S_ISREG(st.st_mode)) {
+        close(fd);
+        snprintf(failure, cap, "spec refused: not a regular file");
+        return -1;
     }
-
     char *data = NULL;
     size_t len = 0;
     int rc = kx_read_fd(fd, &st, &data, &len);
@@ -789,6 +742,25 @@ static int kx_spec_load(const char *spec_path, char *failure, size_t cap) {
         snprintf(failure, cap, "spec unreadable (errno %d)", errno);
         return -1;
     }
+    char image_path[PATH_MAX];
+    int imaged = snprintf(image_path, sizeof image_path, "%s.kxi", spec_path) <
+                 (int)sizeof image_path;
+    const char *why = "missing";
+    struct stat image_st;
+    const void *image = imaged ? kx_map_trusted(image_path, 1, &image_st, &why) : NULL;
+    kx_stage(KX_ST_LOAD, &mark);
+    if (image) {
+        size_t size = (size_t)image_st.st_size;
+        rc = kx_keyset_from_image(image, size, len, kx_hash64(data, len), &g_spec, &why);
+        kx_stage(KX_ST_HASH, &mark);
+        if (rc == KX_OK) {
+            free(data);
+            snprintf(g_image_outcome, sizeof g_image_outcome, "mapped");
+            return 0;
+        }
+        munmap((void *)image, size);
+    }
+
     kx_error err;
     rc = kx_parse_spec(data, len, &g_spec, &err);
     kx_stage(KX_ST_LOAD, &mark);

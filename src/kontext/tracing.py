@@ -15,7 +15,11 @@ Record kinds and their fields:
                  refused:<rule>|unwritable|-), and the us the first call spent
                  per stage: read=..;hash=..;load=..;write=..;state=..;slots=..;
                  total=..
-    init-failed  reason
+    init-failed  why the process stays passthrough: spec unreadable (errno
+                 N) (missing, no permission), spec refused: not a regular
+                 file (a directory, FIFO or device), spec parse failed: line
+                 N: message, answer slots: out of memory, or name table: out
+                 of memory
     note         topic, then what failed open and why: lookup-error (key,
                  error), shadow-render-error (key, error),
                  shadow-store-refused (store), state-refused (rule: symlink,
@@ -48,11 +52,7 @@ from .errors import UnparseableTraceError
 from .keydb import KeySet
 
 RECORD_GETENV = "getenv"
-RECORD_OPEN = "open"
 RECORD_START = "start"
-RECORD_INIT_FAILED = "init-failed"
-RECORD_NOTE = "note"
-RECORD_RELOAD = "reload"
 
 GETENV_OUTCOMES = ("hit", "fallthrough", "null")
 
@@ -140,18 +140,6 @@ class TraceReport:
     later_names: List[str] = field(default_factory=list)
     config_names: List[str] = field(default_factory=list)
     mode: Optional[str] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "getenv_all": self.total_calls,
-            "all_uniq": self.unique_names,
-            "later_uniq": self.later_unique,
-            "later_config": self.config_candidates,
-            "startup_ms": self.startup_ms,
-            "later_names": self.later_names,
-            "config_names": self.config_names,
-            "mode": self.mode,
-        }
 
 
 def aggregate(

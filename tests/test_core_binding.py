@@ -166,6 +166,31 @@ def test_hot_path_is_pinned_ahead_of_the_engine(preload_so, tmp_path, monkeypatc
         {name: before[name][0] for name in HOT_PATH}
 
 
+def test_exports_are_the_hot_path_entries(preload_so):
+    # every entry point the library defines is pinned ahead of the engine
+    # above, so a new one must join HOT_PATH to be exported
+    out = subprocess.run(["readelf", "-W", "--dyn-syms", str(preload_so)], capture_output=True,
+                         text=True, check=True).stdout
+    defined = {parts[7] for parts in map(str.split, out.splitlines())
+               if len(parts) >= 8 and parts[3] == "FUNC" and parts[6] != "UND"}
+    assert defined == {"getenv", "secure_getenv", "open", "open64", "__open_2", "__open64_2",
+                       "fopen", "fopen64"}
+    assert defined <= set(HOT_PATH)
+
+
+@pytest.mark.parametrize("data, want", [
+    (b"", 0x5ce92b3315c03889),
+    (b"a", 0x0f8cfd57d4d3b3a2),
+    (bytes(range(64)), 0x1987eecbfd994af5),
+    (bytes(range(65)), 0x4f2b689c2a4ad269),
+    (bytes(i % 251 for i in range(1000)), 0x8ebb020291018a36),
+])
+def test_hash_is_pinned(kxcore, data, want):
+    # an image's header holds these hashes, so a change to kx_hash64 would
+    # leave every image on disk stale
+    assert kxcore.hash64(data) == want
+
+
 def test_benchmark_core_probe_builds(tmp_path, cc):
     # perfbench links coreprobe.c straight against core.c; build it with the
     # benchmark's own recipe, so a core.h change that would break the
@@ -302,6 +327,19 @@ def test_preload_runs_clean_under_sanitizers(demo_bins, preload_so, kxcore, tmp_
         image.write_bytes(resign_image(kxcore, data) if signed else data)
         got = answers()
         assert signed or got == want, round
+
+    # the spec's text rewritten under its old image: the image is refused as
+    # stale, and the answers are the new text's, read once
+    image.write_bytes(pristine)
+    spec.write_text(spec.read_text().replace("default.example.com", "rewritten.example.com"))
+    trace = tmp_path / "stale.trace"
+    env["KONTEXT_TRACE"] = str(trace)
+    rewritten = [answer.replace("default.example.com", "rewritten.example.com")
+                 for answer in want]
+    assert rewritten != want
+    assert answers() == rewritten
+    assert [r.fields[0] for r in parse_trace(trace.read_text()) if r.kind == "init"] == [
+        "written:stale"]
 
 
 def test_threads_run_clean_under_thread_sanitizer(tmp_path, cc):

@@ -808,6 +808,25 @@ class TestPreloadHardening:
         assert proc.returncode == 0, out
         assert out.strip() == "forks=200 failed=0"
 
+    @pytest.mark.parametrize("kind, why", [
+        ("fifo", "spec refused: not a regular file"),
+        ("missing", f"spec unreadable (errno {errno.ENOENT})"),
+    ])
+    def test_spec_it_cannot_load_leaves_the_host_alone(self, demo_bins, preload_so, tmp_path,
+                                                       kind, why):
+        # a FIFO with no writer must not block the first call
+        spec, trace = tmp_path / "spec.ks", tmp_path / "trace.log"
+        if kind == "fifo":
+            os.mkfifo(spec)
+        env = child_environment(spec=spec, state=tmp_path / "state.ks", trace=trace,
+                                base=dict(os.environ))
+        ran = subprocess.run([str(demo_bins["t01_env_present"])], env=env, capture_output=True,
+                             text=True, timeout=10)
+        assert (ran.returncode, ran.stdout) == (0, f"path={os.environ['PATH']}\n")
+        records = parse_trace(trace.read_text())
+        assert [r.fields[0] for r in records if r.kind == "start"] == ["passthrough"]
+        assert [r.fields for r in records if r.kind == "init-failed"] == [(why,)]
+
     @pytest.mark.parametrize("configured", [True, False], ids=["spec", "no-spec"])
     def test_tmpfile_open_keeps_its_mode(self, demo_bins, preload_so, proxy_spec, tmp_path,
                                          configured):

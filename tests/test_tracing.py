@@ -232,19 +232,3 @@ class TestAggregate:
         assert report.config_candidates <= report.later_unique
         assert report.later_unique <= report.unique_names
         assert report.unique_names <= report.total_calls
-
-    def test_as_dict_shape(self):
-        report = aggregate([], startup_ms=5)
-        data = report.as_dict()
-        assert data["getenv_all"] == 0
-        assert data["startup_ms"] == 5
-        assert set(data) == {
-            "getenv_all",
-            "all_uniq",
-            "later_uniq",
-            "later_config",
-            "startup_ms",
-            "later_names",
-            "config_names",
-            "mode",
-        }
